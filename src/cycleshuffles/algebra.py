@@ -5,6 +5,16 @@ precision, always reduced).  Zero coefficients are never stored, so equality
 of elements is equality of their term dictionaries and an identity check
 reduces to emptiness of a difference.
 
+Every product goes through one right-multiplication kernel, rmul_terms.
+It clears the denominators of both factors once, so the inner loop is pure
+integer multiply-add, and divides once per output term.  When the left
+factor covers at least a quarter of S_n and the right factor is sparse,
+the kernel indexes S_n by lexicographic rank and reads u*v off one gather
+table rank(u) -> rank(u*v) per right term v; the rank index and the tables
+are built on first use, never at import, and at most _GATHER_TABLES tables
+are kept.  Otherwise it composes the permutation tuples directly, so
+sparse products never touch an n!-sized table.
+
 Operations that enumerate all of S_n refuse to run above a degree cap
 (default 8, i.e. 40320 basis permutations) to guard against accidental
 factorial blowup; the cap can be lifted per call or through the
@@ -13,11 +23,14 @@ CYCLESHUFFLES_MAX_N environment variable.
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Union
 
-from .perms import Perm, compose, format_permutation, identity, inverse
+from .perms import Perm, all_permutations, format_permutation, identity, inverse
 
 Scalar = Union[int, Fraction]
 
@@ -131,16 +144,7 @@ class AlgebraElement:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_same_degree(other)
-        terms: dict[Perm, Scalar] = {}
-        for u, cu in self._terms.items():
-            for v, cv in other._terms.items():
-                w = compose(u, v)
-                s = terms.get(w, 0) + cu * cv
-                if s:
-                    terms[w] = s
-                else:
-                    terms.pop(w, None)
-        return _raw(self.n, terms)
+        return _raw(self.n, rmul_terms(self._terms, other._terms, self.n))
 
     def __pow__(self, exponent: int) -> "AlgebraElement":
         """Power by repeated squaring (commutator powers are dense)."""
@@ -184,6 +188,85 @@ def _raw(n: int, terms: dict[Perm, Scalar]) -> AlgebraElement:
     el.n = n
     el._terms = terms
     return el
+
+
+# Gather tables kept across products: enough for the supports of every t_ell,
+# t'_ell and osc at n <= 8, and at most 64 * 8! references in memory.
+_GATHER_TABLES = 64
+
+
+@functools.cache
+def sn_index(n: int) -> tuple[tuple[Perm, ...], dict[Perm, int]]:
+    """S_n in lexicographic order and the rank of each permutation in it.
+
+    Built on first use per degree and shared by every caller.
+    """
+    perms = tuple(all_permutations(n))
+    return perms, {w: k for k, w in enumerate(perms)}
+
+
+def _composer(v: Perm) -> Callable[[Perm], Perm]:
+    """u -> u*v as a single C-level call."""
+    if len(v) == 1:
+        return lambda u: u  # itemgetter with one index returns an int, not a tuple
+    return itemgetter(*(k - 1 for k in v))
+
+
+@functools.lru_cache(maxsize=_GATHER_TABLES)
+def _gather_table(n: int, v: Perm) -> tuple[int, ...]:
+    """rank(u) -> rank(u*v) over all of S_n."""
+    perms, rank = sn_index(n)
+    times_v = _composer(v)
+    return tuple(rank[times_v(u)] for u in perms)
+
+
+def integer_terms(terms: Mapping[Perm, Scalar]) -> tuple[int, list[tuple[Perm, int]]]:
+    """A common denominator d of the coefficients and the integers d*c."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, [(w, c.numerator * (den // c.denominator)) for w, c in terms.items()]
+
+
+def divide_terms(terms: Mapping[Perm, int], den: int) -> dict[Perm, Scalar]:
+    """The nonzero c/den: ints when den is 1, reduced Fractions otherwise."""
+    if den == 1:
+        return {w: c for w, c in terms.items() if c}
+    return {w: Fraction(c, den) for w, c in terms.items() if c}
+
+
+def rmul_terms(
+    x_terms: Mapping[Perm, Scalar], y_terms: Mapping[Perm, Scalar], n: int
+) -> dict[Perm, Scalar]:
+    """Term dict of the product x*y, zero terms pruned.
+
+    The coefficient of w is the sum of x[u]*y[v] over u*v = w.  The
+    coefficients are ints when every coefficient of both factors is
+    integral, and reduced Fractions otherwise.
+
+    >>> rmul_terms({(2, 1, 3): 1}, {(1, 3, 2): Fraction(1, 2)}, 3)
+    {(2, 3, 1): Fraction(1, 2)}
+    """
+    if not x_terms or not y_terms:
+        return {}
+    x_den, xs = integer_terms(x_terms)
+    y_den, ys = integer_terms(y_terms)
+    size = math.factorial(n)
+    if 4 * len(xs) >= size and len(ys) <= _GATHER_TABLES:
+        perms, rank = sn_index(n)
+        xr = [(rank[u], a) for u, a in xs]
+        dense = [0] * size
+        for v, b in ys:
+            table = _gather_table(n, v)
+            for ru, a in xr:
+                dense[table[ru]] += a * b
+        acc = {perms[k]: c for k, c in enumerate(dense) if c}
+    else:
+        right = [(_composer(v), b) for v, b in ys]
+        acc = {}
+        for u, a in xs:
+            for times_v, b in right:
+                w = times_v(u)
+                acc[w] = acc.get(w, 0) + a * b
+    return divide_terms(acc, x_den * y_den)
 
 
 def linear_combine(pairs: Iterable[tuple[Scalar, AlgebraElement]]) -> AlgebraElement:

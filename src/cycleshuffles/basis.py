@@ -13,15 +13,29 @@ contained in the descent set of w.  Ordered by increasing Q-index, the
 a-basis triangularizes right multiplication by every t_ell simultaneously;
 the dual basis b_w ordered by decreasing Q-index does the same for every
 t'_ell.
+
+The b-coefficients of y are the bilinear forms f(a_p, y).  They are read
+off the transposed incidence of the a-family, "which a_p contain w", built
+once per family: each w in the support of y adds y[w] to the few p with w
+in a_p, instead of one bilinear form per basis element.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from functools import cached_property
 from typing import Literal, Mapping, Sequence
 
-from .algebra import AlgebraElement, Scalar, bilinear_form, require_within_cap
+from .algebra import (
+    AlgebraElement,
+    Scalar,
+    divide_terms,
+    integer_terms,
+    require_within_cap,
+    rmul_terms,
+    sn_index,
+)
 from .lacunar import LacunarCatalog, enumerate_lacunar, set_to_mask
 from .perms import Perm, all_permutations, descent_set
 
@@ -95,6 +109,16 @@ class BasisFamily:
     def __getitem__(self, w: Perm) -> AlgebraElement:
         return self.elements[w]
 
+    @cached_property
+    def containing(self) -> dict[Perm, list[tuple[Perm, Scalar]]]:
+        """The transpose of the family: w -> [(p, [w] element_p), ...] over
+        the p whose element contains w, p in lexicographic order."""
+        incidence: dict[Perm, list[tuple[Perm, Scalar]]] = {w: [] for w in self.perms}
+        for p in self.perms:
+            for w, c in self.elements[p].terms.items():
+                incidence[w].append((p, c))
+        return incidence
+
 
 def build_a_family(n: int, max_n: int | None = None) -> BasisFamily:
     require_within_cap(n, max_n)
@@ -108,25 +132,25 @@ def family_to_json(family: BasisFamily) -> list[dict]:
     return [element_to_json(family.elements[w]) for w in family.perms]
 
 
-def _negate(w: Perm) -> Perm:
-    return tuple(-v for v in w)
-
-
 def expand_in_a(x: AlgebraElement, family: BasisFamily) -> dict[Perm, Scalar]:
     """Coefficients of x in the a-basis, by descending-lex back-substitution.
 
     At each step the lexicographically largest surviving permutation w must
     be carried by a_w (every other a_v with v < w only contains words < w),
-    so subtracting coefficient * a_w is forced and terminates.
+    so subtracting coefficient * a_w is forced and terminates.  The
+    denominators of x are cleared first, so the elimination runs on
+    integers.
     """
     if family.kind != "a":
         raise ValueError("expansion by back-substitution needs the a-family")
-    work = dict(x.terms)
-    heap = [_negate(w) for w in work]
+    perms, rank = sn_index(family.n)
+    den, numerators = integer_terms(x.terms)
+    work = dict(numerators)
+    heap = [-rank[w] for w in work]
     heapq.heapify(heap)
     out: dict[Perm, Scalar] = {}
     while heap:
-        w = _negate(heapq.heappop(heap))
+        w = perms[-heapq.heappop(heap)]
         c = work.get(w, 0)
         if not c:
             continue
@@ -135,11 +159,11 @@ def expand_in_a(x: AlgebraElement, family: BasisFamily) -> dict[Perm, Scalar]:
             s = work.get(v, 0) - c * av
             if s:
                 if v not in work:
-                    heapq.heappush(heap, _negate(v))
+                    heapq.heappush(heap, -rank[v])
                 work[v] = s
             else:
                 work.pop(v, None)
-    return out
+    return divide_terms(out, den)
 
 
 def dual_basis(family: BasisFamily) -> BasisFamily:
@@ -162,13 +186,16 @@ def dual_basis(family: BasisFamily) -> BasisFamily:
 
 
 def expand_in_b(y: AlgebraElement, a_family: BasisFamily) -> dict[Perm, Scalar]:
-    """Coefficients of y in the dual basis: the b_v-coefficient is f(a_v, y)."""
+    """Coefficients of y in the dual basis: the b_p-coefficient is f(a_p, y),
+    accumulated over the support of y through the family's incidence."""
+    if a_family.kind != "a":
+        raise ValueError("expansion in the dual basis needs the a-family")
+    containing = a_family.containing
     out: dict[Perm, Scalar] = {}
-    for v in a_family.perms:
-        c = bilinear_form(a_family.elements[v], y)
-        if c:
-            out[v] = c
-    return out
+    for w, yw in y.terms.items():
+        for p, c in containing[w]:
+            out[p] = out.get(p, 0) + c * yw
+    return {p: c for p, c in out.items() if c}
 
 
 BasisName = Literal["std", "a", "b"]
@@ -203,12 +230,12 @@ def rmul_columns(
     Column w maps each row index v to the coefficient of the v-th basis
     vector in (basis vector w) * x.
     """
+    if basis == "std":
+        require_within_cap(x.n)
+        return {w: rmul_terms({w: 1}, x.terms, x.n) for w in all_permutations(x.n)}
     a_family = a_family or build_a_family(x.n)
     columns: dict[Perm, dict[Perm, Scalar]] = {}
-    if basis == "std":
-        for w in a_family.perms:
-            columns[w] = dict((AlgebraElement.from_perm(w) * x).terms)
-    elif basis == "a":
+    if basis == "a":
         for w in a_family.perms:
             columns[w] = expand_in_a(a_family.elements[w] * x, a_family)
     elif basis == "b":
@@ -228,7 +255,6 @@ def rmul_matrix(
     b_family: BasisFamily | None = None,
 ) -> tuple[tuple[Perm, ...], list[list[Scalar]]]:
     """Dense matrix of y -> y x in the chosen basis and row/column order."""
-    a_family = a_family or build_a_family(x.n)
     if isinstance(order, str):
         ordered = basis_order(x.n, order)
     else:

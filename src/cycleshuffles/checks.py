@@ -10,8 +10,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraElement, bilinear_form, linear_combine
-from .basis import QIndexTable, build_a_family, dual_basis, expand_in_a, expand_in_b
+from .algebra import AlgebraElement, linear_combine
+from .basis import BasisFamily, QIndexTable, build_a_family, dual_basis, expand_in_a, expand_in_b
 from .identities import commutator_nilpotency, identity_suite, separate_nilpotency_exponents
 from .lacunar import enumerate_lacunar, m_value
 from .perms import all_permutations, inverse
@@ -71,8 +71,13 @@ def check_dual_triangularity(n: int, max_n: int | None = None) -> list[CheckResu
     """Right multiplication by each t'_ell is upper-triangular on the dual
     basis in decreasing Q-index order, with the same diagonal."""
     family = build_a_family(n, max_n)
-    b_family = dual_basis(family)
-    table = QIndexTable(n, max_n)
+    return _dual_triangularity(family, dual_basis(family), QIndexTable(n, max_n))
+
+
+def _dual_triangularity(
+    family: BasisFamily, b_family: BasisFamily, table: QIndexTable
+) -> list[CheckResult]:
+    n = family.n
     catalog = table.catalog
     results = []
     for ell in range(1, n + 1):
@@ -97,23 +102,26 @@ def check_dual_triangularity(n: int, max_n: int | None = None) -> list[CheckResu
     return results
 
 
+def check_gram(family: BasisFamily, b_family: BasisFamily) -> CheckResult:
+    """f(a_p, b_q) = [p = q] for all p, q: the b-expansion of each b_q must
+    be b_q itself."""
+    bad = None
+    for q in family.perms:
+        row = expand_in_b(b_family.elements[q], family)
+        if row != {q: 1}:
+            p = min(v for v in set(row) | {q} if row.get(v, 0) != (v == q))
+            bad = f"f(a_{p}, b_{q}) != {1 if p == q else 0}"
+            break
+    return CheckResult("duality", "Gram(a, b) = identity", bad is None, bad or "")
+
+
 def check_duality(n: int, max_n: int | None = None) -> list[CheckResult]:
     """Gram matrix of the a-basis against its dual is the identity, the
     antipode swaps t and t', and conjugating left multiplication by the
     antipode gives right multiplication by the primed shuffle."""
     family = build_a_family(n, max_n)
     b_family = dual_basis(family)
-    bad = None
-    for p in family.perms:
-        ap = family.elements[p]
-        for q in family.perms:
-            expected = 1 if p == q else 0
-            if bilinear_form(ap, b_family.elements[q]) != expected:
-                bad = f"f(a_{p}, b_{q}) != {expected}"
-                break
-        if bad:
-            break
-    results = [CheckResult("duality", "Gram(a, b) = identity", bad is None, bad or "")]
+    results = [check_gram(family, b_family)]
 
     mismatch = next(
         (ell for ell in range(1, n + 1) if build_t(n, ell).antipode() != build_t_prime(n, ell)),
@@ -127,7 +135,7 @@ def check_duality(n: int, max_n: int | None = None) -> list[CheckResult]:
             f"fails at ell={mismatch}" if mismatch else "",
         )
     )
-    results.extend(check_dual_triangularity(n, max_n))
+    results.extend(_dual_triangularity(family, b_family, QIndexTable(n, max_n)))
     results.append(check_antipode_conjugation(n, max_n))
     return results
 

@@ -2,8 +2,8 @@
 verification suites and strong-stationary-time simulation.
 
 Exit codes: 0 on success (and all checks passing), 1 on a verification
-failure, 2 on a usage error (malformed rationals, degree over cap, P(1) = 0
-for simulate, ...).
+failure, 2 on a usage or I/O error (malformed rationals, degree over cap,
+P(1) = 0 for simulate, an unwritable --output, ...).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import MAX_N_ENV_VAR
-from .basis import rmul_matrix
+from .basis import basis_order, rmul_matrix
 from .checks import SUITES, run_suite
 from .lacunar import enumerate_lacunar, format_subset, non_shadow
 from .shuffles import (
@@ -229,7 +229,7 @@ def _matrix_csv(labels, rows) -> str:
     writer = csv.writer(buf)
     writer.writerow([""] + [",".join(map(str, w)) for w in labels])
     for w, row in zip(labels, rows):
-        writer.writerow([",".join(map(str, w))] + [str(Fraction(v)) for v in row])
+        writer.writerow([",".join(map(str, w))] + [str(v) for v in row])
     return buf.getvalue()
 
 
@@ -242,6 +242,12 @@ def cmd_matrix(args) -> int:
         if args.basis == "std":
             tm = transition_matrix(element)
             labels, rows = tm.perms, tm.rows
+            if args.order != "lex":
+                labels = basis_order(n, args.order)
+                lex_rank = {w: k for k, w in enumerate(tm.perms)}
+                picks = [lex_rank[w] for w in labels]
+                # permuted one row at a time as it is rendered, never held whole
+                rows = ([tm.rows[i][j] for j in picks] for i in picks)
         else:
             labels, rows = rmul_matrix(element, args.basis, args.order)
     else:
@@ -253,7 +259,7 @@ def cmd_matrix(args) -> int:
         payload = {
             "n": n,
             "order": [",".join(map(str, w)) for w in labels],
-            "rows": [[str(Fraction(v)) for v in row] for row in rows],
+            "rows": [[str(v) for v in row] for row in rows],
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
     else:
@@ -335,7 +341,7 @@ def run(argv) -> int:
     try:
         with _cap_override(args.max_n):
             return handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import AlgebraElement, Scalar, linear_combine, require_within_cap
+from .algebra import AlgebraElement, Scalar, linear_combine, require_within_cap, rmul_terms
 from .perms import Perm, all_permutations, cycle
 
 WeightVector = Sequence[Scalar]
@@ -130,9 +130,8 @@ def transition_matrix(x: AlgebraElement, max_n: int | None = None) -> Transition
     rows = []
     for tau in perms:
         row = [Fraction(0)] * size
-        # tau^{-1} sigma = v  <=>  sigma = tau v, so scatter x's terms along the row
-        for v, c in x.terms.items():
-            sigma = tuple(tau[i - 1] for i in v)
+        # tau^{-1} sigma = v  <=>  sigma = tau v: row tau holds the terms of tau * x
+        for sigma, c in rmul_terms({tau: 1}, x.terms, x.n).items():
             row[index[sigma]] = Fraction(c)
         rows.append(tuple(row))
     return TransitionMatrix(x.n, perms, tuple(rows))

@@ -222,6 +222,19 @@ def climb_probability(n: int, below: int) -> Fraction:
     return Fraction(level, n) * (harmonic(n) - harmonic(level - 1))
 
 
+def _stage_probabilities(n: int) -> list[float]:
+    """float(climb_probability(n, below)) for below = 1..n-1 with O(n)
+    rational operations: the tail H_n - H_below gains 1/(below + 1) each
+    time below steps down, so no harmonic number is summed twice."""
+    tail = Fraction(0)
+    probabilities = []
+    for below in range(n - 1, 0, -1):
+        tail += Fraction(1, below + 1)
+        probabilities.append(float(Fraction(below + 1, n) * tail))
+    probabilities.reverse()
+    return probabilities
+
+
 def fast_bookmark_sim(n: int, trials: int, seed: int) -> SimulationResult:
     """Bookmark-only simulation of the random-to-below chain.
 
@@ -237,11 +250,11 @@ def fast_bookmark_sim(n: int, trials: int, seed: int) -> SimulationResult:
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     totals = np.zeros(trials, dtype=np.int64)
-    for below in range(1, n):
-        p = float(climb_probability(n, below))
+    for below, p in enumerate(_stage_probabilities(n), start=1):
         rng = _trial_rng(seed, _FAST_SIM_KEY_OFFSET + below)
         totals += rng.geometric(p, size=trials)
-    taus = Counter(totals.tolist())
+    values, counts = np.unique(totals, return_counts=True)
+    taus = Counter(dict(zip(values.tolist(), counts.tolist())))
     return _summarize(n, trials, seed, taus, uniform=True, final_counts=None)
 
 

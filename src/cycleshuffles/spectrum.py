@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebra import AlgebraElement, Scalar, require_within_cap
+from .algebra import AlgebraElement, Scalar, require_within_cap, rmul_terms
 from .basis import QIndexTable
 from .lacunar import LacunarCatalog, Subset, is_lacunar, m_vector
 from .perms import all_permutations
@@ -186,17 +186,7 @@ def _krylov_annihilator(seed: dict, x: AlgebraElement) -> Polynomial:
         vec = {w: c / lead for w, c in vec.items()}
         combo = [c / lead for c in combo]
         pivots.append((pivot, vec, combo))
-        # next Krylov vector: current * x
-        nxt: dict = {}
-        for u, cu in current.items():
-            for v, cv in x.terms.items():
-                w = tuple(u[k - 1] for k in v)
-                s = nxt.get(w, 0) + cu * cv
-                if s:
-                    nxt[w] = s
-                else:
-                    nxt.pop(w, None)
-        current = nxt
+        current = rmul_terms(current, x.terms, x.n)
         power += 1
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from cycleshuffles.algebra import (
     AlgebraElement,
+    _gather_table,
     antipode,
     bilinear_form,
     element_from_json,
     element_to_json,
     linear_combine,
     require_within_cap,
+    rmul_terms,
 )
-from cycleshuffles.perms import all_permutations, cycle, identity, inverse
+from cycleshuffles.perms import all_permutations, compose, cycle, identity, inverse
 from cycleshuffles.shuffles import build_t, build_t_prime
 
 
@@ -152,3 +155,64 @@ def test_cap_enforcement(monkeypatch):
     require_within_cap(9, 10)
     monkeypatch.setenv("CYCLESHUFFLES_MAX_N", "9")
     require_within_cap(9)
+
+
+def product_oracle(x, y):
+    """The plain dict/compose product over Fractions, one term pair at a
+    time: the reference for the rmul_terms kernel."""
+    terms = {}
+    for u, cu in x.terms.items():
+        for v, cv in y.terms.items():
+            w = compose(u, v)
+            s = terms.get(w, 0) + cu * cv
+            if s:
+                terms[w] = s
+            else:
+                terms.pop(w, None)
+    return terms
+
+
+def element_on(rng, n, size):
+    """Random Fraction coefficients on `size` distinct permutations."""
+    support = rng.sample(list(all_permutations(n)), size)
+    return AlgebraElement(
+        n,
+        {w: Fraction(rng.choice((-1, 1)) * rng.randrange(1, 7), rng.randrange(1, 6)) for w in support},
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rmul_terms_matches_the_compose_oracle(n):
+    rng = random.Random(700 + n)
+    full = math.factorial(n)
+    sizes = sorted({1, min(3, full), max(1, full // 4), full})
+    _gather_table.cache_clear()
+    for _ in range(6):
+        for left in sizes:
+            for right in sizes:
+                x, y = element_on(rng, n, left), element_on(rng, n, right)
+                assert rmul_terms(x.terms, y.terms, n) == product_oracle(x, y)
+    # the dense left factors above went through the gather tables
+    assert _gather_table.cache_info().misses > 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_rmul_terms_cancels_to_zero(n):
+    rng = random.Random(800 + n)
+    one = AlgebraElement.one(n)
+    s1 = AlgebraElement.from_perm(cycle(n, (1, 2)))
+    for size in (1, math.factorial(n)):
+        z = element_on(rng, n, size)
+        x = AlgebraElement(n, product_oracle(z, one + s1))
+        # z (1 + s_1)(1 - s_1) = 0 exactly, while z (1 + s_1)(1 + s_1) = 2 z (1 + s_1)
+        assert rmul_terms(x.terms, (one - s1).terms, n) == {} == product_oracle(x, one - s1)
+        assert rmul_terms(x.terms, (one + s1).terms, n) == product_oracle(x, one + s1)
+
+
+def test_rmul_terms_keeps_integers_and_reduces_fractions():
+    x = AlgebraElement(3, {(1, 2, 3): 3, (2, 1, 3): -1})
+    product = rmul_terms(x.terms, {(2, 1, 3): 2}, 3)
+    assert product == {(2, 1, 3): 6, (1, 2, 3): -2}
+    assert all(type(c) is int for c in product.values())
+    half = rmul_terms({(1, 2, 3): 3}, {(1, 2, 3): Fraction(2, 12)}, 3)
+    assert half[(1, 2, 3)] == Fraction(1, 2) and half[(1, 2, 3)].denominator == 2

@@ -1,8 +1,10 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
-from cycleshuffles.algebra import AlgebraElement, bilinear_form
+from cycleshuffles.algebra import AlgebraElement, bilinear_form, linear_combine
 from cycleshuffles.basis import (
     QIndexTable,
     a_element,
@@ -225,3 +227,48 @@ def test_identity_has_empty_descents_and_late_q_index():
         i for i in range(1, len(catalog) + 1) if not non_shadow(catalog[i], 4)
     )
     assert q_index(identity(4), catalog) == first_empty == 5
+
+
+def expand_in_b_oracle(y, family):
+    """One bilinear form f(a_p, y) per basis element: the reference for the
+    incidence-based expand_in_b."""
+    out = {}
+    for p in family.perms:
+        c = bilinear_form(family.elements[p], y)
+        if c:
+            out[p] = c
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_expand_in_b_matches_the_bilinear_form_oracle(n):
+    family = build_a_family(n)
+    b_family = dual_basis(family)
+    for ell in range(1, n + 1):
+        tp = build_t_prime(n, ell)
+        for q in family.perms:
+            y = b_family.elements[q] * tp
+            assert expand_in_b(y, family) == expand_in_b_oracle(y, family)
+
+
+def test_expand_in_a_with_fraction_coefficients_rebuilds_the_element():
+    rng = random.Random(21)
+    family = build_a_family(4)
+    for _ in range(20):
+        support = rng.sample(family.perms, 7)
+        x = AlgebraElement(
+            4, {w: Fraction(rng.randrange(-5, 6), rng.randrange(1, 7)) for w in support}
+        )
+        coeffs = expand_in_a(x, family)
+        assert linear_combine((c, family.elements[p]) for p, c in coeffs.items()) == x
+    assert expand_in_a(AlgebraElement.zero(4), family) == {}
+
+
+def test_incidence_is_cached_per_family():
+    family = build_a_family(3)
+    assert family.containing is family.containing
+    identity_in = [p for p in family.perms if (1, 2, 3) in family.elements[p].terms]
+    assert family.containing[(1, 2, 3)] == [(p, 1) for p in identity_in]
+    # a second family gets its own table, never one left over from another instance
+    other = build_a_family(3)
+    assert other.containing is not family.containing

@@ -1,0 +1,44 @@
+import pytest
+
+from cycleshuffles import checks
+from cycleshuffles.algebra import AlgebraElement
+from cycleshuffles.basis import BasisFamily, build_a_family, dual_basis
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_gram_check_passes_on_the_dual_basis(n):
+    family = build_a_family(n)
+    assert checks.check_gram(family, dual_basis(family)).passed
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_gram_check_fails_when_one_coefficient_is_perturbed(n):
+    family = build_a_family(n)
+    b_family = dual_basis(family)
+    for q in (family.perms[0], family.perms[len(family.perms) // 2], family.perms[-1]):
+        for w in (q, family.perms[0], family.perms[-1]):
+            elements = dict(b_family.elements)
+            terms = dict(elements[q].terms)
+            terms[w] = terms.get(w, 0) + 1
+            elements[q] = AlgebraElement(n, terms)
+            perturbed = BasisFamily(n, elements, kind="b")
+            result = checks.check_gram(family, perturbed)
+            assert not result.passed
+            assert f"b_{q}" in result.detail
+
+
+def test_duality_builds_one_family_and_one_dual_basis(monkeypatch):
+    calls = {"build_a_family": 0, "dual_basis": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(checks, "build_a_family", counted("build_a_family", checks.build_a_family))
+    monkeypatch.setattr(checks, "dual_basis", counted("dual_basis", checks.dual_basis))
+    results = checks.check_duality(4)
+    assert all(r.passed for r in results)
+    assert calls == {"build_a_family": 1, "dual_basis": 1}

@@ -1,8 +1,13 @@
+import csv
+import io
 import json
+from fractions import Fraction
 
 import pytest
 
+from cycleshuffles.basis import rmul_matrix
 from cycleshuffles.cli import run
+from cycleshuffles.shuffles import build_osc, build_t, transition_matrix
 
 
 def invoke(capsys, *argv):
@@ -162,3 +167,63 @@ def test_output_file_byte_identical(tmp_path, capsys):
     assert run(args + ["--output", str(target2)]) == 0
     capsys.readouterr()
     assert target1.read_bytes() == target2.read_bytes()
+
+
+def test_matrix_std_honours_order(capsys):
+    osc = ("matrix", "--n", "4", "--osc", "1/4,1/4,1/4,1/4", "--format", "json")
+    code, out, _ = invoke(capsys, *osc, "--basis", "std", "--order", "qindex")
+    assert code == 0
+    std = json.loads(out)
+    code, out, _ = invoke(capsys, *osc, "--basis", "a", "--order", "qindex")
+    assert code == 0
+    assert std["order"] == json.loads(out)["order"]
+    code, out, _ = invoke(capsys, *osc, "--basis", "std")
+    lex = json.loads(out)
+    assert std["order"] != lex["order"]
+    # the same matrix with rows and columns permuted alike
+    at = {label: k for k, label in enumerate(lex["order"])}
+    for i, row_label in enumerate(std["order"]):
+        for j, col_label in enumerate(std["order"]):
+            assert std["rows"][i][j] == lex["rows"][at[row_label]][at[col_label]]
+
+
+def test_unwritable_output_is_an_io_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = invoke(capsys, "spectrum", "--n", "3", "--r2b", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+def _reference_matrix_text(labels, rows, fmt):
+    """The matrix rendering with every entry passed through Fraction."""
+    if fmt == "json":
+        payload = {
+            "n": len(labels[0]),
+            "order": [",".join(map(str, w)) for w in labels],
+            "rows": [[str(Fraction(v)) for v in row] for row in rows],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow([""] + [",".join(map(str, w)) for w in labels])
+    for w, row in zip(labels, rows):
+        writer.writerow([",".join(map(str, w))] + [str(Fraction(v)) for v in row])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_matrix_rendering_is_byte_identical_to_fraction_rendering(fmt, capsys):
+    dist = "1/2,1/3,1/6"
+    osc = build_osc([Fraction(p) for p in dist.split(",")])
+    tm = transition_matrix(osc)
+    cases = [
+        (("--osc", dist, "--basis", "std"), tm.perms, tm.rows),
+        (("--osc", dist, "--basis", "b", "--order", "qindex-desc"), *rmul_matrix(osc, "b", "qindex-desc")),
+        (("--t", "1", "--basis", "a", "--order", "qindex"), *rmul_matrix(build_t(3, 1), "a", "qindex")),
+    ]
+    for flags, labels, rows in cases:
+        code, out, _ = invoke(capsys, "matrix", "--n", "3", *flags, "--format", fmt)
+        assert code == 0
+        assert out == _reference_matrix_text(labels, rows, fmt)

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +13,7 @@ from cycleshuffles.simulate import (
     RNG_ID,
     _apply_move,
     _sample_move,
+    _stage_probabilities,
     _trial_rng,
     bound_check_sweep,
     bounds,
@@ -177,6 +181,33 @@ def test_fast_bookmark_sim_matches_exact():
         result = fast_bookmark_sim(n, trials=40_000, seed=seed)
         exact = float(exact_expected_tau(n))
         assert abs(result.mean - exact) <= 3.5 * result.stderr
+
+
+def _stage_probabilities_oracle(n):
+    """One fresh harmonic sum per stage, O(n^2) rational operations."""
+    def h(m):
+        return sum((Fraction(1, k) for k in range(1, m + 1)), start=Fraction(0))
+
+    return [float(Fraction(below + 1, n) * (h(n) - h(below))) for below in range(1, n)]
+
+
+def test_fast_bookmark_stages_and_histogram_are_unchanged():
+    n, trials, seed = 240, 3000, 17
+    probabilities = _stage_probabilities_oracle(n)
+    assert _stage_probabilities(n) == probabilities
+    totals = np.zeros(trials, dtype=np.int64)
+    for below, p in enumerate(probabilities, start=1):
+        totals += _trial_rng(seed, (1 << 63) + below).geometric(p, size=trials)
+    expected = tuple(sorted(Counter(totals.tolist()).items()))
+    assert fast_bookmark_sim(n, trials, seed).histogram == expected
+
+
+def test_fast_bookmark_histogram_golden_at_n_1000():
+    # digest of the histogram printed by the per-stage harmonic implementation
+    result = fast_bookmark_sim(1000, 2000, 5)
+    digest = hashlib.sha256(json.dumps(result.histogram).encode()).hexdigest()
+    assert digest == "493efab00a19efbd85a7fa8a0dd10c1643215cad13989e273a9fed3cae9b7a24"
+    assert result.mean == 9367.9465
 
 
 def test_fast_and_full_simulators_agree():
