@@ -47,7 +47,6 @@ from .perms import (
     descent_set,
     identity,
     inverse,
-    lex_compare,
     young_subgroup,
 )
 from .polys import Polynomial

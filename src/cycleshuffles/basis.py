@@ -202,7 +202,7 @@ BasisName = Literal["std", "a", "b"]
 
 
 def basis_order(
-    n: int, order: str, table: QIndexTable | None = None
+    n: int, order: str, table: QIndexTable | None = None, max_n: int | None = None
 ) -> tuple[Perm, ...]:
     """Permutation orderings for matrix rows/columns.
 
@@ -211,7 +211,7 @@ def basis_order(
     """
     if order == "lex":
         return tuple(all_permutations(n))
-    table = table or QIndexTable(n)
+    table = table or QIndexTable(n, max_n)
     if order == "qindex":
         return tuple(sorted(all_permutations(n), key=lambda w: (table[w], w)))
     if order == "qindex-desc":
@@ -224,6 +224,7 @@ def rmul_columns(
     basis: BasisName = "a",
     a_family: BasisFamily | None = None,
     b_family: BasisFamily | None = None,
+    max_n: int | None = None,
 ) -> dict[Perm, dict[Perm, Scalar]]:
     """Sparse columns of the right-multiplication map y -> y x.
 
@@ -231,9 +232,9 @@ def rmul_columns(
     vector in (basis vector w) * x.
     """
     if basis == "std":
-        require_within_cap(x.n)
+        require_within_cap(x.n, max_n)
         return {w: rmul_terms({w: 1}, x.terms, x.n) for w in all_permutations(x.n)}
-    a_family = a_family or build_a_family(x.n)
+    a_family = a_family or build_a_family(x.n, max_n)
     columns: dict[Perm, dict[Perm, Scalar]] = {}
     if basis == "a":
         for w in a_family.perms:
@@ -253,14 +254,15 @@ def rmul_matrix(
     order: Sequence[Perm] | str = "lex",
     a_family: BasisFamily | None = None,
     b_family: BasisFamily | None = None,
+    max_n: int | None = None,
 ) -> tuple[tuple[Perm, ...], list[list[Scalar]]]:
     """Dense matrix of y -> y x in the chosen basis and row/column order."""
     if isinstance(order, str):
-        ordered = basis_order(x.n, order)
+        ordered = basis_order(x.n, order, max_n=max_n)
     else:
         ordered = tuple(order)
     position = {w: k for k, w in enumerate(ordered)}
-    columns = rmul_columns(x, basis, a_family, b_family)
+    columns = rmul_columns(x, basis, a_family, b_family, max_n)
     size = len(ordered)
     matrix: list[list[Scalar]] = [[0] * size for _ in range(size)]
     for w, col in columns.items():

@@ -10,10 +10,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraElement, linear_combine
+from .algebra import AlgebraElement, linear_combine, require_within_cap
 from .basis import BasisFamily, QIndexTable, build_a_family, dual_basis, expand_in_a, expand_in_b
 from .identities import commutator_nilpotency, identity_suite, separate_nilpotency_exponents
-from .lacunar import enumerate_lacunar, m_value
+from .lacunar import enumerate_lacunar, locate_interval, m_value
 from .perms import all_permutations, inverse
 from .shuffles import build_t, build_t_prime, combine, r2b_weights
 from .spectrum import annihilator_check
@@ -144,6 +144,7 @@ def check_antipode_conjugation(n: int, max_n: int | None = None) -> CheckResult:
     """Matrix identity R(sum of c t') = S L(sum of c t) S^{-1} over the
     standard basis: entry (v, w) of the left side must equal entry
     (v^{-1}, w^{-1}) of L, since S is the permutation matrix of inversion."""
+    require_within_cap(n, max_n)
     weights = pseudo_random_weights(n)
     x = combine(weights)
     x_prime = linear_combine(
@@ -197,18 +198,13 @@ def check_identities(n: int, max_n: int | None = None) -> list[CheckResult]:
 def check_boolean_partition(n: int) -> list[CheckResult]:
     """Every subset of [n-1] lies in exactly one interval [I', [n-1] - I]
     over lacunar I."""
-    catalog = enumerate_lacunar(n)
-    full = (1 << n) - 2
     bad = None
     for j_mask in range(0, 1 << (n - 1)):
         j = j_mask << 1  # bits 1..n-1
-        matches = sum(
-            1
-            for q_mask, np_mask in zip(catalog.masks, catalog.non_shadow_masks)
-            if np_mask & j == np_mask and j & (full & ~q_mask) == j
-        )
-        if matches != 1:
-            bad = f"subset mask {j:#x} matched {matches} lacunar intervals"
+        try:
+            locate_interval([i for i in range(1, n) if j >> i & 1], n, check_unique=True)
+        except RuntimeError as exc:
+            bad = f"subset mask {j:#x}: {exc}"
             break
     return [
         CheckResult(

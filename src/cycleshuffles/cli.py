@@ -12,12 +12,12 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import sys
 from fractions import Fraction
 
-from .algebra import MAX_N_ENV_VAR
 from .basis import basis_order, rmul_matrix
 from .checks import SUITES, run_suite
 from .lacunar import enumerate_lacunar, format_subset, non_shadow
@@ -63,11 +63,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=_positive_int, required=True, help="deck size")
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--output", help="write to this path instead of stdout")
+
+    def max_n(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--max-n",
             type=int,
             default=None,
-            help=f"override the full-algebra degree cap (also {MAX_N_ENV_VAR})",
+            help="override the full-algebra degree cap (also CYCLESHUFFLES_MAX_N)",
         )
 
     p = sub.add_parser("spectrum", help="eigenvalues and multiplicities for given weights")
@@ -83,14 +85,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="export a shuffle matrix")
     common(p, formats=("csv", "json"))
+    max_n(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--t", type=_positive_int, metavar="L", help="somewhere-to-below shuffle t_L")
     group.add_argument("--osc", type=_fraction_list, metavar="DIST", help="position distribution")
-    p.add_argument("--basis", choices=("std", "a", "b"), default="std")
+    p.add_argument(
+        "--basis",
+        choices=("std", "a", "b"),
+        default="std",
+        help="std with --t: column w holds w*t_L (right multiplication); "
+        "std with --osc: the transition matrix, row tau holds tau*osc(P), "
+        "i.e. the transpose of the --t convention",
+    )
     p.add_argument("--order", choices=("lex", "qindex", "qindex-desc"), default="lex")
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p)
+    max_n(p)
     p.add_argument("--suite", choices=sorted(SUITES) + ["all"], required=True)
 
     p = sub.add_parser("simulate", help="simulate the bookmark strong stationary time")
@@ -106,11 +117,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w") as handle:
-            handle.write(text)
-    else:
+    """Write text to stdout, or replace the file at output with it.
+
+    The text goes to a temporary file beside the target first, so the
+    target is either left as it was or replaced whole.  A symbolic link is
+    followed, so the file it points to is the one replaced.
+    """
+    if not output:
         sys.stdout.write(text)
+        return
+    target = os.path.realpath(output)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    handle = open(tmp, "x")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _emit_json(payload, output: str | None) -> None:
+    _emit(json.dumps(payload, indent=2) + "\n", output)
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _resolve_weights(args) -> tuple[Fraction, ...]:
@@ -140,97 +176,49 @@ def _spectrum_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _spectrum_csv(report) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["i", "set", "m", "eigenvalue", "multiplicity"])
-    for i, row in enumerate(report.rows, start=1):
-        writer.writerow(
-            [i, format_subset(row.members), " ".join(map(str, row.m)), row.eigenvalue, row.multiplicity]
-        )
-    return buf.getvalue()
-
-
 def cmd_spectrum(args) -> int:
-    weights = _resolve_weights(args)
-    report = full_spectrum(weights, enumerate_lacunar(args.n))
+    report = full_spectrum(_resolve_weights(args), enumerate_lacunar(args.n))
     if args.format == "json":
-        _emit(json.dumps(report.to_json(), indent=2) + "\n", args.output)
+        _emit_json(report.to_json(), args.output)
     elif args.format == "csv":
-        _emit(_spectrum_csv(report), args.output)
+        rows = [
+            [i, format_subset(row.members), " ".join(map(str, row.m)), row.eigenvalue, row.multiplicity]
+            for i, row in enumerate(report.rows, start=1)
+        ]
+        _emit(_csv_text([["i", "set", "m", "eigenvalue", "multiplicity"], *rows]), args.output)
     else:
         _emit(_spectrum_text(report), args.output)
     return 0
 
 
 def cmd_filtration(args) -> int:
-    catalog = enumerate_lacunar(args.n)
+    n = args.n
+    catalog = enumerate_lacunar(n)
     deltas = [delta(i, catalog) for i in range(1, len(catalog) + 1)]
-    dims = []
-    running = 0
-    for d in deltas:
-        running += d
-        dims.append(running)
+    entries = zip(itertools.count(1), catalog.sets, itertools.accumulate(deltas), deltas)
     if args.format == "json":
-        payload = {
-            "n": args.n,
-            "rows": [
-                {
-                    "i": i,
-                    "set": sorted(catalog[i]),
-                    "non_shadow": sorted(non_shadow(catalog[i], args.n)),
-                    "dim": dims[i - 1],
-                    "delta": deltas[i - 1],
-                }
-                for i in range(1, len(catalog) + 1)
-            ],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-        return 0
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["i", "Q_i", "Q_i'", "dim F_i", "delta_i"])
-        for i in range(1, len(catalog) + 1):
-            writer.writerow(
-                [
-                    i,
-                    format_subset(catalog[i]),
-                    format_subset(non_shadow(catalog[i], args.n)),
-                    dims[i - 1],
-                    deltas[i - 1],
-                ]
-            )
-        _emit(buf.getvalue(), args.output)
-        return 0
-    headers = ["i", "Q_i", "Q_i'", "dim F_i", "delta_i"]
-    cells = [
-        [
-            str(i),
-            format_subset(catalog[i]),
-            format_subset(non_shadow(catalog[i], args.n)),
-            str(dims[i - 1]),
-            str(deltas[i - 1]),
+        rows = [
+            {"i": i, "set": sorted(s), "non_shadow": sorted(non_shadow(s, n)), "dim": dim, "delta": d}
+            for i, s, dim, d in entries
         ]
-        for i in range(1, len(catalog) + 1)
+        _emit_json({"n": n, "rows": rows}, args.output)
+        return 0
+    cells = [
+        ["i", "Q_i", "Q_i'", "dim F_i", "delta_i"],
+        *(
+            [str(i), format_subset(s), format_subset(non_shadow(s, n)), str(dim), str(d)]
+            for i, s, dim, d in entries
+        ),
     ]
-    widths = [
-        max(len(headers[k]), max(len(row[k]) for row in cells)) for k in range(len(headers))
-    ]
-    lines = [" | ".join(h.rjust(widths[k]) for k, h in enumerate(headers))]
-    for row in cells:
-        lines.append(" | ".join(entry.rjust(widths[k]) for k, entry in enumerate(row)))
-    _emit("\n".join(lines) + "\n", args.output)
+    if args.format == "csv":
+        _emit(_csv_text(cells), args.output)
+        return 0
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    _emit(
+        "".join(" | ".join(e.rjust(w) for e, w in zip(row, widths)) + "\n" for row in cells),
+        args.output,
+    )
     return 0
-
-
-def _matrix_csv(labels, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow([""] + [",".join(map(str, w)) for w in labels])
-    for w, row in zip(labels, rows):
-        writer.writerow([",".join(map(str, w))] + [str(v) for v in row])
-    return buf.getvalue()
 
 
 def cmd_matrix(args) -> int:
@@ -239,42 +227,39 @@ def cmd_matrix(args) -> int:
         if len(args.osc) != n:
             raise ValueError(f"expected {n} probabilities, got {len(args.osc)}")
         element = build_osc(args.osc)
-        if args.basis == "std":
-            tm = transition_matrix(element)
-            labels, rows = tm.perms, tm.rows
-            if args.order != "lex":
-                labels = basis_order(n, args.order)
-                lex_rank = {w: k for k, w in enumerate(tm.perms)}
-                picks = [lex_rank[w] for w in labels]
-                # permuted one row at a time as it is rendered, never held whole
-                rows = ([tm.rows[i][j] for j in picks] for i in picks)
-        else:
-            labels, rows = rmul_matrix(element, args.basis, args.order)
     else:
         if args.t > n:
             raise ValueError(f"--t {args.t} exceeds n={n}")
         element = build_t(n, args.t)
-        labels, rows = rmul_matrix(element, args.basis, args.order)
-    if args.format == "json":
-        payload = {
-            "n": n,
-            "order": [",".join(map(str, w)) for w in labels],
-            "rows": [[str(v) for v in row] for row in rows],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+    if args.osc is not None and args.basis == "std":
+        tm = transition_matrix(element, args.max_n)
+        labels, rows = tm.perms, tm.rows
+        if args.order != "lex":
+            labels = basis_order(n, args.order, max_n=args.max_n)
+            lex_rank = {w: k for k, w in enumerate(tm.perms)}
+            picks = [lex_rank[w] for w in labels]
+            # permuted one row at a time as it is rendered, never held whole
+            rows = ([tm.rows[i][j] for j in picks] for i in picks)
     else:
-        _emit(_matrix_csv(labels, rows), args.output)
+        labels, rows = rmul_matrix(element, args.basis, args.order, max_n=args.max_n)
+    names = [",".join(map(str, w)) for w in labels]
+    if args.format == "json":
+        payload = {"n": n, "order": names, "rows": [[str(v) for v in row] for row in rows]}
+        _emit_json(payload, args.output)
+    else:
+        body = ([name, *row] for name, row in zip(names, rows))
+        _emit(_csv_text(itertools.chain([["", *names]], body)), args.output)
     return 0
 
 
 def cmd_verify(args) -> int:
-    results = run_suite(args.suite, args.n)
+    results = run_suite(args.suite, args.n, args.max_n)
     if args.format == "json":
         payload = [
             {"suite": r.suite, "name": r.name, "passed": r.passed, "detail": r.detail}
             for r in results
         ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit_json(payload, args.output)
     else:
         _emit("".join(r.line() + "\n" for r in results), args.output)
     return 0 if all(r.passed for r in results) else 1
@@ -295,7 +280,7 @@ def cmd_simulate(args) -> int:
     else:
         result = simulate_sst(dist, args.trials, args.seed)
     if args.format == "json":
-        _emit(json.dumps(result.to_json(), indent=2) + "\n", args.output)
+        _emit_json(result.to_json(), args.output)
     else:
         lines = [
             f"n = {result.n}, trials = {result.trials}, seed = {result.seed}, rng = {result.rng}",
@@ -311,23 +296,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _cap_override(max_n: int | None):
-    """Expose --max-n to every capped operation for this invocation only."""
-    if max_n is None:
-        yield
-        return
-    previous = os.environ.get(MAX_N_ENV_VAR)
-    os.environ[MAX_N_ENV_VAR] = str(max_n)
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ[MAX_N_ENV_VAR]
-        else:
-            os.environ[MAX_N_ENV_VAR] = previous
-
-
 def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -339,8 +307,7 @@ def run(argv) -> int:
         "simulate": cmd_simulate,
     }[args.command]
     try:
-        with _cap_override(args.max_n):
-            return handler(args)
+        return handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

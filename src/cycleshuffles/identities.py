@@ -10,7 +10,7 @@ factorial-sized element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import AlgebraElement, require_within_cap
 from .perms import Perm, transposition
@@ -68,24 +68,39 @@ def _nonzero_check(name: str, params: tuple, value: AlgebraElement) -> IdentityC
     return IdentityCheck(name, params, not value.is_zero(), len(value), value.lex_smallest_term())
 
 
+def _proven_exponents(n: int, i: int, j: int) -> tuple[int, int]:
+    """The two proven exponents j - i + 1 and ceil((n - j) / 2) + 1."""
+    return j - i + 1, -((n - j) // -2) + 1
+
+
 def nilpotency_exponent(n: int, i: int, j: int) -> int:
     """min(j - i + 1, ceil((n - j) / 2) + 1), each sufficient on its own."""
-    return min(j - i + 1, -((n - j) // -2) + 1)
+    return min(_proven_exponents(n, i, j))
 
 
-def commutator_nilpotency(n: int, max_n: int | None = None) -> IdentityReport:
-    """[t_i, t_j] ** e = 0 for all i < j with the minimal proven exponent e,
-    plus the sharpness witness [t_1, t_3] ** 2 != 0 at n = 6."""
+def _commutator_power_checks(
+    n: int, max_n: int | None, exponents: Callable[[int, int], Iterable[tuple[str, int]]]
+) -> list[IdentityCheck]:
+    """[t_i, t_j] ** e = 0 for all i < j and each (label, e) in exponents(i, j)."""
     require_within_cap(n, max_n)
     t = [None] + [build_t(n, ell) for ell in range(1, n + 1)]
     checks = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             com = commutator(t[i], t[j])
-            e = nilpotency_exponent(n, i, j)
-            checks.append(_zero_check("commutator_power", (i, j, e), com**e))
+            for label, e in exponents(i, j):
+                checks.append(_zero_check(label, (i, j, e), com**e))
+    return checks
+
+
+def commutator_nilpotency(n: int, max_n: int | None = None) -> IdentityReport:
+    """[t_i, t_j] ** e = 0 for all i < j with the minimal proven exponent e,
+    plus the sharpness witness [t_1, t_3] ** 2 != 0 at n = 6."""
+    checks = _commutator_power_checks(
+        n, max_n, lambda i, j: [("commutator_power", nilpotency_exponent(n, i, j))]
+    )
     if n == 6:
-        com = commutator(t[1], t[3])
+        com = commutator(build_t(n, 1), build_t(n, 3))
         checks.append(_nonzero_check("commutator_power_sharp_nonzero", (1, 3, 2), com**2))
         checks.append(_zero_check("commutator_power_sharp_zero", (1, 3, 3), com**3))
     return IdentityReport(n, tuple(checks))
@@ -93,17 +108,10 @@ def commutator_nilpotency(n: int, max_n: int | None = None) -> IdentityReport:
 
 def separate_nilpotency_exponents(n: int, max_n: int | None = None) -> IdentityReport:
     """Both proven exponents j - i + 1 and ceil((n - j)/2) + 1 individually."""
-    require_within_cap(n, max_n)
-    t = [None] + [build_t(n, ell) for ell in range(1, n + 1)]
-    checks = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            com = commutator(t[i], t[j])
-            for label, e in (
-                ("commutator_power_gap", j - i + 1),
-                ("commutator_power_tail", -((n - j) // -2) + 1),
-            ):
-                checks.append(_zero_check(label, (i, j, e), com**e))
+    labels = ("commutator_power_gap", "commutator_power_tail")
+    checks = _commutator_power_checks(
+        n, max_n, lambda i, j: zip(labels, _proven_exponents(n, i, j))
+    )
     return IdentityReport(n, tuple(checks))
 
 

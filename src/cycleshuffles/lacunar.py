@@ -101,8 +101,10 @@ class LacunarCatalog:
         self.masks: tuple[int, ...] = tuple(-negm for _, negm in pairs)
         self.sets: tuple[Subset, ...] = tuple(_mask_to_set(m) for m in self.masks)
         self._index = {m: i + 1 for i, m in enumerate(self.masks)}
+        # bit i survives when neither i nor i + 1 is in the set, as in non_shadow
+        inner = (1 << n) - 2
         self.non_shadow_masks: tuple[int, ...] = tuple(
-            set_to_mask(non_shadow(s, n)) for s in self.sets
+            inner & ~(m | m >> 1) for m in self.masks
         )
 
     def __len__(self) -> int:

@@ -111,21 +111,6 @@ def descent_set(w: Perm) -> frozenset[int]:
     return frozenset(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
 
 
-def lex_compare(u: Perm, v: Perm) -> int:
-    """-1, 0 or 1 according to the lexicographic order on one-line words.
-
-    Tuples of 1-indexed values compare lexicographically, so this is plain
-    tuple comparison; the identity is the minimum and the reversal the
-    maximum.
-
-    >>> lex_compare((1, 3, 2), (2, 1, 3))
-    -1
-    """
-    if len(u) != len(v):
-        raise ValueError(f"degree mismatch: {len(u)} vs {len(v)}")
-    return (u > v) - (u < v)
-
-
 def all_permutations(n: int) -> Iterator[Perm]:
     """All of S_n in lexicographic order of one-line words."""
     return itertools.permutations(range(1, n + 1))

@@ -18,8 +18,7 @@ from typing import Iterable, Sequence
 from .algebra import AlgebraElement, Scalar, require_within_cap, rmul_terms
 from .basis import QIndexTable
 from .lacunar import LacunarCatalog, Subset, is_lacunar, m_vector
-from .perms import all_permutations
-from .polys import Polynomial, poly_lcm
+from .polys import Polynomial
 from .shuffles import WeightVector, combine
 
 CERTIFIED_DIAGONALIZABLE = "certified_diagonalizable"
@@ -196,19 +195,15 @@ def minimal_polynomial(x: AlgebraElement, max_n: int = 5) -> Polynomial:
     Krylov iteration seeded at the identity yields the minimal polynomial of
     x itself, which annihilates the whole right-multiplication matrix since
     w * P(x) = 0 for every permutation w once P(x) = 0.  The evaluation
-    P(x) = 0 is verified after the fact; if it ever failed, the least common
-    multiple of per-basis-vector annihilators would be taken instead.
+    P(x) = 0 is verified after the fact.
     """
     if x.n > max_n:
         raise ValueError(f"degree {x.n} exceeds the minimal-polynomial cap {max_n}")
     seed = {tuple(range(1, x.n + 1)): Fraction(1)}
     poly = _krylov_annihilator(seed, x)
-    if evaluate_at_element(poly, x).is_zero():
-        return poly
-    result = Polynomial.one()
-    for w in all_permutations(x.n):
-        result = poly_lcm(result, _krylov_annihilator({w: Fraction(1)}, x))
-    return result
+    if not evaluate_at_element(poly, x).is_zero():
+        raise RuntimeError(f"Krylov relation {poly} does not annihilate x; elimination broken")
+    return poly
 
 
 def char_poly_oracle(matrix: Sequence[Sequence[Scalar]], max_dim: int = 120) -> Polynomial:

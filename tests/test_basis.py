@@ -272,3 +272,13 @@ def test_incidence_is_cached_per_family():
     # a second family gets its own table, never one left over from another instance
     other = build_a_family(3)
     assert other.containing is not family.containing
+
+
+@pytest.mark.parametrize(
+    "basis, order", [("a", "qindex"), ("a", "lex"), ("b", "lex"), ("std", "lex"), ("std", "qindex")]
+)
+def test_rmul_matrix_checks_the_cap_it_is_given(basis, order):
+    with pytest.raises(ValueError, match="cap 4"):
+        rmul_matrix(build_t(5, 1), basis, order, max_n=4)
+    labels, _ = rmul_matrix(build_t(4, 1), basis, order, max_n=4)
+    assert len(labels) == 24

@@ -1,6 +1,8 @@
+import copy
+
 import pytest
 
-from cycleshuffles import checks
+from cycleshuffles import checks, lacunar
 from cycleshuffles.algebra import AlgebraElement
 from cycleshuffles.basis import BasisFamily, build_a_family, dual_basis
 
@@ -42,3 +44,27 @@ def test_duality_builds_one_family_and_one_dual_basis(monkeypatch):
     results = checks.check_duality(4)
     assert all(r.passed for r in results)
     assert calls == {"build_a_family": 1, "dual_basis": 1}
+
+
+def test_antipode_conjugation_checks_the_cap_it_is_given():
+    with pytest.raises(ValueError, match="cap 6"):
+        checks.check_antipode_conjugation(7, max_n=6)
+    assert checks.check_antipode_conjugation(4, max_n=4).passed
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda masks: masks[:-1], "no lacunar interval located"),
+        (lambda masks: masks + masks[-1:], "matched twice"),
+    ],
+)
+def test_boolean_partition_fails_on_a_broken_catalog(monkeypatch, edit, message):
+    broken = copy.copy(lacunar.enumerate_lacunar(4))
+    broken.masks = edit(broken.masks)
+    broken.non_shadow_masks = edit(broken.non_shadow_masks)
+    monkeypatch.setattr(lacunar, "enumerate_lacunar", lambda n: broken)
+    [result] = checks.check_boolean_partition(4)
+    assert not result.passed
+    assert message in result.detail
+    assert result.name == "each of the 2^3 subsets matches exactly one lacunar interval"

@@ -227,3 +227,84 @@ def test_matrix_rendering_is_byte_identical_to_fraction_rendering(fmt, capsys):
         code, out, _ = invoke(capsys, "matrix", "--n", "3", *flags, "--format", fmt)
         assert code == 0
         assert out == _reference_matrix_text(labels, rows, fmt)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--n", "3", "--r2b"),
+        ("filtration", "--n", "3"),
+        ("simulate", "--n", "3", "--trials", "10", "--seed", "1"),
+    ],
+)
+def test_max_n_is_refused_where_nothing_enumerates_sn(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run([*argv, "--max-n", "5"])
+    assert excinfo.value.code == 2
+    assert "--max-n" in capsys.readouterr().err
+
+
+def test_max_n_flag_lowers_the_cap(capsys):
+    code, out, err = invoke(capsys, "verify", "--n", "5", "--suite", "triangularity", "--max-n", "4")
+    assert code == 2
+    assert out == ""
+    assert "cap" in err
+    code, _, err = invoke(capsys, "matrix", "--n", "5", "--t", "1", "--basis", "a", "--max-n", "4")
+    assert code == 2
+    assert "cap" in err
+
+
+class _FailingWrite:
+    """A file handle whose write raises, as on a full disk."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("fail_at", ["write", "replace"])
+def test_failed_output_write_keeps_the_target(fail_at, tmp_path, monkeypatch, capsys):
+    from cycleshuffles import cli
+
+    target = tmp_path / "spectrum.json"
+    target.write_text("old contents\n")
+    if fail_at == "write":
+        monkeypatch.setattr(cli, "open", lambda *a: _FailingWrite(open(*a)), raising=False)
+    else:
+
+        def failing_replace(src, dst):
+            raise OSError(13, "Permission denied")
+
+        monkeypatch.setattr(cli.os, "replace", failing_replace)
+    code, out, err = invoke(capsys, "spectrum", "--n", "3", "--r2b", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert target.read_text() == "old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spectrum.json"]
+
+
+def test_output_replaces_an_existing_file(tmp_path, capsys):
+    target = tmp_path / "spectrum.json"
+    target.write_text("old contents\n")
+    code, out, _ = invoke(capsys, "spectrum", "--n", "3", "--r2b", "--format", "json")
+    assert code == 0
+    assert run(["spectrum", "--n", "3", "--r2b", "--format", "json", "--output", str(target)]) == 0
+    assert target.read_text() == out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spectrum.json"]
+    # through a symbolic link, the file it points to is replaced and the link kept
+    target.write_text("old contents\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert run(["spectrum", "--n", "3", "--r2b", "--format", "json", "--output", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text() == out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "spectrum.json"]

@@ -10,6 +10,7 @@ from cycleshuffles.lacunar import (
     m_value,
     m_vector,
     non_shadow,
+    set_to_mask,
 )
 
 
@@ -87,6 +88,14 @@ def test_non_shadow_examples():
     assert non_shadow({1}, 4) == frozenset({2, 3})
     for n in range(1, 8):
         assert non_shadow(set(), n) == frozenset(range(1, n))
+
+
+def test_non_shadow_masks_match_non_shadow():
+    for n in range(1, 17):
+        catalog = enumerate_lacunar(n)
+        assert catalog.non_shadow_masks == tuple(
+            set_to_mask(non_shadow(s, n)) for s in catalog.sets
+        )
 
 
 def test_locate_interval_examples():

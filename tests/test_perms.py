@@ -13,7 +13,6 @@ from cycleshuffles.perms import (
     identity,
     inverse,
     is_permutation,
-    lex_compare,
     parse_permutation,
     young_subgroup,
 )
@@ -35,6 +34,10 @@ def test_identity_examples():
     assert identity(1) == (1,)
     with pytest.raises(ValueError):
         identity(0)
+    # S_n is enumerated in lexicographic order, from the identity to the reversal
+    words = list(all_permutations(4))
+    assert words == sorted(words)
+    assert words[0] == identity(4) and words[-1] == (4, 3, 2, 1)
 
 
 def test_identity_is_neutral():
@@ -103,27 +106,6 @@ def test_descent_set_examples():
     for n in range(1, 7):
         assert descent_set(identity(n)) == frozenset()
         assert descent_set(tuple(range(n, 0, -1))) == frozenset(range(1, n))
-
-
-def test_lex_compare():
-    assert lex_compare((1, 3, 2), (2, 1, 3)) == -1
-    words = list(all_permutations(4))
-    assert min(words) == identity(4)
-    assert max(words) == (4, 3, 2, 1)
-
-
-def test_lex_compare_is_total_order_on_s4():
-    words = list(all_permutations(4))
-    for u in words:
-        for v in words:
-            assert lex_compare(u, v) == -lex_compare(v, u)
-            if u != v:
-                assert lex_compare(u, v) != 0
-    # transitivity along the sorted chain suffices for a total preorder check
-    ranked = sorted(words)
-    for a, b, c in zip(ranked, ranked[1:], ranked[2:]):
-        assert lex_compare(a, b) == -1 and lex_compare(b, c) == -1
-        assert lex_compare(a, c) == -1
 
 
 def test_young_subgroup_examples():

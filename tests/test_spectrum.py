@@ -154,6 +154,16 @@ def test_minimal_polynomial_cap():
     minimal_polynomial(combine(ones(6)), max_n=6)
 
 
+def test_minimal_polynomial_rejects_a_relation_that_does_not_annihilate(monkeypatch):
+    from cycleshuffles import spectrum
+
+    # (x - 10)(x - 6)(x - 4)(x - 2) misses the repeated eigenvalue 4 at n = 4
+    wrong = Polynomial.from_roots([(10, 1), (6, 1), (4, 1), (2, 1)])
+    monkeypatch.setattr(spectrum, "_krylov_annihilator", lambda seed, x: wrong)
+    with pytest.raises(RuntimeError):
+        minimal_polynomial(combine(ones(4)))
+
+
 def test_minimal_polynomial_divides_annihilator():
     # one factor per lacunar set: equal eigenvalues repeat, and the minimal
     # polynomial may genuinely need the repeat (n=4 all-ones has (x-4)^2)
