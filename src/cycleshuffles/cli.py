@@ -15,9 +15,11 @@ import io
 import itertools
 import json
 import os
+import stat
 import sys
 from fractions import Fraction
 
+from .algebra import MAX_N_ENV_VAR
 from .basis import basis_order, rmul_matrix
 from .checks import SUITES, run_suite
 from .lacunar import enumerate_lacunar, format_subset, non_shadow
@@ -69,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-n",
             type=int,
             default=None,
-            help="override the full-algebra degree cap (also CYCLESHUFFLES_MAX_N)",
+            help=f"override the full-algebra degree cap (also {MAX_N_ENV_VAR})",
         )
 
     p = sub.add_parser("spectrum", help="eigenvalues and multiplicities for given weights")
@@ -117,14 +119,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, output: str | None) -> None:
-    """Write text to stdout, or replace the file at output with it.
+    """Write text to stdout, or to the file at output.
 
-    The text goes to a temporary file beside the target first, so the
-    target is either left as it was or replaced whole.  A symbolic link is
-    followed, so the file it points to is the one replaced.
+    A new file, or an existing regular file of ours with a single link, is
+    written to a temporary file beside it first and renamed over it, so it
+    is either left as it was or replaced whole, with its permission bits
+    kept.  A symbolic link is followed, so the file it points to is the one
+    replaced.  Anything else (a FIFO, a device, a read-only, shared or
+    hard-linked file) is written in place, as plain open() does.
     """
     if not output:
         sys.stdout.write(text)
+        return
+    try:
+        st = os.stat(output)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not (
+        stat.S_ISREG(st.st_mode)
+        and st.st_nlink == 1
+        and st.st_uid == os.geteuid()
+        and os.access(output, os.W_OK)
+    ):
+        with open(output, "w") as handle:
+            handle.write(text)
         return
     target = os.path.realpath(output)
     tmp = f"{target}.{os.getpid()}.tmp"
@@ -132,6 +150,8 @@ def _emit(text: str, output: str | None) -> None:
     try:
         with handle:
             handle.write(text)
+        if st is not None:
+            os.chmod(tmp, stat.S_IMODE(st.st_mode))
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -10,7 +10,7 @@ factorial-sized element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterator, Sequence
 
 from .algebra import AlgebraElement, require_within_cap
 from .perms import Perm, transposition
@@ -78,40 +78,37 @@ def nilpotency_exponent(n: int, i: int, j: int) -> int:
     return min(_proven_exponents(n, i, j))
 
 
-def _commutator_power_checks(
-    n: int, max_n: int | None, exponents: Callable[[int, int], Iterable[tuple[str, int]]]
-) -> list[IdentityCheck]:
-    """[t_i, t_j] ** e = 0 for all i < j and each (label, e) in exponents(i, j)."""
+def _commutators(n: int, max_n: int | None) -> Iterator[tuple[int, int, AlgebraElement]]:
+    """(i, j, [t_i, t_j]) for all 1 <= i < j <= n, one commutator at a time."""
     require_within_cap(n, max_n)
     t = [None] + [build_t(n, ell) for ell in range(1, n + 1)]
-    checks = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            com = commutator(t[i], t[j])
-            for label, e in exponents(i, j):
-                checks.append(_zero_check(label, (i, j, e), com**e))
-    return checks
+            yield i, j, commutator(t[i], t[j])
 
 
 def commutator_nilpotency(n: int, max_n: int | None = None) -> IdentityReport:
     """[t_i, t_j] ** e = 0 for all i < j with the minimal proven exponent e,
     plus the sharpness witness [t_1, t_3] ** 2 != 0 at n = 6."""
-    checks = _commutator_power_checks(
-        n, max_n, lambda i, j: [("commutator_power", nilpotency_exponent(n, i, j))]
-    )
-    if n == 6:
-        com = commutator(build_t(n, 1), build_t(n, 3))
-        checks.append(_nonzero_check("commutator_power_sharp_nonzero", (1, 3, 2), com**2))
-        checks.append(_zero_check("commutator_power_sharp_zero", (1, 3, 3), com**3))
-    return IdentityReport(n, tuple(checks))
+    checks, sharp = [], []
+    for i, j, com in _commutators(n, max_n):
+        e = nilpotency_exponent(n, i, j)
+        checks.append(_zero_check("commutator_power", (i, j, e), com**e))
+        if n == 6 and (i, j) == (1, 3):
+            sharp = [
+                _nonzero_check("commutator_power_sharp_nonzero", (1, 3, 2), com**2),
+                _zero_check("commutator_power_sharp_zero", (1, 3, 3), com**3),
+            ]
+    return IdentityReport(n, tuple(checks + sharp))
 
 
 def separate_nilpotency_exponents(n: int, max_n: int | None = None) -> IdentityReport:
     """Both proven exponents j - i + 1 and ceil((n - j)/2) + 1 individually."""
     labels = ("commutator_power_gap", "commutator_power_tail")
-    checks = _commutator_power_checks(
-        n, max_n, lambda i, j: zip(labels, _proven_exponents(n, i, j))
-    )
+    checks = []
+    for i, j, com in _commutators(n, max_n):
+        for label, e in zip(labels, _proven_exponents(n, i, j)):
+            checks.append(_zero_check(label, (i, j, e), com**e))
     return IdentityReport(n, tuple(checks))
 
 

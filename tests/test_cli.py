@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import stat
+import threading
 from fractions import Fraction
 
 import pytest
@@ -308,3 +311,36 @@ def test_output_replaces_an_existing_file(tmp_path, capsys):
     assert link.is_symlink()
     assert target.read_text() == out
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "spectrum.json"]
+
+
+def test_output_keeps_the_mode_and_hard_links_of_the_target(tmp_path, capsys):
+    code, out, _ = invoke(capsys, "spectrum", "--n", "3", "--r2b", "--format", "json")
+    assert code == 0
+    target = tmp_path / "spectrum.json"
+    target.write_text("old contents\n")
+    target.chmod(0o640)
+    assert run(["spectrum", "--n", "3", "--r2b", "--format", "json", "--output", str(target)]) == 0
+    assert target.read_text() == out
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    # a hard-linked file is written in place, so every name sees the new text
+    target.write_text("old contents\n")
+    other = tmp_path / "other.json"
+    os.link(target, other)
+    assert run(["spectrum", "--n", "3", "--r2b", "--format", "json", "--output", str(target)]) == 0
+    assert other.read_text() == out
+    assert os.path.samefile(target, other)
+
+
+def test_output_to_a_fifo_writes_through_it(tmp_path, capsys):
+    code, out, _ = invoke(capsys, "spectrum", "--n", "3", "--r2b", "--format", "json")
+    assert code == 0
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run(["spectrum", "--n", "3", "--r2b", "--format", "json", "--output", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert received == [out]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
