@@ -7,7 +7,7 @@ among them).  This package computes their complete eigenvalue spectrum with
 multiplicities over exact rationals, constructs the basis that
 simultaneously triangularizes all of them, verifies the underlying algebraic
 identities by brute force at small deck sizes, and simulates the bookmark
-strong stationary time of random-to-below against its exact expected value.
+strong stationary time against its exact expected value.
 """
 
 from .algebra import (

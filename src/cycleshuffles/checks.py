@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, linear_combine, require_within_cap
 from .basis import BasisFamily, QIndexTable, build_a_family, dual_basis, expand_in_a, expand_in_b
-from .identities import commutator_nilpotency, identity_suite, separate_nilpotency_exponents
+from .identities import _nilpotency_reports, identity_suite
 from .lacunar import enumerate_lacunar, locate_interval, m_value
 from .perms import all_permutations, inverse
 from .shuffles import build_t, build_t_prime, combine, r2b_weights
@@ -182,10 +182,11 @@ def check_annihilator(n: int, max_n: int | None = None) -> list[CheckResult]:
 
 def check_identities(n: int, max_n: int | None = None) -> list[CheckResult]:
     results = []
+    nilpotency, separate = _nilpotency_reports(n, max_n)
     for label, report in (
         ("product identity suite", identity_suite(n, max_n)),
-        ("commutator nilpotency", commutator_nilpotency(n, max_n)),
-        ("separate nilpotency exponents", separate_nilpotency_exponents(n, max_n)),
+        ("commutator nilpotency", nilpotency),
+        ("separate nilpotency exponents", separate),
     ):
         failures = report.failures()
         detail = "" if not failures else "; ".join(

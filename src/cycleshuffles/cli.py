@@ -113,7 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--uniform", action="store_true", help="uniform position choice (default)")
     group.add_argument("--dist", type=_fraction_list, help="explicit position distribution")
-    p.add_argument("--fast", action="store_true", help="bookmark-only simulator (uniform P only)")
+    p.add_argument(
+        "--fast", action="store_true", help="bookmark-only simulator: sum of geometric stage times"
+    )
 
     return parser
 
@@ -287,18 +289,11 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     n = args.n
-    if args.dist is not None:
-        if len(args.dist) != n:
-            raise ValueError(f"expected {n} probabilities, got {len(args.dist)}")
-        dist = args.dist
-    else:
-        dist = uniform_distribution(n)
-    if args.fast:
-        if dist != uniform_distribution(n):
-            raise ValueError("--fast simulates the bookmark stages of the uniform shuffle only")
-        result = fast_bookmark_sim(n, args.trials, args.seed)
-    else:
-        result = simulate_sst(dist, args.trials, args.seed)
+    dist = uniform_distribution(n) if args.dist is None else args.dist
+    if len(dist) != n:
+        raise ValueError(f"expected {n} probabilities, got {len(dist)}")
+    simulator = fast_bookmark_sim if args.fast else simulate_sst
+    result = simulator(dist, args.trials, args.seed)
     if args.format == "json":
         _emit_json(result.to_json(), args.output)
     else:

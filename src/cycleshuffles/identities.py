@@ -10,7 +10,8 @@ factorial-sized element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import combinations
+from typing import Sequence
 
 from .algebra import AlgebraElement, require_within_cap
 from .perms import Perm, transposition
@@ -78,38 +79,38 @@ def nilpotency_exponent(n: int, i: int, j: int) -> int:
     return min(_proven_exponents(n, i, j))
 
 
-def _commutators(n: int, max_n: int | None) -> Iterator[tuple[int, int, AlgebraElement]]:
-    """(i, j, [t_i, t_j]) for all 1 <= i < j <= n, one commutator at a time."""
+def _nilpotency_reports(n: int, max_n: int | None) -> tuple[IdentityReport, IdentityReport]:
+    """commutator_nilpotency and separate_nilpotency_exponents from one sweep
+    that raises each [t_i, t_j] to each exponent it needs once."""
     require_within_cap(n, max_n)
     t = [None] + [build_t(n, ell) for ell in range(1, n + 1)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            yield i, j, commutator(t[i], t[j])
+    minimal, separate, sharp = [], [], []
+    for i, j in combinations(range(1, n + 1), 2):
+        com = commutator(t[i], t[j])
+        gap, tail = _proven_exponents(n, i, j)
+        witness = n == 6 and (i, j) == (1, 3)
+        powers = {e: com**e for e in {gap, tail, *((2, 3) if witness else ())}}
+        e = nilpotency_exponent(n, i, j)
+        minimal.append(_zero_check("commutator_power", (i, j, e), powers[e]))
+        separate.append(_zero_check("commutator_power_gap", (i, j, gap), powers[gap]))
+        separate.append(_zero_check("commutator_power_tail", (i, j, tail), powers[tail]))
+        if witness:
+            sharp = [
+                _nonzero_check("commutator_power_sharp_nonzero", (1, 3, 2), powers[2]),
+                _zero_check("commutator_power_sharp_zero", (1, 3, 3), powers[3]),
+            ]
+    return IdentityReport(n, tuple(minimal + sharp)), IdentityReport(n, tuple(separate))
 
 
 def commutator_nilpotency(n: int, max_n: int | None = None) -> IdentityReport:
     """[t_i, t_j] ** e = 0 for all i < j with the minimal proven exponent e,
     plus the sharpness witness [t_1, t_3] ** 2 != 0 at n = 6."""
-    checks, sharp = [], []
-    for i, j, com in _commutators(n, max_n):
-        e = nilpotency_exponent(n, i, j)
-        checks.append(_zero_check("commutator_power", (i, j, e), com**e))
-        if n == 6 and (i, j) == (1, 3):
-            sharp = [
-                _nonzero_check("commutator_power_sharp_nonzero", (1, 3, 2), com**2),
-                _zero_check("commutator_power_sharp_zero", (1, 3, 3), com**3),
-            ]
-    return IdentityReport(n, tuple(checks + sharp))
+    return _nilpotency_reports(n, max_n)[0]
 
 
 def separate_nilpotency_exponents(n: int, max_n: int | None = None) -> IdentityReport:
     """Both proven exponents j - i + 1 and ceil((n - j)/2) + 1 individually."""
-    labels = ("commutator_power_gap", "commutator_power_tail")
-    checks = []
-    for i, j, com in _commutators(n, max_n):
-        for label, e in zip(labels, _proven_exponents(n, i, j)):
-            checks.append(_zero_check(label, (i, j, e), com**e))
-    return IdentityReport(n, tuple(checks))
+    return _nilpotency_reports(n, max_n)[1]
 
 
 def mixed_commutator_product(

@@ -1,14 +1,15 @@
 """Monte Carlo simulation of the one-sided cycle shuffles and the bookmark
-strong stationary time, with the exact expected-time formula for
-random-to-below.
+strong stationary time, with its exact expectation.
 
 A bookmark starts right above the bottom card.  Each step picks a position i
 from the distribution P, reinserts that card uniformly at a position j
 weakly below i, and the bookmark gains a card whenever a card from weakly
 above its gap lands weakly below it (a card dropped exactly into the gap
 counts as below).  The shuffle is fully mixed at the first time tau when all
-n cards sit below the bookmark; for the uniform P the expectation of tau is
-sum over i = 2..n of n / (i (H_n - H_{i-1})).
+n cards sit below the bookmark.  Tau is a sum of independent Geometric(p_b)
+stages (stage_probabilities), so E[tau] = sum over b of 1 / p_b whenever
+P(1) > 0; for the uniform P this is sum over i = 2..n of
+n / (i (H_n - H_{i-1})).
 
 Randomness comes from numpy's Philox counter-based generator ("philox4x64"):
 trial t of a run seeded s uses the key (s, t), so trials form independent
@@ -23,6 +24,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -70,14 +72,15 @@ def _apply_move(deck: list[int], below: int, i: int, j: int) -> int:
     return below
 
 
-def _position_cdf(probabilities: Sequence[Scalar]) -> np.ndarray:
+def _validated(probabilities: Sequence[Scalar]) -> tuple[Fraction, ...]:
+    """The distribution as Fractions, refusing P(1) = 0."""
     probs = validate_distribution(probabilities)
     if probs[0] == 0:
         raise ValueError(
             "P(1) = 0: the top card never moves, so the chain's stationary "
             "distribution is not uniform and no stationary time exists"
         )
-    return np.cumsum(np.array([float(p) for p in probs]))
+    return probs
 
 
 def _trial_rng(seed: int, stream: int) -> np.random.Generator:
@@ -94,7 +97,7 @@ def _sample_move(u1: float, u2: float, cdf: np.ndarray, n: int) -> tuple[int, in
 def step(state: DeckState, probabilities: Sequence[Scalar], rng: np.random.Generator) -> DeckState:
     """One shuffle step drawing two uniforms: the picked position and the
     weakly-lower insertion position."""
-    cdf = _position_cdf(probabilities)
+    cdf = np.cumsum([float(p) for p in _validated(probabilities)])
     n = len(state.order)
     u1, u2 = rng.random(2)
     i, j = _sample_move(u1, u2, cdf, n)
@@ -137,7 +140,7 @@ def _summarize(
     trials: int,
     seed: int,
     taus: Counter,
-    uniform: bool,
+    probs: tuple[Fraction, ...],
     final_counts: Mapping[Perm, int] | None,
 ) -> SimulationResult:
     total = sum(tau * c for tau, c in taus.items())
@@ -148,24 +151,14 @@ def _summarize(
         stderr = math.sqrt(variance / trials)
     else:
         stderr = float("nan")
-    exact = None
+    exact = exact_expected_tau(probs) if 2 <= n <= EXACT_TAU_MAX_N else None
     upper = lower = None
-    if uniform and n >= 2:
+    if n >= 2 and probs == uniform_distribution(n):
+        # the bounds are theorems about random-to-below only
         upper, lower = bounds(n)
-        if n <= EXACT_TAU_MAX_N:
-            exact = exact_expected_tau(n)
+    histogram = tuple(sorted(taus.items()))
     return SimulationResult(
-        n,
-        trials,
-        seed,
-        RNG_ID,
-        mean,
-        stderr,
-        tuple(sorted(taus.items())),
-        exact,
-        upper,
-        lower,
-        final_counts,
+        n, trials, seed, RNG_ID, mean, stderr, histogram, exact, upper, lower, final_counts
     )
 
 
@@ -184,13 +177,12 @@ def simulate_sst(
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    probs = validate_distribution(probabilities)
-    cdf = _position_cdf(probs)
+    probs = _validated(probabilities)
+    cdf = np.cumsum([float(p) for p in probs])
     n = len(probs)
     if chunk is None:
         # roughly twice the n log n scale of tau, so most trials take one draw
         chunk = max(32, int(2.5 * n * math.log(n + 1)))
-    uniform = probs == uniform_distribution(n)
     taus: Counter = Counter()
     final_counts: Counter | None = Counter() if record_final else None
     for trial in range(trials):
@@ -210,7 +202,7 @@ def simulate_sst(
         taus[steps] += 1
         if final_counts is not None:
             final_counts[tuple(deck)] += 1
-    return _summarize(n, trials, seed, taus, uniform, final_counts)
+    return _summarize(n, trials, seed, taus, probs, final_counts)
 
 
 def climb_probability(n: int, below: int) -> Fraction:
@@ -222,40 +214,45 @@ def climb_probability(n: int, below: int) -> Fraction:
     return Fraction(level, n) * (harmonic(n) - harmonic(level - 1))
 
 
-def _stage_probabilities(n: int) -> list[float]:
-    """float(climb_probability(n, below)) for below = 1..n-1 with O(n)
-    rational operations: the tail H_n - H_below gains 1/(below + 1) each
-    time below steps down, so no harmonic number is summed twice."""
-    tail = Fraction(0)
-    probabilities = []
-    for below in range(n - 1, 0, -1):
-        tail += Fraction(1, below + 1)
-        probabilities.append(float(Fraction(below + 1, n) * tail))
-    probabilities.reverse()
-    return probabilities
+def stage_probabilities(probabilities: Sequence[Scalar]) -> tuple[Fraction, ...]:
+    """p_1, ..., p_{n-1}: the chance that one step raises the bookmark while
+    b cards sit below it, (b + 1) * sum over i <= n - b of P(i) / (n + 1 - i),
+    whatever the deck order, since the card at i crosses iff i <= n - b <= j.
+    One running sum of P(i) / (n + 1 - i) gives every stage in O(n)
+    rational operations; for the uniform P, p_b = climb_probability(n, b).
 
-
-def fast_bookmark_sim(n: int, trials: int, seed: int) -> SimulationResult:
-    """Bookmark-only simulation of the random-to-below chain.
-
-    The climb from ``below`` to ``below + 1`` is geometric with success
-    probability climb_probability(n, below), the stages being independent;
-    tau is their sum over below = 1..n-1, matching the exact expectation
-    sum over i = 2..n of n / (i (H_n - H_{i-1})).  Stage draws use Philox
-    streams keyed off the high key half so they never collide with
-    simulate_sst's per-trial streams.
+    >>> stage_probabilities([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
+    (Fraction(7, 12), Fraction(1, 2))
     """
+    probs = _validated(probabilities)
+    n = len(probs)
+    prefix = list(accumulate(p / (n + 1 - i) for i, p in enumerate(probs, start=1)))
+    return tuple((b + 1) * prefix[n - b - 1] for b in range(1, n))
+
+
+def fast_bookmark_sim(probabilities: Sequence[Scalar], trials: int, seed: int) -> SimulationResult:
+    """Bookmark-only simulation of the shuffle with position distribution P.
+
+    The climb from b to b + 1 cards below the bookmark is geometric with
+    success probability p_b of stage_probabilities, the stages being
+    independent; tau is their sum over b = 1..n-1 and has the law of
+    simulate_sst's tau for the same P.  Requires P(1) > 0.  Stage draws
+    use Philox streams keyed off the high key half so they never collide
+    with simulate_sst's per-trial streams.
+    """
+    n = len(probabilities)
     if n < 2:
         raise ValueError(f"deck size must be at least 2, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    probs = _validated(probabilities)
     totals = np.zeros(trials, dtype=np.int64)
-    for below, p in enumerate(_stage_probabilities(n), start=1):
+    for below, p in enumerate(stage_probabilities(probs), start=1):
         rng = _trial_rng(seed, _FAST_SIM_KEY_OFFSET + below)
-        totals += rng.geometric(p, size=trials)
+        totals += rng.geometric(float(p), size=trials)
     values, counts = np.unique(totals, return_counts=True)
     taus = Counter(dict(zip(values.tolist(), counts.tolist())))
-    return _summarize(n, trials, seed, taus, uniform=True, final_counts=None)
+    return _summarize(n, trials, seed, taus, probs, final_counts=None)
 
 
 def harmonic(m: int) -> Fraction:
@@ -263,31 +260,32 @@ def harmonic(m: int) -> Fraction:
     return sum((Fraction(1, k) for k in range(1, m + 1)), start=Fraction(0))
 
 
-def exact_expected_tau(n: int) -> Fraction:
-    """Expected steps to the strong stationary time of random-to-below:
-    sum over i = 2..n of n / (i (H_n - H_{i-1})), exactly.
+def exact_expected_tau(probabilities: Sequence[Scalar]) -> Fraction:
+    """Expected steps to the bookmark strong stationary time, exactly:
+    sum over b of 1 / p_b.  For the uniform P this is
+    sum over i = 2..n of n / (i (H_n - H_{i-1})).
 
-    >>> exact_expected_tau(2)
+    >>> exact_expected_tau(uniform_distribution(2))
     Fraction(2, 1)
-    >>> exact_expected_tau(3)
+    >>> exact_expected_tau(uniform_distribution(3))
     Fraction(24, 5)
+    >>> exact_expected_tau([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
+    Fraction(26, 7)
     """
+    n = len(probabilities)
     if n < 2:
         raise ValueError(f"the expectation formula needs n >= 2, got {n}")
     if n > EXACT_TAU_MAX_N:
         raise ValueError(
             f"exact rational evaluation is limited to n <= {EXACT_TAU_MAX_N} "
-            f"(harmonic denominators explode); use expected_tau_extended"
+            f"(denominators explode); for uniform P use expected_tau_extended"
         )
-    h = [Fraction(0)] * (n + 1)
-    for k in range(1, n + 1):
-        h[k] = h[k - 1] + Fraction(1, k)
-    return sum((Fraction(n) / (i * (h[n] - h[i - 1])) for i in range(2, n + 1)), start=Fraction(0))
+    return sum((1 / p for p in stage_probabilities(probabilities)), start=Fraction(0))
 
 
 def expected_tau_extended(n: int, harmonics: np.ndarray | None = None) -> np.longdouble:
-    """The same expectation in numpy longdouble (>= 64-bit significand on
-    this platform, i.e. x87 80-bit extended or better)."""
+    """The uniform-P expectation in numpy longdouble (>= 64-bit significand
+    on this platform, i.e. x87 80-bit extended or better)."""
     if n < 2:
         raise ValueError(f"the expectation formula needs n >= 2, got {n}")
     if harmonics is None:

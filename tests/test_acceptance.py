@@ -291,18 +291,18 @@ def test_criterion_11_boolean_interval_partition():
 
 def test_criterion_12_strong_stationary_time():
     start = time.monotonic()
-    assert exact_expected_tau(2) == 2
-    assert exact_expected_tau(3) == Fraction(24, 5)
+    assert exact_expected_tau(uniform_distribution(2)) == 2
+    assert exact_expected_tau(uniform_distribution(3)) == Fraction(24, 5)
 
     upper_violations, _ = bound_sweep()
     assert upper_violations == []
 
     sim10 = simulate_sst(uniform_distribution(10), trials=200_000, seed=20231020)
-    exact10 = float(exact_expected_tau(10))
+    exact10 = float(exact_expected_tau(uniform_distribution(10)))
     assert abs(sim10.mean - exact10) <= 3 * sim10.stderr
 
     full5 = simulate_sst(uniform_distribution(5), trials=100_000, seed=41)
-    fast5 = fast_bookmark_sim(5, trials=100_000, seed=41)
+    fast5 = fast_bookmark_sim(uniform_distribution(5), trials=100_000, seed=41)
     assert abs(full5.mean - fast5.mean) <= 4 * math.hypot(full5.stderr, fast5.stderr)
 
     trials = 240_000

@@ -144,13 +144,23 @@ def test_simulate_fast_flag(capsys):
     assert json.loads(out)["trials"] == 500
 
 
-def test_simulate_fast_rejects_non_uniform(capsys):
+def test_simulate_fast_accepts_non_uniform_dist(capsys):
+    # p = (7/12, 1/2), so E[tau] = 12/7 + 2 with or without --fast
+    for fast in (("--fast",), ()):
+        code, out, _ = invoke(
+            capsys, "simulate", "--n", "3", "--trials", "10", "--seed", "1",
+            "--dist", "1/2,1/4,1/4", *fast, "--format", "json",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["exact"] == "26/7"
+        assert data["upper_bound"] is None and data["conjectured_lower"] is None
     code, _, err = invoke(
         capsys, "simulate", "--n", "3", "--trials", "10", "--seed", "1",
-        "--dist", "1/2,1/4,1/4", "--fast",
+        "--dist", "0,1/2,1/2", "--fast",
     )
     assert code == 2
-    assert "uniform" in err
+    assert "top card" in err
 
 
 def test_simulate_p1_zero_is_usage_error(capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from collections import Counter
@@ -13,7 +14,6 @@ from cycleshuffles.simulate import (
     RNG_ID,
     _apply_move,
     _sample_move,
-    _stage_probabilities,
     _trial_rng,
     bound_check_sweep,
     bounds,
@@ -24,8 +24,10 @@ from cycleshuffles.simulate import (
     harmonic,
     initial_state,
     simulate_sst,
+    stage_probabilities,
     step,
 )
+from cycleshuffles.shuffles import uniform_distribution
 
 
 def uniform(n):
@@ -171,15 +173,15 @@ def test_optimized_loop_matches_single_steps():
 def test_simulated_mean_matches_exact_small_n():
     for n, trials, seed in ((2, 40_000, 5), (3, 40_000, 6)):
         result = simulate_sst(uniform(n), trials=trials, seed=seed)
-        exact = float(exact_expected_tau(n))
-        assert result.exact == exact_expected_tau(n)
+        exact = float(exact_expected_tau(uniform_distribution(n)))
+        assert result.exact == exact_expected_tau(uniform_distribution(n))
         assert abs(result.mean - exact) <= 3.5 * result.stderr
 
 
 def test_fast_bookmark_sim_matches_exact():
     for n, seed in ((2, 11), (3, 12), (5, 13)):
-        result = fast_bookmark_sim(n, trials=40_000, seed=seed)
-        exact = float(exact_expected_tau(n))
+        result = fast_bookmark_sim(uniform_distribution(n), trials=40_000, seed=seed)
+        exact = float(exact_expected_tau(uniform_distribution(n)))
         assert abs(result.mean - exact) <= 3.5 * result.stderr
 
 
@@ -194,49 +196,51 @@ def _stage_probabilities_oracle(n):
 def test_fast_bookmark_stages_and_histogram_are_unchanged():
     n, trials, seed = 240, 3000, 17
     probabilities = _stage_probabilities_oracle(n)
-    assert _stage_probabilities(n) == probabilities
+    assert [float(p) for p in stage_probabilities(uniform_distribution(n))] == probabilities
     totals = np.zeros(trials, dtype=np.int64)
     for below, p in enumerate(probabilities, start=1):
         totals += _trial_rng(seed, (1 << 63) + below).geometric(p, size=trials)
     expected = tuple(sorted(Counter(totals.tolist()).items()))
-    assert fast_bookmark_sim(n, trials, seed).histogram == expected
+    assert fast_bookmark_sim(uniform_distribution(n), trials, seed).histogram == expected
 
 
 def test_fast_bookmark_histogram_golden_at_n_1000():
     # digest of the histogram printed by the per-stage harmonic implementation
-    result = fast_bookmark_sim(1000, 2000, 5)
+    result = fast_bookmark_sim(uniform_distribution(1000), 2000, 5)
     digest = hashlib.sha256(json.dumps(result.histogram).encode()).hexdigest()
     assert digest == "493efab00a19efbd85a7fa8a0dd10c1643215cad13989e273a9fed3cae9b7a24"
     assert result.mean == 9367.9465
 
 
 def test_fast_and_full_simulators_agree():
-    full = simulate_sst(uniform(5), trials=20_000, seed=42)
-    fast = fast_bookmark_sim(5, trials=20_000, seed=42)
-    combined = math.hypot(full.stderr, fast.stderr)
-    assert abs(full.mean - fast.mean) <= 4 * combined
+    for probs in (uniform_distribution(5), _top_heavy(5)):
+        full = simulate_sst(probs, trials=20_000, seed=42)
+        fast = fast_bookmark_sim(probs, trials=20_000, seed=42)
+        assert full.exact == fast.exact == exact_expected_tau(probs)
+        combined = math.hypot(full.stderr, fast.stderr)
+        assert abs(full.mean - fast.mean) <= 4 * combined
 
 
 def test_exact_expected_tau_values():
-    assert exact_expected_tau(2) == 2
-    assert exact_expected_tau(3) == Fraction(24, 5)
+    assert exact_expected_tau(uniform_distribution(2)) == 2
+    assert exact_expected_tau(uniform_distribution(3)) == Fraction(24, 5)
     with pytest.raises(ValueError):
-        exact_expected_tau(1)
+        exact_expected_tau(uniform_distribution(1))
     with pytest.raises(ValueError):
-        exact_expected_tau(EXACT_TAU_MAX_N + 1)
+        exact_expected_tau(uniform_distribution(EXACT_TAU_MAX_N + 1))
 
 
 def test_extended_precision_matches_exact():
     for n in (2, 3, 10, 50):
         assert float(expected_tau_extended(n)) == pytest.approx(
-            float(exact_expected_tau(n)), rel=1e-15
+            float(exact_expected_tau(uniform_distribution(n))), rel=1e-15
         )
 
 
 def test_bounds_examples():
     upper, lower = bounds(3)
     assert upper == pytest.approx(6.65742, abs=1e-4)
-    assert upper >= float(exact_expected_tau(3))
+    assert upper >= float(exact_expected_tau(uniform_distribution(3)))
     assert lower == pytest.approx(3.57798, abs=1e-4)
     bounds(2)  # log log 2 < 0 is evaluated, not clamped
     with pytest.raises(ValueError):
@@ -280,13 +284,107 @@ def test_result_json_schema():
     assert sum(count for _, count in data["histogram"]) == 50
 
 
-def test_non_uniform_has_no_exact_oracle():
+def test_non_uniform_reports_exact_without_r2b_bounds():
     result = simulate_sst([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)], trials=50, seed=4)
-    assert result.exact is None
+    assert result.exact == Fraction(26, 7)
     assert result.upper_bound is None
-    assert result.to_json()["exact"] is None
+    assert result.conjectured_lower is None
+    assert result.to_json()["exact"] == "26/7"
 
 
+def _top_heavy(n):
+    return [Fraction(2 * (n + 1 - i), n * (n + 1)) for i in range(1, n + 1)]
+
+
+def _bottom_heavy(n):
+    return [Fraction(2 * i, n * (n + 1)) for i in range(1, n + 1)]
+
+
+def _point_mass(n):
+    return [Fraction(1)] + [Fraction(0)] * (n - 1)
+
+
+def _test_distributions(n):
+    return [uniform_distribution(n), _point_mass(n), _top_heavy(n), _bottom_heavy(n)]
+
+
+def _moves(probs):
+    """Every move (i, j) of one step with its exact probability P(i)/(n+1-i)."""
+    n = len(probs)
+    for i, p in enumerate(probs, start=1):
+        if p:
+            for j in range(i, n + 1):
+                yield i, j, p / (n + 1 - i)
+
+
+def test_stage_probabilities_equal_one_step_crossing_mass():
+    for n in range(2, 8):
+        gappy = [Fraction(1, 2)] + [Fraction(0)] * (n - 2) + [Fraction(1, 2)]
+        sparse = [Fraction(1, n) if i % 2 == 0 else Fraction(0) for i in range(n)]
+        sparse[0] += 1 - sum(sparse)
+        for probs in _test_distributions(n) + [gappy, sparse]:
+            stages = stage_probabilities(probs)
+            assert len(stages) == n - 1
+            for below in range(1, n):
+                crossing = sum(
+                    (w for i, j, w in _moves(probs)
+                     if _apply_move(list(range(1, n + 1)), below, i, j) == below + 1),
+                    start=Fraction(0),
+                )
+                assert stages[below - 1] == crossing, (probs, below)
+
+
+def test_uniform_stage_probabilities_equal_climb_probability():
+    for n in range(2, 61):
+        stages = stage_probabilities(uniform_distribution(n))
+        assert stages == tuple(climb_probability(n, b) for b in range(1, n))
+        assert exact_expected_tau(uniform_distribution(n)) == sum(1 / p for p in stages)
+
+
+def test_stage_probabilities_and_exact_tau_need_p1_positive():
+    probs = [Fraction(0), Fraction(1, 2), Fraction(1, 2)]
+    for fn in (stage_probabilities, exact_expected_tau):
+        with pytest.raises(ValueError, match="top card"):
+            fn(probs)
+    with pytest.raises(ValueError, match="top card"):
+        fast_bookmark_sim(probs, trials=10, seed=1)
+
+
+def _geometric_sum_pmf(stages, horizon):
+    """P(sum of independent Geometric(p_b) on {1, 2, ...} = k) for k <= horizon."""
+    pmf = [Fraction(1)] + [Fraction(0)] * horizon
+    for p in stages:
+        geometric = [Fraction(0)] + [p * (1 - p) ** (k - 1) for k in range(1, horizon + 1)]
+        pmf = [
+            sum((pmf[m] * geometric[k - m] for m in range(k + 1)), start=Fraction(0))
+            for k in range(horizon + 1)
+        ]
+    return pmf
+
+
+def test_exact_chain_tau_law_and_uniform_deck_at_tau():
+    """Propagate the exact (deck, below) chain through _apply_move: tau is
+    the sum of the Geometric(p_b) stages, and the deck at tau is uniform."""
+    horizon = 12
+    for n in range(2, 5):
+        decks = list(itertools.permutations(range(1, n + 1)))
+        for probs in _test_distributions(n):
+            moves = list(_moves(probs))
+            pmf = _geometric_sum_pmf(stage_probabilities(probs), horizon)
+            alive = {(tuple(range(1, n + 1)), 1): Fraction(1)}
+            for k in range(1, horizon + 1):
+                nxt, stopped = Counter(), Counter()
+                for (deck, below), mass in alive.items():
+                    for i, j, w in moves:
+                        moved = list(deck)
+                        new_below = _apply_move(moved, below, i, j)
+                        if new_below == n:
+                            stopped[tuple(moved)] += mass * w
+                        else:
+                            nxt[tuple(moved), new_below] += mass * w
+                alive = nxt
+                assert sum(stopped.values(), Fraction(0)) == pmf[k], (probs, k)
+                assert all(stopped[deck] == pmf[k] / len(decks) for deck in decks), (probs, k)
 def test_deckstate_is_frozen():
     state = DeckState((1, 2), 1)
     with pytest.raises(AttributeError):
