@@ -11,11 +11,14 @@ stages (stage_probabilities), so E[tau] = sum over b of 1 / p_b whenever
 P(1) > 0; for the uniform P this is sum over i = 2..n of
 n / (i (H_n - H_{i-1})).
 
-Randomness comes from numpy's Philox counter-based generator ("philox4x64"):
-trial t of a run seeded s uses the key (s, t), so trials form independent
-streams and results are bit-identical for a fixed (seed, trials) regardless
-of chunking or worker layout.  Means and standard errors are derived from
-exact integer sums of the sampled times.
+Randomness is Philox4x64-10 ("philox4x64", Salmon et al., SC'11): trial t
+of a run seeded s draws the stream keyed (s, t), the stream numpy's
+Philox(key=[s, t]) produces.  simulate_sst computes those streams itself
+with a vectorised numpy Philox kernel, checked word for word against
+numpy's Philox in the tests, and advances a batch of trials in lockstep, one
+block of four words (two steps) per pass.  Results therefore depend only on
+(seed, trials), never on the batch size.  Means and standard errors are
+derived from exact integer sums of the sampled times.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -37,6 +40,18 @@ RNG_ID = "philox4x64"
 
 _U64 = (1 << 64) - 1
 _FAST_SIM_KEY_OFFSET = 1 << 63
+
+# Trials simulated side by side in simulate_sst; bounds its memory only.
+SST_LANES = 16_384
+
+# Philox4x64-10 constants, stacked as (counter word 0, counter word 2) and
+# (key word 0, key word 1); the multipliers are split into 32-bit halves
+# because numpy has no 64x64 -> 128-bit product.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_M_LO = _PHILOX_M & np.uint64(0xFFFFFFFF)
+_PHILOX_M_HI = _PHILOX_M >> np.uint64(32)
+_PHILOX_BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_PHILOX_ROUNDS = 10
 
 # Fraction arithmetic for the exact expectation is kept to moderate n; the
 # harmonic denominators grow like lcm(1..n) and summation multiplies them up.
@@ -88,10 +103,56 @@ def _trial_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sample_move(u1: float, u2: float, cdf: np.ndarray, n: int) -> tuple[int, int]:
-    i = min(int(np.searchsorted(cdf, u1, side="right")) + 1, n)
-    j = i + int(u2 * (n + 1 - i))
+def _philox_block(seed: int, streams: np.ndarray, block: int) -> np.ndarray:
+    """Words 4 * block .. 4 * block + 3 of the Philox4x64-10 streams keyed
+    (seed mod 2^64, stream), one column per stream: the counter
+    (block + 1, 0, 0, 0) through ten rounds, as numpy's Philox draws them."""
+    lanes = len(streams)
+    key = np.empty((2, lanes), dtype=np.uint64)
+    key[0] = seed & _U64
+    key[1] = streams
+    even = np.zeros((2, lanes), dtype=np.uint64)  # counter words 0 and 2
+    odd = np.zeros((2, lanes), dtype=np.uint64)  # counter words 1 and 3
+    even[0] = block + 1
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key += _PHILOX_BUMP
+        # 64 x 64 -> 128-bit products of the multipliers with words 0 and 2
+        low = even & np.uint64(0xFFFFFFFF)
+        high = even >> np.uint64(32)
+        low_low = low * _PHILOX_M_LO
+        cross = high * _PHILOX_M_LO
+        cross += low_low >> np.uint64(32)
+        low *= _PHILOX_M_HI
+        low += cross & np.uint64(0xFFFFFFFF)
+        high *= _PHILOX_M_HI
+        high += cross >> np.uint64(32)
+        high += low >> np.uint64(32)
+        even *= _PHILOX_M
+        # (c0, c1, c2, c3) -> (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
+        high = high[::-1]
+        high ^= odd
+        high ^= key
+        even, odd = high, even[::-1]
+    return np.stack((even[0], odd[0], even[1], odd[1]))
+
+
+def _sample_move(u1, u2, cdf: np.ndarray, n: int):
+    """The move (i, j) drawn by the uniforms (u1, u2): i from the cumulative
+    distribution cdf, j uniform on i..n.  Works elementwise on arrays."""
+    i = np.minimum(np.searchsorted(cdf, u1, side="right") + 1, n)
+    j = i + (u2 * (n + 1 - i)).astype(np.int64)
     return i, j
+
+
+def _move_rows(decks: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Each row of decks with its card at position i[r] moved to position
+    j[r] >= i[r], as _apply_move does: one gather of the rotated segments."""
+    pos = np.arange(decks.shape[1])
+    i0, j0 = i[:, None] - 1, j[:, None] - 1
+    source = pos + ((i0 <= pos) & (pos < j0))
+    source = np.where(pos == j0, i0, source)
+    return np.take_along_axis(decks, source, axis=1)
 
 
 def step(state: DeckState, probabilities: Sequence[Scalar], rng: np.random.Generator) -> DeckState:
@@ -100,7 +161,7 @@ def step(state: DeckState, probabilities: Sequence[Scalar], rng: np.random.Gener
     cdf = np.cumsum([float(p) for p in _validated(probabilities)])
     n = len(state.order)
     u1, u2 = rng.random(2)
-    i, j = _sample_move(u1, u2, cdf, n)
+    i, j = map(int, _sample_move(u1, u2, cdf, n))
     deck = list(state.order)
     below = _apply_move(deck, state.below, i, j)
     return DeckState(tuple(deck), below)
@@ -169,39 +230,54 @@ def simulate_sst(
     record_final: bool = False,
     chunk: int | None = None,
 ) -> SimulationResult:
-    """Run the full deck chain until the bookmark tops out, per trial.
+    """Run the full deck chain until the bookmark tops out, for every trial.
 
-    Requires P(1) > 0.  Each trial consumes its own Philox stream, drawn in
-    blocks; the consumed prefix is independent of the block size, so results
-    depend only on (seed, trials).
+    Requires P(1) > 0.  Trial t consumes the Philox stream keyed (seed, t),
+    two doubles (u1, u2) per step.  Batches of ``chunk`` trials (default
+    SST_LANES) advance in lockstep: each pass draws the next block of every
+    live stream, makes its two steps, and retires the trials whose bookmark
+    has topped out.  The batch size bounds memory only; results depend only
+    on (seed, trials).
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     probs = _validated(probabilities)
     cdf = np.cumsum([float(p) for p in probs])
     n = len(probs)
-    if chunk is None:
-        # roughly twice the n log n scale of tau, so most trials take one draw
-        chunk = max(32, int(2.5 * n * math.log(n + 1)))
+    lanes = SST_LANES if chunk is None else chunk
+    if lanes < 1:
+        raise ValueError(f"chunk must be positive, got {chunk}")
     taus: Counter = Counter()
-    final_counts: Counter | None = Counter() if record_final else None
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        deck = list(range(1, n + 1))
-        below = 1
-        steps = 0
-        while below < n:
-            u = rng.random((chunk, 2))
-            i_arr = np.minimum(np.searchsorted(cdf, u[:, 0], side="right") + 1, n)
-            j_arr = i_arr + (u[:, 1] * (n + 1 - i_arr)).astype(np.int64)
-            for i, j in zip(i_arr.tolist(), j_arr.tolist()):
-                steps += 1
-                below = _apply_move(deck, below, i, j)
-                if below == n:
+    finals: list[np.ndarray] = []
+    for first in range(0, trials, lanes):
+        streams = np.arange(first, min(first + lanes, trials), dtype=np.uint64)
+        below = np.ones(len(streams), dtype=np.int64)
+        decks = np.tile(np.arange(1, n + 1), (len(streams), 1)) if record_final else None
+        for steps in count():
+            done = below == n
+            if done.any():
+                taus[steps] += int(np.count_nonzero(done))
+                live = ~done
+                streams, below = streams[live], below[live]
+                if steps % 2:  # the block's second step is still to come
+                    uniforms = uniforms[:, live]
+                if decks is not None:
+                    finals.append(decks[done])
+                    decks = decks[live]
+                if not len(streams):
                     break
-        taus[steps] += 1
-        if final_counts is not None:
-            final_counts[tuple(deck)] += 1
+            if steps % 2 == 0:
+                words = _philox_block(seed, streams, steps // 2)
+                uniforms = (words >> np.uint64(11)) * 2.0**-53
+            half = 2 * (steps % 2)
+            i, j = _sample_move(uniforms[half], uniforms[half + 1], cdf, n)
+            gap = n - below
+            below += (i <= gap) & (gap <= j)
+            if decks is not None:
+                decks = _move_rows(decks, i, j)
+    final_counts = None
+    if record_final:
+        final_counts = Counter(map(tuple, np.concatenate(finals).tolist()))
     return _summarize(n, trials, seed, taus, probs, final_counts)
 
 
@@ -308,10 +384,15 @@ def bounds(n: int) -> tuple[float, float]:
     evaluated, no clamping."""
     if n < 2:
         raise ValueError(f"bounds need n >= 2, got {n}")
-    loglog = math.log(math.log(n))
-    upper = n * math.log(n) + n * loglog + n * math.log(2) + 1
-    lower = n * math.log(n) + n * loglog
-    return upper, lower
+    return _bound_pair(n, float, math.log)
+
+
+def _bound_pair(n: int, dtype, log) -> tuple:
+    """(n log n + n log log n + n log 2 + 1, n log n + n log log n), computed
+    in dtype with the matching log."""
+    x = dtype(n)
+    lower = x * log(x) + x * log(log(x))
+    return lower + x * log(dtype(2)) + 1, lower
 
 
 def bound_check_sweep(max_n: int) -> tuple[list[int], list[int]]:
@@ -323,14 +404,11 @@ def bound_check_sweep(max_n: int) -> tuple[list[int], list[int]]:
     harmonics = harmonic_prefix(max_n)
     upper_violations: list[int] = []
     lower_violations: list[int] = []
-    log = np.log
     for n in range(2, max_n + 1):
         value = expected_tau_extended(n, harmonics)
-        nl = np.longdouble(n)
-        loglog = log(log(nl))
-        upper = nl * log(nl) + nl * loglog + nl * log(np.longdouble(2)) + 1
+        upper, lower = _bound_pair(n, np.longdouble, np.log)
         if value > upper:
             upper_violations.append(n)
-        if n >= 3 and value < nl * log(nl) + nl * loglog:
+        if n >= 3 and value < lower:
             lower_violations.append(n)
     return upper_violations, lower_violations

@@ -13,8 +13,12 @@ from cycleshuffles.simulate import (
     EXACT_TAU_MAX_N,
     RNG_ID,
     _apply_move,
+    _move_rows,
+    _philox_block,
     _sample_move,
+    _summarize,
     _trial_rng,
+    _validated,
     bound_check_sweep,
     bounds,
     climb_probability,
@@ -139,6 +143,8 @@ def test_simulate_requires_top_card_motion():
         simulate_sst([Fraction(1, 2), Fraction(1, 3)], trials=10, seed=1)
     with pytest.raises(ValueError):
         simulate_sst(uniform(3), trials=0, seed=1)
+    with pytest.raises(ValueError, match="chunk"):
+        simulate_sst(uniform(3), trials=10, seed=1, chunk=0)
 
 
 def test_simulation_reproducible_and_chunk_independent():
@@ -245,6 +251,15 @@ def test_bounds_examples():
     bounds(2)  # log log 2 < 0 is evaluated, not clamped
     with pytest.raises(ValueError):
         bounds(1)
+
+
+def test_bounds_equal_the_spelled_out_formula():
+    # the float formula bounds() used before it shared _bound_pair with the sweep
+    for n in range(2, 201):
+        loglog = math.log(math.log(n))
+        upper = n * math.log(n) + n * loglog + n * math.log(2) + 1
+        lower = n * math.log(n) + n * loglog
+        assert bounds(n) == (upper, lower)
 
 
 def test_bound_sweep_small():
@@ -385,7 +400,114 @@ def test_exact_chain_tau_law_and_uniform_deck_at_tau():
                 alive = nxt
                 assert sum(stopped.values(), Fraction(0)) == pmf[k], (probs, k)
                 assert all(stopped[deck] == pmf[k] / len(decks) for deck in decks), (probs, k)
+
+
 def test_deckstate_is_frozen():
     state = DeckState((1, 2), 1)
     with pytest.raises(AttributeError):
         state.below = 2
+
+
+_EDGE_SEEDS = [0, 1, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, (1 << 64) - 1, -5, (1 << 64) + 3]
+_EDGE_STREAMS = [0, 1, (1 << 63) - 1, 1 << 63, (1 << 64) - 2, (1 << 64) - 1]
+
+
+def test_philox_kernel_matches_numpy_philox():
+    draws = np.random.default_rng(20261018)
+    seeds = _EDGE_SEEDS + [int(s) for s in draws.integers(0, 1 << 64, 6, dtype=np.uint64)]
+    random_streams = [int(t) for t in draws.integers(0, 1 << 64, 6, dtype=np.uint64)]
+    streams = np.array(_EDGE_STREAMS + random_streams, dtype=np.uint64)
+    blocks = 4
+    for seed in seeds:
+        words = np.concatenate([_philox_block(seed, streams, b) for b in range(blocks)])
+        words = words.reshape(blocks, 4, -1).transpose(2, 0, 1).reshape(len(streams), -1)
+        doubles = (words >> np.uint64(11)) * 2.0**-53
+        for t, stream in enumerate(streams.tolist()):
+            key = np.array([seed & ((1 << 64) - 1), stream], dtype=np.uint64)
+            assert np.array_equal(words[t], np.random.Philox(key=key).random_raw(4 * blocks))
+            assert np.array_equal(doubles[t], _trial_rng(seed, stream).random(4 * blocks))
+
+
+def test_move_rows_equals_apply_move_row_by_row():
+    draws = np.random.default_rng(7)
+    for n in range(1, 9):
+        rows = 200
+        i = draws.integers(1, n + 1, rows)
+        j = i + (draws.random(rows) * (n + 1 - i)).astype(np.int64)
+        i[:3], j[:3] = (1, 1, n), (n, 1, n)  # whole deck, top and bottom in place
+        i[3:6] = j[3:6]
+        decks = np.array([draws.permutation(np.arange(1, n + 1)) for _ in range(rows)])
+        moved = _move_rows(decks, i, j)
+        for r in range(rows):
+            deck = decks[r].tolist()
+            _apply_move(deck, n, int(i[r]), int(j[r]))
+            assert moved[r].tolist() == deck, (n, i[r], j[r])
+
+
+def _per_trial_reference(probabilities, trials, seed):
+    """The reference simulator: one Python loop per trial, each with its own
+    Philox generator, drawn in chunks of steps."""
+    probs = _validated(probabilities)
+    cdf = np.cumsum([float(p) for p in probs])
+    n = len(probs)
+    chunk = max(32, int(2.5 * n * math.log(n + 1)))
+    taus, final_counts = Counter(), Counter()
+    for trial in range(trials):
+        rng = _trial_rng(seed, trial)
+        deck = list(range(1, n + 1))
+        below = 1
+        steps = 0
+        while below < n:
+            u = rng.random((chunk, 2))
+            i_arr = np.minimum(np.searchsorted(cdf, u[:, 0], side="right") + 1, n)
+            j_arr = i_arr + (u[:, 1] * (n + 1 - i_arr)).astype(np.int64)
+            for i, j in zip(i_arr.tolist(), j_arr.tolist()):
+                steps += 1
+                below = _apply_move(deck, below, i, j)
+                if below == n:
+                    break
+        taus[steps] += 1
+        final_counts[tuple(deck)] += 1
+    return _summarize(n, trials, seed, taus, probs, final_counts)
+
+
+def _gappy(n):
+    if n == 1:
+        return [Fraction(1)]
+    return [Fraction(1, 2)] + [Fraction(0)] * (n - 2) + [Fraction(1, 2)]
+
+
+def _assert_same_run(result, reference, record_final):
+    assert result.histogram == reference.histogram
+    assert result.mean == reference.mean
+    if reference.trials > 1:
+        assert result.stderr == reference.stderr
+    else:
+        assert math.isnan(result.stderr) and math.isnan(reference.stderr)
+    assert result.final_counts == (reference.final_counts if record_final else None)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10])
+def test_lockstep_walk_matches_per_trial_reference(n):
+    seeds = [0, -5, (1 << 63) + 1, (1 << 64) + 3]
+    for p_index, probs in enumerate([uniform(n), _top_heavy(n), _gappy(n)]):
+        for s_index, seed in enumerate(seeds):
+            for trials in (1, 2, 500):
+                reference = _per_trial_reference(probs, trials, seed)
+                if n == 1:
+                    assert reference.histogram == ((0, trials),)
+                for record_final in (False, True):
+                    result = simulate_sst(probs, trials, seed, record_final)
+                    _assert_same_run(result, reference, record_final)
+                # a chunk of at least `trials` lanes runs the default's single
+                # batch; 500 one-lane or 13-lane batches take seconds, so those
+                # cells rotate over P and seed as n varies, with record_final
+                if trials == 2:
+                    cells = [(1, False), (1, True)]
+                elif trials == 500 and (p_index, s_index) == (n % 3, n % 4):
+                    cells = [(13, True), (1, True)] if n <= 4 else [(13, True)]
+                else:
+                    cells = []
+                for chunk, record_final in cells:
+                    result = simulate_sst(probs, trials, seed, record_final, chunk)
+                    _assert_same_run(result, reference, record_final)
