@@ -18,6 +18,11 @@ The b-coefficients of y are the bilinear forms f(a_p, y).  They are read
 off the transposed incidence of the a-family, "which a_p contain w", built
 once per family: each w in the support of y adds y[w] to the few p with w
 in a_p, instead of one bilinear form per basis element.
+
+rmul_columns is the one builder of the columns of right multiplication, in
+the permutation basis, the a-basis or the b-basis: rmul_matrix, the
+transition matrices, and the triangularity and antipode checks all draw
+their columns from it, one at a time, in lexicographic order.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from functools import cached_property
-from typing import Literal, Mapping, Sequence
+from typing import Iterator, Literal, Mapping, Sequence
 
 from .algebra import (
     AlgebraElement,
@@ -37,7 +42,7 @@ from .algebra import (
     sn_index,
 )
 from .lacunar import LacunarCatalog, enumerate_lacunar, set_to_mask
-from .perms import Perm, all_permutations, descent_set
+from .perms import Perm, descent_set
 
 
 def a_element(w: Perm) -> AlgebraElement:
@@ -85,9 +90,7 @@ class QIndexTable:
         require_within_cap(n, max_n)
         self.n = n
         self.catalog = enumerate_lacunar(n)
-        self.index: dict[Perm, int] = {
-            w: q_index(w, self.catalog) for w in all_permutations(n)
-        }
+        self.index: dict[Perm, int] = {w: q_index(w, self.catalog) for w in sn_index(n)[0]}
 
     def __getitem__(self, w: Perm) -> int:
         return self.index[w]
@@ -102,7 +105,7 @@ class BasisFamily:
 
     def __init__(self, n: int, elements: Mapping[Perm, AlgebraElement], kind: str):
         self.n = n
-        self.perms: tuple[Perm, ...] = tuple(all_permutations(n))
+        self.perms: tuple[Perm, ...] = sn_index(n)[0]
         self.elements = dict(elements)
         self.kind = kind
 
@@ -122,7 +125,7 @@ class BasisFamily:
 
 def build_a_family(n: int, max_n: int | None = None) -> BasisFamily:
     require_within_cap(n, max_n)
-    return BasisFamily(n, {w: a_element(w) for w in all_permutations(n)}, kind="a")
+    return BasisFamily(n, {w: a_element(w) for w in sn_index(n)[0]}, kind="a")
 
 
 def family_to_json(family: BasisFamily) -> list[dict]:
@@ -209,13 +212,15 @@ def basis_order(
     "lex" is plain lexicographic; "qindex" sorts by increasing Q-index with
     lexicographic tie-break, "qindex-desc" by decreasing Q-index likewise.
     """
+    require_within_cap(n, max_n)
+    perms = sn_index(n)[0]
     if order == "lex":
-        return tuple(all_permutations(n))
+        return perms
     table = table or QIndexTable(n, max_n)
     if order == "qindex":
-        return tuple(sorted(all_permutations(n), key=lambda w: (table[w], w)))
+        return tuple(sorted(perms, key=lambda w: (table[w], w)))
     if order == "qindex-desc":
-        return tuple(sorted(all_permutations(n), key=lambda w: (-table[w], w)))
+        return tuple(sorted(perms, key=lambda w: (-table[w], w)))
     raise ValueError(f"unknown order {order!r}; expected lex, qindex or qindex-desc")
 
 
@@ -225,27 +230,25 @@ def rmul_columns(
     a_family: BasisFamily | None = None,
     b_family: BasisFamily | None = None,
     max_n: int | None = None,
-) -> dict[Perm, dict[Perm, Scalar]]:
-    """Sparse columns of the right-multiplication map y -> y x.
+) -> Iterator[tuple[Perm, dict[Perm, Scalar]]]:
+    """Sparse columns of the right-multiplication map y -> y x, as (w, column)
+    pairs in lexicographic order of w, each computed when it is drawn.
 
     Column w maps each row index v to the coefficient of the v-th basis
-    vector in (basis vector w) * x.
+    vector in (basis vector w) * x.  The cap and the basis name are checked,
+    and the families built, when this is called.
     """
+    n = x.n
+    require_within_cap(n, max_n)
     if basis == "std":
-        require_within_cap(x.n, max_n)
-        return {w: rmul_terms({w: 1}, x.terms, x.n) for w in all_permutations(x.n)}
-    a_family = a_family or build_a_family(x.n, max_n)
-    columns: dict[Perm, dict[Perm, Scalar]] = {}
-    if basis == "a":
-        for w in a_family.perms:
-            columns[w] = expand_in_a(a_family.elements[w] * x, a_family)
-    elif basis == "b":
-        b_family = b_family or dual_basis(a_family)
-        for w in a_family.perms:
-            columns[w] = expand_in_b(b_family.elements[w] * x, a_family)
-    else:
+        return ((w, rmul_terms({w: 1}, x.terms, n)) for w in sn_index(n)[0])
+    if basis not in ("a", "b"):
         raise ValueError(f"unknown basis {basis!r}; expected std, a or b")
-    return columns
+    a_family = a_family or build_a_family(n, max_n)
+    if basis == "a":
+        return ((w, expand_in_a(a_family.elements[w] * x, a_family)) for w in a_family.perms)
+    b_family = b_family or dual_basis(a_family)
+    return ((w, expand_in_b(b_family.elements[w] * x, a_family)) for w in a_family.perms)
 
 
 def rmul_matrix(
@@ -257,15 +260,15 @@ def rmul_matrix(
     max_n: int | None = None,
 ) -> tuple[tuple[Perm, ...], list[list[Scalar]]]:
     """Dense matrix of y -> y x in the chosen basis and row/column order."""
+    columns = rmul_columns(x, basis, a_family, b_family, max_n)
     if isinstance(order, str):
         ordered = basis_order(x.n, order, max_n=max_n)
     else:
         ordered = tuple(order)
     position = {w: k for k, w in enumerate(ordered)}
-    columns = rmul_columns(x, basis, a_family, b_family, max_n)
     size = len(ordered)
     matrix: list[list[Scalar]] = [[0] * size for _ in range(size)]
-    for w, col in columns.items():
+    for w, col in columns:
         j = position[w]
         for v, c in col.items():
             matrix[position[v]][j] = c

@@ -6,15 +6,16 @@ computation and reports a single pass/fail with a short diagnostic.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraElement, linear_combine, require_within_cap
-from .basis import BasisFamily, QIndexTable, build_a_family, dual_basis, expand_in_a, expand_in_b
+from .algebra import AlgebraElement, linear_combine
+from .basis import BasisFamily, QIndexTable, build_a_family, dual_basis, expand_in_b, rmul_columns
 from .identities import _nilpotency_reports, identity_suite
 from .lacunar import enumerate_lacunar, locate_interval, m_value
-from .perms import all_permutations, inverse
+from .perms import inverse
 from .shuffles import build_t, build_t_prime, combine, r2b_weights
 from .spectrum import annihilator_check
 
@@ -43,62 +44,43 @@ def pseudo_random_weights(n: int) -> tuple[Fraction, ...]:
 def check_triangularity(n: int, max_n: int | None = None) -> list[CheckResult]:
     """Right multiplication by each t_ell is upper-triangular on the a-basis
     in Q-index order, with diagonal entry m_{Q_{Qind w}, ell}."""
-    family = build_a_family(n, max_n)
-    table = QIndexTable(n, max_n)
-    catalog = table.catalog
-    results = []
-    for ell in range(1, n + 1):
-        t = build_t(n, ell)
-        bad = None
-        for w in family.perms:
-            qw = table[w]
-            expansion = expand_in_a(family.elements[w] * t, family)
-            diag = expansion.pop(w, 0)
-            if diag != m_value(catalog[qw], n, ell):
-                bad = f"diagonal of column {w} is {diag}"
-                break
-            offender = next((v for v in expansion if table[v] >= qw), None)
-            if offender is not None:
-                bad = f"column {w} reaches {offender} with Qind {table[offender]} >= {qw}"
-                break
-        results.append(
-            CheckResult("triangularity", f"R(t_{ell}) upper-triangular in Q-order", bad is None, bad or "")
-        )
-    return results
+    return _triangularity(build_a_family(n, max_n), None, QIndexTable(n, max_n), max_n)
 
 
 def check_dual_triangularity(n: int, max_n: int | None = None) -> list[CheckResult]:
     """Right multiplication by each t'_ell is upper-triangular on the dual
     basis in decreasing Q-index order, with the same diagonal."""
     family = build_a_family(n, max_n)
-    return _dual_triangularity(family, dual_basis(family), QIndexTable(n, max_n))
+    return _triangularity(family, dual_basis(family), QIndexTable(n, max_n), max_n)
 
 
-def _dual_triangularity(
-    family: BasisFamily, b_family: BasisFamily, table: QIndexTable
+def _triangularity(
+    family: BasisFamily, b_family: BasisFamily | None, table: QIndexTable, max_n: int | None
 ) -> list[CheckResult]:
+    """R(t_ell) on the a-basis in Q-order or, given the dual family, R(t'_ell)
+    on the b-basis in reverse Q-order, for every ell; each sweep stops at
+    its first bad column."""
     n = family.n
-    catalog = table.catalog
+    if b_family is None:
+        suite, shuffle, basis, reaches, sign = "triangularity", build_t, "a", operator.ge, ">="
+        name = "R(t_{}) upper-triangular in Q-order"
+    else:
+        suite, shuffle, basis, reaches, sign = "duality", build_t_prime, "b", operator.le, "<="
+        name = "R(t'_{}) upper-triangular in reverse Q-order"
     results = []
     for ell in range(1, n + 1):
-        tp = build_t_prime(n, ell)
         bad = None
-        for w in family.perms:
+        for w, column in rmul_columns(shuffle(n, ell), basis, family, b_family, max_n):
             qw = table[w]
-            expansion = expand_in_b(b_family.elements[w] * tp, family)
-            diag = expansion.pop(w, 0)
-            if diag != m_value(catalog[qw], n, ell):
+            diag = column.pop(w, 0)
+            if diag != m_value(table.catalog[qw], n, ell):
                 bad = f"diagonal of column {w} is {diag}"
                 break
-            offender = next((v for v in expansion if table[v] <= qw), None)
+            offender = next((v for v in column if reaches(table[v], qw)), None)
             if offender is not None:
-                bad = f"column {w} reaches {offender} with Qind {table[offender]} <= {qw}"
+                bad = f"column {w} reaches {offender} with Qind {table[offender]} {sign} {qw}"
                 break
-        results.append(
-            CheckResult(
-                "duality", f"R(t'_{ell}) upper-triangular in reverse Q-order", bad is None, bad or ""
-            )
-        )
+        results.append(CheckResult(suite, name.format(ell), bad is None, bad or ""))
     return results
 
 
@@ -135,7 +117,7 @@ def check_duality(n: int, max_n: int | None = None) -> list[CheckResult]:
             f"fails at ell={mismatch}" if mismatch else "",
         )
     )
-    results.extend(_dual_triangularity(family, b_family, QIndexTable(n, max_n)))
+    results.extend(_triangularity(family, b_family, QIndexTable(n, max_n), max_n))
     results.append(check_antipode_conjugation(n, max_n))
     return results
 
@@ -144,17 +126,15 @@ def check_antipode_conjugation(n: int, max_n: int | None = None) -> CheckResult:
     """Matrix identity R(sum of c t') = S L(sum of c t) S^{-1} over the
     standard basis: entry (v, w) of the left side must equal entry
     (v^{-1}, w^{-1}) of L, since S is the permutation matrix of inversion."""
-    require_within_cap(n, max_n)
     weights = pseudo_random_weights(n)
     x = combine(weights)
     x_prime = linear_combine(
         (c, build_t_prime(n, ell)) for ell, c in enumerate(weights, start=1)
     )
     bad = None
-    for w in all_permutations(n):
+    for w, lhs_col in rmul_columns(x_prime, "std", max_n=max_n):
         rhs_col = (x * AlgebraElement.from_perm(inverse(w))).terms
-        lhs_col = (AlgebraElement.from_perm(w) * x_prime).terms
-        if {inverse(v): c for v, c in rhs_col.items()} != dict(lhs_col):
+        if {inverse(v): c for v, c in rhs_col.items()} != lhs_col:
             bad = f"columns differ at w={w}"
             break
     return CheckResult("duality", "R(t') = S L(t) S^-1 as matrices", bad is None, bad or "")

@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import MAX_N_ENV_VAR
-from .basis import basis_order, rmul_matrix
+from .basis import rmul_matrix
 from .checks import SUITES, run_suite
 from .lacunar import enumerate_lacunar, format_subset, non_shadow
 from .shuffles import (
@@ -28,7 +28,6 @@ from .shuffles import (
     build_t,
     r2b_weights,
     t2r_weights,
-    transition_matrix,
     uniform_distribution,
     unweighted_weights,
 )
@@ -253,17 +252,9 @@ def cmd_matrix(args) -> int:
         if args.t > n:
             raise ValueError(f"--t {args.t} exceeds n={n}")
         element = build_t(n, args.t)
+    labels, rows = rmul_matrix(element, args.basis, args.order, max_n=args.max_n)
     if args.osc is not None and args.basis == "std":
-        tm = transition_matrix(element, args.max_n)
-        labels, rows = tm.perms, tm.rows
-        if args.order != "lex":
-            labels = basis_order(n, args.order, max_n=args.max_n)
-            lex_rank = {w: k for k, w in enumerate(tm.perms)}
-            picks = [lex_rank[w] for w in labels]
-            # permuted one row at a time as it is rendered, never held whole
-            rows = ([tm.rows[i][j] for j in picks] for i in picks)
-    else:
-        labels, rows = rmul_matrix(element, args.basis, args.order, max_n=args.max_n)
+        rows = zip(*rows)  # the transition matrix: row tau holds tau * osc(P)
     names = [",".join(map(str, w)) for w in labels]
     if args.format == "json":
         payload = {"n": n, "order": names, "rows": [[str(v) for v in row] for row in rows]}

@@ -102,12 +102,14 @@ def _nilpotency_reports(n: int, max_n: int | None) -> tuple[IdentityReport, Iden
     return IdentityReport(n, tuple(minimal + sharp)), IdentityReport(n, tuple(separate))
 
 
+# Kept for benchmarks/tracer.py, which patches it, until ROADMAP item 6 re-points the tracer.
 def commutator_nilpotency(n: int, max_n: int | None = None) -> IdentityReport:
     """[t_i, t_j] ** e = 0 for all i < j with the minimal proven exponent e,
     plus the sharpness witness [t_1, t_3] ** 2 != 0 at n = 6."""
     return _nilpotency_reports(n, max_n)[0]
 
 
+# Kept for benchmarks/tracer.py, which patches it, until ROADMAP item 6 re-points the tracer.
 def separate_nilpotency_exponents(n: int, max_n: int | None = None) -> IdentityReport:
     """Both proven exponents j - i + 1 and ceil((n - j)/2) + 1 individually."""
     return _nilpotency_reports(n, max_n)[1]

@@ -148,6 +148,7 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts) + ")"
 
 
+# Kept for benchmarks/tracer.py, which patches it, until ROADMAP item 6 re-points the tracer.
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor via the Euclidean algorithm."""
     while not b.is_zero():
@@ -156,6 +157,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.monic() if not a.is_zero() else a
 
 
+# Kept for benchmarks/tracer.py, which patches it, until ROADMAP item 6 re-points the tracer.
 def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero() or b.is_zero():
         return Polynomial.zero()

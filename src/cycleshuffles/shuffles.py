@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import AlgebraElement, Scalar, linear_combine, require_within_cap, rmul_terms
-from .perms import Perm, all_permutations, cycle
+from .algebra import AlgebraElement, Scalar, linear_combine, sn_index
+from .basis import rmul_columns
+from .perms import Perm, cycle
 
 WeightVector = Sequence[Scalar]
 
@@ -118,20 +119,18 @@ def transition_matrix(x: AlgebraElement, max_n: int | None = None) -> Transition
     Requires nonnegative coefficients summing to 1; rows then sum to 1
     exactly.
     """
-    require_within_cap(x.n, max_n)
+    columns = rmul_columns(x, "std", max_n=max_n)
     total = sum(x.terms.values())
     if total != 1:
         raise ValueError(f"coefficients sum to {total}, expected 1")
     if any(c < 0 for c in x.terms.values()):
         raise ValueError("transition matrices need nonnegative coefficients")
-    perms = tuple(all_permutations(x.n))
-    index = {w: k for k, w in enumerate(perms)}
-    size = len(perms)
+    perms, rank = sn_index(x.n)
     rows = []
-    for tau in perms:
-        row = [Fraction(0)] * size
-        # tau^{-1} sigma = v  <=>  sigma = tau v: row tau holds the terms of tau * x
-        for sigma, c in rmul_terms({tau: 1}, x.terms, x.n).items():
-            row[index[sigma]] = Fraction(c)
+    # tau^{-1} sigma = v  <=>  sigma = tau v: row tau is std column tau, the terms of tau * x
+    for _, column in columns:
+        row = [Fraction(0)] * len(perms)
+        for sigma, c in column.items():
+            row[rank[sigma]] = Fraction(c)
         rows.append(tuple(row))
     return TransitionMatrix(x.n, perms, tuple(rows))

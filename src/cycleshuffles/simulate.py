@@ -228,29 +228,24 @@ def simulate_sst(
     trials: int,
     seed: int,
     record_final: bool = False,
-    chunk: int | None = None,
 ) -> SimulationResult:
     """Run the full deck chain until the bookmark tops out, for every trial.
 
     Requires P(1) > 0.  Trial t consumes the Philox stream keyed (seed, t),
-    two doubles (u1, u2) per step.  Batches of ``chunk`` trials (default
-    SST_LANES) advance in lockstep: each pass draws the next block of every
-    live stream, makes its two steps, and retires the trials whose bookmark
-    has topped out.  The batch size bounds memory only; results depend only
-    on (seed, trials).
+    two doubles (u1, u2) per step.  Batches of SST_LANES trials advance in
+    lockstep: each pass draws the next block of every live stream, makes its
+    two steps, and retires the trials whose bookmark has topped out.  The
+    batch size bounds memory only; results depend only on (seed, trials).
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     probs = _validated(probabilities)
     cdf = np.cumsum([float(p) for p in probs])
     n = len(probs)
-    lanes = SST_LANES if chunk is None else chunk
-    if lanes < 1:
-        raise ValueError(f"chunk must be positive, got {chunk}")
     taus: Counter = Counter()
     finals: list[np.ndarray] = []
-    for first in range(0, trials, lanes):
-        streams = np.arange(first, min(first + lanes, trials), dtype=np.uint64)
+    for first in range(0, trials, SST_LANES):
+        streams = np.arange(first, min(first + SST_LANES, trials), dtype=np.uint64)
         below = np.ones(len(streams), dtype=np.int64)
         decks = np.tile(np.arange(1, n + 1), (len(streams), 1)) if record_final else None
         for steps in count():
@@ -281,6 +276,7 @@ def simulate_sst(
     return _summarize(n, trials, seed, taus, probs, final_counts)
 
 
+# Kept for benchmarks/tracer.py, which patches it, until ROADMAP item 6 re-points the tracer.
 def climb_probability(n: int, below: int) -> Fraction:
     """Chance that one random-to-below step raises the bookmark past the next
     card when ``below`` cards already sit under it."""
@@ -331,6 +327,7 @@ def fast_bookmark_sim(probabilities: Sequence[Scalar], trials: int, seed: int) -
     return _summarize(n, trials, seed, taus, probs, final_counts=None)
 
 
+# Kept for benchmarks/tracer.py, which patches it, until ROADMAP item 6 re-points the tracer.
 def harmonic(m: int) -> Fraction:
     """H_m = 1 + 1/2 + ... + 1/m as an exact rational."""
     return sum((Fraction(1, k) for k in range(1, m + 1)), start=Fraction(0))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cycleshuffles import basis, checks
 from cycleshuffles.algebra import AlgebraElement, bilinear_form, linear_combine
 from cycleshuffles.basis import (
     QIndexTable,
@@ -15,11 +16,12 @@ from cycleshuffles.basis import (
     expand_in_b,
     filtration_dimensions,
     q_index,
+    rmul_columns,
     rmul_matrix,
 )
 from cycleshuffles.lacunar import enumerate_lacunar, m_value, non_shadow
 from cycleshuffles.perms import all_permutations, cycle, descent_set, identity
-from cycleshuffles.shuffles import build_t, build_t_prime
+from cycleshuffles.shuffles import build_osc, build_t, build_t_prime, transition_matrix, uniform_distribution
 
 
 def element(n, *words):
@@ -282,3 +284,59 @@ def test_rmul_matrix_checks_the_cap_it_is_given(basis, order):
         rmul_matrix(build_t(5, 1), basis, order, max_n=4)
     labels, _ = rmul_matrix(build_t(4, 1), basis, order, max_n=4)
     assert len(labels) == 24
+
+
+ORDERS = ("lex", "qindex", "qindex-desc")
+
+
+@pytest.mark.parametrize("basis_name", ["std", "a", "b"])
+def test_the_cap_is_checked_before_s_n_is_enumerated(basis_name, forbid_enumeration_above):
+    forbid_enumeration_above(4)
+    for order in ORDERS:
+        with pytest.raises(ValueError, match="cap 4"):
+            rmul_matrix(build_t(5, 1), basis_name, order, max_n=4)
+        with pytest.raises(ValueError, match="cap 4"):
+            basis_order(5, order, max_n=4)
+    with pytest.raises(ValueError, match="cap 4"):
+        rmul_columns(build_t(5, 1), basis_name, max_n=4)  # on the call, no column drawn
+    for build in (
+        lambda: transition_matrix(build_osc(uniform_distribution(5)), max_n=4),
+        lambda: QIndexTable(5, max_n=4),
+        lambda: build_a_family(5, max_n=4),
+        lambda: checks.check_antipode_conjugation(5, max_n=4),
+    ):
+        with pytest.raises(ValueError, match="cap 4"):
+            build()
+    # the default cap, one degree above it
+    forbid_enumeration_above(8)
+    with pytest.raises(ValueError, match="cap 8"):
+        rmul_matrix(build_t(9, 1), basis_name, "lex")
+
+
+def test_rmul_columns_checks_its_basis_on_the_call():
+    with pytest.raises(ValueError, match="unknown basis"):
+        rmul_columns(build_t(3, 1), "c")
+
+
+@pytest.mark.parametrize("basis_name", ["std", "a", "b"])
+def test_rmul_columns_draws_lex_columns_one_at_a_time(basis_name, monkeypatch):
+    family = build_a_family(4)
+    b_family = dual_basis(family)
+    x = build_t(4, 2)
+    drawn = []
+    for name in ("rmul_terms", "expand_in_a", "expand_in_b"):
+        real = getattr(basis, name)
+
+        def counted(*args, _real=real, _name=name):
+            drawn.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(basis, name, counted)
+    columns = rmul_columns(x, basis_name, family, b_family)
+    assert drawn == []
+    w, column = next(columns)
+    assert w == identity(4)
+    assert len(drawn) == 1
+    expected = {"std": x.terms, "a": expand_in_a(x, family), "b": expand_in_b(b_family[w] * x, family)}
+    assert column == expected[basis_name]
+    assert [w for w, _ in columns] == list(all_permutations(4))[1:]

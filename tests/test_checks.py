@@ -1,4 +1,5 @@
 import copy
+import re
 
 import pytest
 
@@ -44,6 +45,52 @@ def test_duality_builds_one_family_and_one_dual_basis(monkeypatch):
     results = checks.check_duality(4)
     assert all(r.passed for r in results)
     assert calls == {"build_a_family": 1, "dual_basis": 1}
+
+
+TRIANGULARITY_CHECKS = [
+    ("triangularity", checks.check_triangularity),
+    ("duality", checks.check_dual_triangularity),
+    ("duality", lambda n: [r for r in checks.check_duality(n) if "upper-triangular" in r.name]),
+]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("suite, run", TRIANGULARITY_CHECKS)
+def test_triangularity_fails_on_a_diagonal_off_by_one(n, suite, run, monkeypatch):
+    real = checks.m_value
+    monkeypatch.setattr(checks, "m_value", lambda subset, n, ell: real(subset, n, ell) + 1)
+    results = run(n)
+    assert len(results) == n
+    for result in results:
+        assert result.suite == suite
+        assert not result.passed
+        # the sweep stops at the first column, the identity
+        assert result.detail.startswith(f"diagonal of column {tuple(range(1, n + 1))} is ")
+
+
+# two permutations of S_3 with different Q-indices per suite; a column earlier
+# in lex order sees the swap before the diagonal of either swapped column is read
+SWAPS = {"triangularity": ((2, 3, 1), (3, 1, 2)), "duality": ((2, 1, 3), (2, 3, 1))}
+
+
+@pytest.mark.parametrize("suite, run", TRIANGULARITY_CHECKS)
+def test_triangularity_fails_when_two_q_indices_are_swapped(suite, run, monkeypatch):
+    real = checks.QIndexTable
+    u, v = SWAPS[suite]
+
+    def swapped(n, max_n=None):
+        table = real(n, max_n)
+        assert table[u] != table[v]
+        table.index[u], table.index[v] = table[v], table[u]
+        return table
+
+    monkeypatch.setattr(checks, "QIndexTable", swapped)
+    sign = ">=" if suite == "triangularity" else "<="
+    failed = [r for r in run(3) if not r.passed]
+    assert failed
+    for result in failed:
+        assert result.suite == suite
+        assert re.fullmatch(rf"column \(.*\) reaches \(.*\) with Qind \d+ {sign} \d+", result.detail)
 
 
 def test_antipode_conjugation_checks_the_cap_it_is_given():

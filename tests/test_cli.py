@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from cycleshuffles.basis import rmul_matrix
+from cycleshuffles.basis import basis_order, rmul_matrix
 from cycleshuffles.cli import run
 from cycleshuffles.shuffles import build_osc, build_t, transition_matrix
 
@@ -236,6 +236,12 @@ def test_matrix_rendering_is_byte_identical_to_fraction_rendering(fmt, capsys):
         (("--osc", dist, "--basis", "b", "--order", "qindex-desc"), *rmul_matrix(osc, "b", "qindex-desc")),
         (("--t", "1", "--basis", "a", "--order", "qindex"), *rmul_matrix(build_t(3, 1), "a", "qindex")),
     ]
+    lex_rank = {w: k for k, w in enumerate(tm.perms)}
+    for order in ("qindex", "qindex-desc"):
+        labels = basis_order(3, order)
+        picks = [lex_rank[w] for w in labels]
+        rows = [[tm.rows[i][j] for j in picks] for i in picks]
+        cases.append((("--osc", dist, "--basis", "std", "--order", order), labels, rows))
     for flags, labels, rows in cases:
         code, out, _ = invoke(capsys, "matrix", "--n", "3", *flags, "--format", fmt)
         assert code == 0
@@ -265,6 +271,25 @@ def test_max_n_flag_lowers_the_cap(capsys):
     code, _, err = invoke(capsys, "matrix", "--n", "5", "--t", "1", "--basis", "a", "--max-n", "4")
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "flags, cap",
+    [
+        (("--t", "1", "--basis", "std"), 8),
+        (("--t", "1", "--basis", "std", "--max-n", "4"), 4),
+        (("--t", "1", "--basis", "a"), 8),
+        (("--t", "2", "--basis", "b", "--order", "qindex-desc"), 8),
+        (("--osc", ",".join(["1/9"] * 9), "--basis", "std", "--order", "qindex"), 8),
+        (("--osc", ",".join(["1/9"] * 9), "--basis", "std", "--max-n", "4"), 4),
+    ],
+)
+def test_matrix_refuses_the_degree_before_enumerating_it(flags, cap, capsys, forbid_enumeration_above):
+    forbid_enumeration_above(cap)
+    code, out, err = invoke(capsys, "matrix", "--n", "9", *flags)
+    assert code == 2
+    assert out == ""
+    assert f"cap {cap}" in err
 
 
 class _FailingWrite:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cycleshuffles import simulate
 from cycleshuffles.simulate import (
     DeckState,
     EXACT_TAU_MAX_N,
@@ -143,14 +144,13 @@ def test_simulate_requires_top_card_motion():
         simulate_sst([Fraction(1, 2), Fraction(1, 3)], trials=10, seed=1)
     with pytest.raises(ValueError):
         simulate_sst(uniform(3), trials=0, seed=1)
-    with pytest.raises(ValueError, match="chunk"):
-        simulate_sst(uniform(3), trials=10, seed=1, chunk=0)
 
 
-def test_simulation_reproducible_and_chunk_independent():
+def test_simulation_reproducible_and_chunk_independent(monkeypatch):
     a = simulate_sst(uniform(4), trials=500, seed=77)
     b = simulate_sst(uniform(4), trials=500, seed=77)
-    c = simulate_sst(uniform(4), trials=500, seed=77, chunk=13)
+    monkeypatch.setattr(simulate, "SST_LANES", 13)
+    c = simulate_sst(uniform(4), trials=500, seed=77)
     assert a.mean == b.mean == c.mean
     assert a.stderr == b.stderr == c.stderr
     assert a.histogram == b.histogram == c.histogram
@@ -488,7 +488,7 @@ def _assert_same_run(result, reference, record_final):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10])
-def test_lockstep_walk_matches_per_trial_reference(n):
+def test_lockstep_walk_matches_per_trial_reference(n, monkeypatch):
     seeds = [0, -5, (1 << 63) + 1, (1 << 64) + 3]
     for p_index, probs in enumerate([uniform(n), _top_heavy(n), _gappy(n)]):
         for s_index, seed in enumerate(seeds):
@@ -499,7 +499,7 @@ def test_lockstep_walk_matches_per_trial_reference(n):
                 for record_final in (False, True):
                     result = simulate_sst(probs, trials, seed, record_final)
                     _assert_same_run(result, reference, record_final)
-                # a chunk of at least `trials` lanes runs the default's single
+                # a batch of at least `trials` lanes runs the default's single
                 # batch; 500 one-lane or 13-lane batches take seconds, so those
                 # cells rotate over P and seed as n varies, with record_final
                 if trials == 2:
@@ -508,6 +508,8 @@ def test_lockstep_walk_matches_per_trial_reference(n):
                     cells = [(13, True), (1, True)] if n <= 4 else [(13, True)]
                 else:
                     cells = []
-                for chunk, record_final in cells:
-                    result = simulate_sst(probs, trials, seed, record_final, chunk)
+                for lanes, record_final in cells:
+                    with monkeypatch.context() as patched:
+                        patched.setattr(simulate, "SST_LANES", lanes)
+                        result = simulate_sst(probs, trials, seed, record_final)
                     _assert_same_run(result, reference, record_final)
