@@ -72,7 +72,6 @@ from .spectrum import (
     annihilator_check,
     char_poly_oracle,
     delta,
-    delta_by_counting,
     diagonalizable_certificate,
     eigenvalue_for_set,
     full_spectrum,

@@ -113,27 +113,20 @@ class AlgebraElement:
             raise ValueError(f"degree mismatch: {len(w)} vs {self.n}")
         return self._terms.get(w, 0)
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_same_degree(other)
-        terms = dict(self._terms)
-        for w, c in other._terms.items():
-            s = terms.get(w, 0) + c
-            if s:
-                terms[w] = s
-            else:
-                terms.pop(w, None)
-        return _raw(self.n, terms)
+    def __add__(self, other: "AlgebraElement | Scalar") -> "AlgebraElement":
+        """self + other, a rational scalar c standing for c * 1."""
+        if isinstance(other, (int, Fraction)):
+            other = AlgebraElement.one(self.n).scale(other)
+        return linear_combine([(1, self), (1, other)])
 
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+    def __sub__(self, other: "AlgebraElement | Scalar") -> "AlgebraElement":
         return self + (-other)
 
     def __neg__(self) -> "AlgebraElement":
-        return _raw(self.n, {w: -c for w, c in self._terms.items()})
+        return self.scale(-1)
 
     def scale(self, c: Scalar) -> "AlgebraElement":
-        if not c:
-            return AlgebraElement.zero(self.n)
-        return _raw(self.n, {w: c * cw for w, cw in self._terms.items()})
+        return linear_combine([(c, self)])
 
     def __rmul__(self, c: Scalar) -> "AlgebraElement":
         if isinstance(c, (int, Fraction)):
@@ -143,7 +136,8 @@ class AlgebraElement:
     def __mul__(self, other: "AlgebraElement | Scalar") -> "AlgebraElement":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check_same_degree(other)
+        if self.n != other.n:
+            raise ValueError(f"degree mismatch: {self.n} vs {other.n}")
         return _raw(self.n, rmul_terms(self._terms, other._terms, self.n))
 
     def __pow__(self, exponent: int) -> "AlgebraElement":
@@ -176,10 +170,6 @@ class AlgebraElement:
             return f"AlgebraElement.zero({self.n})"
         parts = [f"{c!s}*[{format_permutation(w)}]" for w, c in sorted(self._terms.items())]
         return " + ".join(parts)
-
-    def _check_same_degree(self, other: "AlgebraElement") -> None:
-        if self.n != other.n:
-            raise ValueError(f"degree mismatch: {self.n} vs {other.n}")
 
 
 def _raw(n: int, terms: dict[Perm, Scalar]) -> AlgebraElement:
@@ -284,15 +274,18 @@ def linear_combine(pairs: Iterable[tuple[Scalar, AlgebraElement]]) -> AlgebraEle
     terms: dict[Perm, Scalar] = {}
     for c, x in pairs:
         if x.n != n:
-            raise ValueError(f"degree mismatch: {x.n} vs {n}")
+            raise ValueError(f"degree mismatch: {n} vs {x.n}")
         if not c:
             continue
-        for w, cw in x.terms.items():
-            s = terms.get(w, 0) + c * cw
-            if s:
+        items = x.terms.items() if c == 1 else [(w, c * cw) for w, cw in x.terms.items()]
+        for w, cw in items:
+            s = terms.get(w)
+            if s is None:
+                terms[w] = cw
+            elif s := s + cw:
                 terms[w] = s
             else:
-                terms.pop(w, None)
+                del terms[w]
     return _raw(n, terms)
 
 

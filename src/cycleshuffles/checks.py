@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraElement, linear_combine
+from .algebra import AlgebraElement, linear_combine, require_within_cap
 from .basis import BasisFamily, QIndexTable, build_a_family, dual_basis, expand_in_b, rmul_columns
 from .identities import _nilpotency_reports, identity_suite
 from .lacunar import enumerate_lacunar, locate_interval, m_value
@@ -207,11 +207,10 @@ SUITES = {
 
 
 def run_suite(name: str, n: int, max_n: int | None = None) -> list[CheckResult]:
-    if name == "all":
-        results = []
-        for suite in SUITES.values():
-            results.extend(suite(n, max_n))
-        return results
-    if name not in SUITES:
+    """Run one suite, or every suite for "all", after checking n against the
+    cap once: no suite runs above it, whether it enumerates S_n or not."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {sorted(SUITES)} or 'all'")
-    return SUITES[name](n, max_n)
+    require_within_cap(n, max_n)
+    suites = SUITES.values() if name == "all" else [SUITES[name]]
+    return [result for suite in suites for result in suite(n, max_n)]

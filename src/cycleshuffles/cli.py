@@ -147,17 +147,23 @@ def _emit(text: str, output: str | None) -> None:
         return
     target = os.path.realpath(output)
     tmp = f"{target}.{os.getpid()}.tmp"
-    handle = open(tmp, "x")
     try:
-        with handle:
-            handle.write(text)
-        if st is not None:
-            os.chmod(tmp, stat.S_IMODE(st.st_mode))
-        os.replace(tmp, target)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        handle = open(tmp, "x")
+        try:
+            with handle:
+                handle.write(text)
+            if st is not None:
+                os.chmod(tmp, stat.S_IMODE(st.st_mode))
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        # name the path the caller gave, not the temporary file beside it
+        raise OSError(exc.errno, exc.strerror, output) from None
 
 
 def _emit_json(payload, output: str | None) -> None:
@@ -178,8 +184,6 @@ def _resolve_weights(args) -> tuple[Fraction, ...]:
         return r2b_weights(n)
     if args.unweighted:
         return unweighted_weights(n)
-    if len(args.weights) != n:
-        raise ValueError(f"expected {n} weights, got {len(args.weights)}")
     return args.weights
 
 

@@ -9,6 +9,7 @@ factorial-sized element.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -141,16 +142,15 @@ def identity_suite(n: int, max_n: int | None = None) -> IdentityReport:
     require_within_cap(n, max_n)
     if n < 2:
         return IdentityReport(n, ())
-    one = AlgebraElement.one(n)
     t = [None] + [build_t(n, ell) for ell in range(1, n + 1)]
     s = [None] + [AlgebraElement.from_perm(transposition(n, i)) for i in range(1, n)]
     checks = []
     for i in range(1, n):
-        checks.append(_zero_check("recursion", (i,), t[i] - one - s[i] * t[i + 1]))
+        checks.append(_zero_check("recursion", (i,), t[i] - 1 - s[i] * t[i + 1]))
     for i in range(1, n):
         for j in range(i + 1, n):
             checks.append(
-                _zero_check("descent_projector", (i, j), (one + s[j]) * commutator(t[i], t[j]))
+                _zero_check("descent_projector", (i, j), (s[j] + 1) * commutator(t[i], t[j]))
             )
     for i in range(1, n + 1):
         checks.append(
@@ -158,22 +158,20 @@ def identity_suite(n: int, max_n: int | None = None) -> IdentityReport:
         )
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            cyc = one
-            for k in range(i, j):
-                cyc = cyc * s[k]
+            cyc = math.prod(s[i:j])
             lhs = commutator(t[i], t[j])
             rhs = commutator(cyc, t[j]) * t[j]
             checks.append(_zero_check("commutator_via_cycle", (i, j), lhs - rhs))
     for i in range(1, n):
         checks.append(
-            _zero_check("consecutive_product", (i,), t[i + 1] * t[i] - (t[i] - one) * t[i])
+            _zero_check("consecutive_product", (i,), t[i + 1] * t[i] - (t[i] - 1) * t[i])
         )
     for i in range(1, n - 1):
         checks.append(
             _zero_check(
                 "skip_product",
                 (i,),
-                t[i + 2] * (t[i] - one) - (t[i] - one) * (t[i + 1] - one),
+                t[i + 2] * (t[i] - 1) - (t[i] - 1) * (t[i + 1] - 1),
             )
         )
     return IdentityReport(n, tuple(checks))

@@ -92,9 +92,9 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __call__(self, value):
-        """Horner evaluation; works for rationals and for anything supporting
-        ring arithmetic with the coefficients (see spectrum.evaluate_at_element
-        for group-algebra arguments)."""
+        """Horner evaluation; works for rationals, for group-algebra
+        elements and for anything else with ring arithmetic against the
+        coefficients."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * value + c

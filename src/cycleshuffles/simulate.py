@@ -313,8 +313,6 @@ def fast_bookmark_sim(probabilities: Sequence[Scalar], trials: int, seed: int) -
     with simulate_sst's per-trial streams.
     """
     n = len(probabilities)
-    if n < 2:
-        raise ValueError(f"deck size must be at least 2, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     probs = _validated(probabilities)

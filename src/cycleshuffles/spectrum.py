@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .algebra import AlgebraElement, Scalar, require_within_cap, rmul_terms
-from .basis import QIndexTable
 from .lacunar import LacunarCatalog, Subset, is_lacunar, m_vector
 from .polys import Polynomial
 from .shuffles import WeightVector, combine
@@ -25,17 +24,25 @@ CERTIFIED_DIAGONALIZABLE = "certified_diagonalizable"
 INCONCLUSIVE = "inconclusive"
 
 
+def _exact_weights(weights: WeightVector, n: int) -> tuple[Fraction, ...]:
+    """The n weights as Fractions; any other count is refused."""
+    if len(weights) != n:
+        raise ValueError(f"expected {n} weights, got {len(weights)}")
+    return tuple(Fraction(c) for c in weights)
+
+
+def _eigenvalue(weights: tuple[Fraction, ...], m: tuple[int, ...]) -> Fraction:
+    """g_I = sum of weights[ell-1] * m_{I,ell}."""
+    return sum((c * mv for c, mv in zip(weights, m)), start=Fraction(0))
+
+
 def eigenvalue_for_set(weights: WeightVector, members: Iterable[int], n: int) -> Fraction:
-    """sum of weights[ell-1] * m_{I,ell}; eigenvalue rows are indexed by
-    lacunar subsets of [n-1] only."""
+    """The eigenvalue of one lacunar subset I of [n-1]; eigenvalue rows are
+    indexed by lacunar subsets only."""
     s = set(members)
     if not is_lacunar(s) or any(not 1 <= i <= n - 1 for i in s):
         raise ValueError(f"{s} is not a lacunar subset of [{n - 1}]")
-    if len(weights) != n:
-        raise ValueError(f"expected {n} weights, got {len(weights)}")
-    return sum(
-        (Fraction(c) * m for c, m in zip(weights, m_vector(s, n))), start=Fraction(0)
-    )
+    return _eigenvalue(_exact_weights(weights, n), m_vector(s, n))
 
 
 def delta(i: int, catalog: LacunarCatalog) -> int:
@@ -59,12 +66,6 @@ def delta(i: int, catalog: LacunarCatalog) -> int:
     for g in gaps[1:]:
         count *= g - 1
     return count
-
-
-def delta_by_counting(i: int, catalog: LacunarCatalog, max_n: int | None = None) -> int:
-    """Counting oracle for delta: enumerate S_n and count Q-indices equal to i."""
-    table = QIndexTable(catalog.n, max_n)
-    return sum(1 for qi in table.index.values() if qi == i)
 
 
 @dataclass(frozen=True)
@@ -111,13 +112,13 @@ def full_spectrum(weights: WeightVector, catalog: LacunarCatalog) -> SpectrumRep
     Always sums to n! because every permutation has exactly one Q-index.
     """
     n = catalog.n
-    weights = tuple(Fraction(c) for c in weights)
+    weights = _exact_weights(weights, n)
     rows = []
     totals: dict[Fraction, int] = {}
     for i in range(1, len(catalog) + 1):
         members = catalog[i]
         m = m_vector(members, n)
-        g = sum((c * mv for c, mv in zip(weights, m)), start=Fraction(0))
+        g = _eigenvalue(weights, m)
         d = delta(i, catalog)
         rows.append(SpectrumRow(members, m, g, d))
         totals[g] = totals.get(g, 0) + d
@@ -133,26 +134,15 @@ def annihilator_check(
     Returns (True, zero) when the product vanishes exactly; otherwise the
     residual element is the witness.
     """
-    n = catalog.n
-    require_within_cap(n, max_n)
-    t = combine(weights)
-    product = AlgebraElement.one(n)
-    for i in range(1, len(catalog) + 1):
-        g = eigenvalue_for_set(weights, catalog[i], n)
-        factor = t - AlgebraElement.one(n).scale(g)
-        product = product * factor
+    require_within_cap(catalog.n, max_n)
+    report = full_spectrum(weights, catalog)
+    t = combine(report.weights)
+    product = AlgebraElement.one(catalog.n)
+    for row in report.rows:
+        product = product * (t - row.eigenvalue)
         if product.is_zero():
             break
     return product.is_zero(), product
-
-
-def evaluate_at_element(poly: Polynomial, x: AlgebraElement) -> AlgebraElement:
-    """Horner evaluation of a rational polynomial at a group-algebra element."""
-    acc = AlgebraElement.zero(x.n)
-    one = AlgebraElement.one(x.n)
-    for c in reversed(poly.coeffs):
-        acc = acc * x + one.scale(c)
-    return acc
 
 
 def _krylov_annihilator(seed: dict, x: AlgebraElement) -> Polynomial:
@@ -201,7 +191,7 @@ def minimal_polynomial(x: AlgebraElement, max_n: int = 5) -> Polynomial:
         raise ValueError(f"degree {x.n} exceeds the minimal-polynomial cap {max_n}")
     seed = {tuple(range(1, x.n + 1)): Fraction(1)}
     poly = _krylov_annihilator(seed, x)
-    if not evaluate_at_element(poly, x).is_zero():
+    if not poly(x).is_zero():
         raise RuntimeError(f"Krylov relation {poly} does not annihilate x; elimination broken")
     return poly
 
@@ -261,8 +251,7 @@ def diagonalizable_certificate(weights: WeightVector, catalog: LacunarCatalog) -
     """"certified_diagonalizable" when all row eigenvalues are pairwise
     distinct, else "inconclusive" (distinctness is sufficient but not
     necessary, so no negative verdict is ever issued)."""
-    n = catalog.n
-    values = [eigenvalue_for_set(weights, catalog[i], n) for i in range(1, len(catalog) + 1)]
-    if len(set(values)) == len(values):
+    report = full_spectrum(weights, catalog)
+    if len(report.aggregate) == len(report.rows):
         return CERTIFIED_DIAGONALIZABLE
     return INCONCLUSIVE

@@ -49,6 +49,25 @@ def test_linear_combine():
     assert linear_combine([(1, t1)]) == t1
     half = Fraction(1, 2)
     assert linear_combine([(half, x), (half, x)]) == x
+    # a term that cancels and comes back, with unit and non-unit weights
+    assert linear_combine([(1, t1), (-1, t1), (half, t1), (1, x)]) == x + t1.scale(half)
+
+
+def test_rational_scalars_add_as_multiples_of_one():
+    rng = random.Random(5)
+    for n in range(1, 5):
+        x = random_element(rng, n)
+        one = AlgebraElement.one(n)
+        assert x + 0 == x and x - 0 == x
+        assert x - x + Fraction(1, 2) == one.scale(Fraction(1, 2))
+        for c in (3, -2, Fraction(-7, 3)):
+            assert x + c == x + one.scale(c)
+            assert x - c == x + one.scale(-c)
+        assert (x - x.coefficient(identity(n))).coefficient(identity(n)) == 0
+        with pytest.raises(ValueError, match="degree mismatch"):
+            x + AlgebraElement.one(n + 1)
+        with pytest.raises(ValueError, match="degree mismatch"):
+            x - AlgebraElement.one(n + 1)
 
 
 def test_multiply_unit_and_examples():

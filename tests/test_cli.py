@@ -111,6 +111,23 @@ def test_max_n_flag_lifts_cap_for_basis_paths(capsys):
     assert "CYCLESHUFFLES_MAX_N" not in os.environ
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("--n", "5", "--max-n", "4"), 2),
+        (("--n", "9"), 2),
+        (("--n", "9", "--max-n", "9"), 0),
+    ],
+)
+def test_boolean_partition_honours_the_cap(argv, code, capsys):
+    status, out, err = invoke(capsys, "verify", "--suite", "boolean-partition", *argv)
+    assert status == code
+    if code:
+        assert out == "" and "cap" in err
+    else:
+        assert out.startswith("PASS boolean-partition")
+
+
 def test_verify_all_passes_small_n(capsys):
     code, out, _ = invoke(capsys, "verify", "--n", "3", "--suite", "all")
     assert code == 0
@@ -172,6 +189,15 @@ def test_simulate_p1_zero_is_usage_error(capsys):
     assert "top card" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_simulate_fast_at_one_card_equals_the_full_walk(fmt, capsys):
+    for trials in ("1", "5"):
+        argv = ("simulate", "--n", "1", "--trials", trials, "--seed", "3", "--format", fmt)
+        full = invoke(capsys, *argv)
+        assert full[0] == 0
+        assert invoke(capsys, *argv, "--fast") == full
+
+
 def test_output_file_byte_identical(tmp_path, capsys):
     target1 = tmp_path / "a.json"
     target2 = tmp_path / "b.json"
@@ -206,6 +232,7 @@ def test_unwritable_output_is_an_io_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(target) in err and ".tmp" not in err
     assert not target.exists()
 
 

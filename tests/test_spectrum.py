@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 
 from cycleshuffles.algebra import AlgebraElement
-from cycleshuffles.basis import QIndexTable, basis_order, build_a_family, rmul_matrix
+from cycleshuffles.basis import (
+    QIndexTable,
+    basis_order,
+    build_a_family,
+    filtration_dimensions,
+    rmul_matrix,
+)
 from cycleshuffles.checks import pseudo_random_weights
 from cycleshuffles.lacunar import enumerate_lacunar, m_value
 from cycleshuffles.polys import Polynomial
@@ -15,10 +21,8 @@ from cycleshuffles.spectrum import (
     annihilator_check,
     char_poly_oracle,
     delta,
-    delta_by_counting,
     diagonalizable_certificate,
     eigenvalue_for_set,
-    evaluate_at_element,
     full_spectrum,
     minimal_polynomial,
 )
@@ -88,10 +92,12 @@ def test_delta_sums_and_divisibility():
 
 
 def test_delta_matches_counting_oracle():
+    # filtration_dimensions counts Q-indices over S_n; its steps are the delta_i
     for n in range(1, 8):
         catalog = enumerate_lacunar(n)
-        for i in range(1, len(catalog) + 1):
-            assert delta(i, catalog) == delta_by_counting(i, catalog)
+        dims = filtration_dimensions(catalog)
+        steps = [b - a for a, b in zip(dims, dims[1:])]
+        assert [delta(i, catalog) for i in range(1, len(catalog) + 1)] == steps
 
 
 def test_full_spectrum_n4_all_ones():
@@ -113,6 +119,27 @@ def test_full_spectrum_t2r_fixed_point_multiplicities():
 def test_full_spectrum_zero_weights():
     report = full_spectrum((Fraction(0),) * 4, enumerate_lacunar(4))
     assert report.aggregate_dict() == {Fraction(0): 24}
+
+
+@pytest.mark.parametrize("count", [2, 6])
+@pytest.mark.parametrize("spectral", [full_spectrum, annihilator_check, diagonalizable_certificate])
+def test_a_wrong_weight_count_is_refused(spectral, count):
+    with pytest.raises(ValueError, match=f"^expected 4 weights, got {count}$"):
+        spectral(ones(count), enumerate_lacunar(4))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_polynomials_evaluate_to_products_of_factors(n):
+    # every partial product, so that the comparison is not only 0 == 0
+    catalog = enumerate_lacunar(n)
+    for weights in (ones(n), r2b_weights(n), pseudo_random_weights(n)):
+        t = combine(weights)
+        rows = full_spectrum(weights, catalog).rows
+        product = AlgebraElement.one(n)
+        for k, row in enumerate(rows, start=1):
+            product = product * (t - row.eigenvalue)
+            roots = [(r.eigenvalue, 1) for r in rows[:k]]
+            assert Polynomial.from_roots(roots)(t) == product
 
 
 def test_spectrum_report_json_shape():
@@ -172,7 +199,7 @@ def test_minimal_polynomial_divides_annihilator():
         for weights in (ones(n), r2b_weights(n), pseudo_random_weights(n)):
             x = combine(weights)
             mp = minimal_polynomial(x)
-            assert evaluate_at_element(mp, x).is_zero()
+            assert mp(x).is_zero()
             annihilator = Polynomial.from_roots(
                 [
                     (eigenvalue_for_set(weights, catalog[i], n), 1)
