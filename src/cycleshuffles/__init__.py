@@ -12,7 +12,6 @@ strong stationary time against its exact expected value.
 
 from .algebra import (
     AlgebraElement,
-    antipode,
     bilinear_form,
     element_from_json,
     element_to_json,

@@ -289,10 +289,6 @@ def linear_combine(pairs: Iterable[tuple[Scalar, AlgebraElement]]) -> AlgebraEle
     return _raw(n, terms)
 
 
-def antipode(x: AlgebraElement) -> AlgebraElement:
-    return x.antipode()
-
-
 def bilinear_form(x: AlgebraElement, y: AlgebraElement) -> Scalar:
     """Sum over w of [w]x * [w]y; the permutation basis is orthonormal for it."""
     if x.n != y.n:

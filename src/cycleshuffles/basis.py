@@ -30,7 +30,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from functools import cached_property
-from typing import Iterator, Literal, Mapping, Sequence
+from typing import Iterator, Literal, Mapping
 
 from .algebra import (
     AlgebraElement,
@@ -204,9 +204,7 @@ def expand_in_b(y: AlgebraElement, a_family: BasisFamily) -> dict[Perm, Scalar]:
 BasisName = Literal["std", "a", "b"]
 
 
-def basis_order(
-    n: int, order: str, table: QIndexTable | None = None, max_n: int | None = None
-) -> tuple[Perm, ...]:
+def basis_order(n: int, order: str, max_n: int | None = None) -> tuple[Perm, ...]:
     """Permutation orderings for matrix rows/columns.
 
     "lex" is plain lexicographic; "qindex" sorts by increasing Q-index with
@@ -216,7 +214,7 @@ def basis_order(
     perms = sn_index(n)[0]
     if order == "lex":
         return perms
-    table = table or QIndexTable(n, max_n)
+    table = QIndexTable(n, max_n)
     if order == "qindex":
         return tuple(sorted(perms, key=lambda w: (table[w], w)))
     if order == "qindex-desc":
@@ -252,19 +250,12 @@ def rmul_columns(
 
 
 def rmul_matrix(
-    x: AlgebraElement,
-    basis: BasisName = "a",
-    order: Sequence[Perm] | str = "lex",
-    a_family: BasisFamily | None = None,
-    b_family: BasisFamily | None = None,
-    max_n: int | None = None,
+    x: AlgebraElement, basis: BasisName = "a", order: str = "lex", max_n: int | None = None
 ) -> tuple[tuple[Perm, ...], list[list[Scalar]]]:
-    """Dense matrix of y -> y x in the chosen basis and row/column order."""
-    columns = rmul_columns(x, basis, a_family, b_family, max_n)
-    if isinstance(order, str):
-        ordered = basis_order(x.n, order, max_n=max_n)
-    else:
-        ordered = tuple(order)
+    """Dense matrix of y -> y x in the chosen basis, rows and columns in the
+    named order (see basis_order)."""
+    columns = rmul_columns(x, basis, max_n=max_n)
+    ordered = basis_order(x.n, order, max_n)
     position = {w: k for k, w in enumerate(ordered)}
     size = len(ordered)
     matrix: list[list[Scalar]] = [[0] * size for _ in range(size)]

@@ -56,17 +56,6 @@ def lacunar_masks(n: int) -> list[int]:
     return prev
 
 
-def _mask_sum(mask: int) -> int:
-    total = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            total += i
-        mask >>= 1
-        i += 1
-    return total
-
-
 def _mask_to_set(mask: int) -> Subset:
     out = []
     i = 0
@@ -97,9 +86,9 @@ class LacunarCatalog:
 
     def __init__(self, n: int):
         self.n = n
-        pairs = sorted((_mask_sum(m), -m) for m in lacunar_masks(n))
-        self.masks: tuple[int, ...] = tuple(-negm for _, negm in pairs)
-        self.sets: tuple[Subset, ...] = tuple(_mask_to_set(m) for m in self.masks)
+        sets = {m: _mask_to_set(m) for m in lacunar_masks(n)}
+        self.masks: tuple[int, ...] = tuple(sorted(sets, key=lambda m: (sum(sets[m]), -m)))
+        self.sets: tuple[Subset, ...] = tuple(sets[m] for m in self.masks)
         self._index = {m: i + 1 for i, m in enumerate(self.masks)}
         # bit i survives when neither i nor i + 1 is in the set, as in non_shadow
         inner = (1 << n) - 2
@@ -170,14 +159,11 @@ def non_shadow(members: Iterable[int], n: int) -> Subset:
     return frozenset(i for i in range(1, n) if i not in s and i + 1 not in s)
 
 
-def locate_interval(
-    members: Iterable[int], n: int, check_unique: bool = False
-) -> Subset:
+def locate_interval(members: Iterable[int], n: int) -> Subset:
     """The unique lacunar I with non_shadow(I) <= J <= complement of I.
 
-    Scans the catalog in order and returns the first match; existence and
-    uniqueness hold for every J, so an empty scan means a broken catalog.
-    With ``check_unique`` the full scan runs and uniqueness is asserted.
+    Scans the whole catalog; existence and uniqueness hold for every J, so
+    an empty scan or a second match means a broken catalog.
     """
     j_mask = set_to_mask(members)
     if j_mask >> n:
@@ -187,8 +173,6 @@ def locate_interval(
     found = None
     for q_mask, np_mask in zip(catalog.masks, catalog.non_shadow_masks):
         if np_mask & j_mask == np_mask and j_mask & (full & ~q_mask) == j_mask:
-            if not check_unique:
-                return _mask_to_set(q_mask)
             if found is not None:
                 raise RuntimeError(
                     f"Boolean interval partition violated: {set(members)} matched twice"

@@ -94,8 +94,15 @@ class Polynomial:
     def __call__(self, value):
         """Horner evaluation; works for rationals, for group-algebra
         elements and for anything else with ring arithmetic against the
-        coefficients."""
-        acc = 0
+        coefficients.  The zero polynomial gives the zero of value's ring.
+
+        >>> from cycleshuffles.algebra import AlgebraElement
+        >>> Polynomial.zero()(AlgebraElement.one(3)).is_zero()
+        True
+        >>> Polynomial.zero()(5)
+        0
+        """
+        acc = 0 * value
         for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc

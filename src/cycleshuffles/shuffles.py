@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import AlgebraElement, Scalar, linear_combine, sn_index
-from .basis import rmul_columns
+from .algebra import AlgebraElement, Scalar, linear_combine, require_within_cap
+from .basis import rmul_matrix
 from .perms import Perm, cycle
 
 WeightVector = Sequence[Scalar]
@@ -101,11 +101,12 @@ def unweighted_weights(n: int) -> tuple[Fraction, ...]:
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Dense n! x n! matrix of exact rationals, rows and columns indexed by
-    the lexicographic enumeration of S_n."""
+    the lexicographic enumeration of S_n.  Entries are ints (0 included) or
+    Fractions, as rmul_matrix gives them."""
 
     n: int
     perms: tuple[Perm, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[Scalar, ...], ...]
 
     def as_floats(self) -> list[list[float]]:
         """Lossy float view; the rationals stay authoritative."""
@@ -117,20 +118,15 @@ def transition_matrix(x: AlgebraElement, max_n: int | None = None) -> Transition
     is the coefficient of tau^{-1} sigma in x (a right random walk).
 
     Requires nonnegative coefficients summing to 1; rows then sum to 1
-    exactly.
+    exactly.  The entries are those of rmul_matrix, equal under == to the
+    Fractions they stand for.
     """
-    columns = rmul_columns(x, "std", max_n=max_n)
+    require_within_cap(x.n, max_n)
     total = sum(x.terms.values())
     if total != 1:
         raise ValueError(f"coefficients sum to {total}, expected 1")
     if any(c < 0 for c in x.terms.values()):
         raise ValueError("transition matrices need nonnegative coefficients")
-    perms, rank = sn_index(x.n)
-    rows = []
     # tau^{-1} sigma = v  <=>  sigma = tau v: row tau is std column tau, the terms of tau * x
-    for _, column in columns:
-        row = [Fraction(0)] * len(perms)
-        for sigma, c in column.items():
-            row[rank[sigma]] = Fraction(c)
-        rows.append(tuple(row))
-    return TransitionMatrix(x.n, perms, tuple(rows))
+    perms, matrix = rmul_matrix(x, "std", "lex", max_n)
+    return TransitionMatrix(x.n, perms, tuple(zip(*matrix)))

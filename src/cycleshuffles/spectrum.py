@@ -22,18 +22,25 @@ from .shuffles import WeightVector, combine
 
 CERTIFIED_DIAGONALIZABLE = "certified_diagonalizable"
 INCONCLUSIVE = "inconclusive"
+CHAR_POLY_MAX_DIM = 120  # 5! = 120: the oracle's dense Fraction elimination stops at n = 5
 
 
-def _exact_weights(weights: WeightVector, n: int) -> tuple[Fraction, ...]:
-    """The n weights as Fractions; any other count is refused."""
+def _exact_weights(
+    weights: WeightVector, n: int
+) -> tuple[tuple[Fraction, ...], int, tuple[int, ...]]:
+    """The n weights as Fractions, a common denominator d of them and the
+    integers d * weight; any other count is refused."""
     if len(weights) != n:
         raise ValueError(f"expected {n} weights, got {len(weights)}")
-    return tuple(Fraction(c) for c in weights)
+    exact = tuple(Fraction(c) for c in weights)
+    den = math.lcm(*(c.denominator for c in exact))
+    return exact, den, tuple(c.numerator * (den // c.denominator) for c in exact)
 
 
-def _eigenvalue(weights: tuple[Fraction, ...], m: tuple[int, ...]) -> Fraction:
-    """g_I = sum of weights[ell-1] * m_{I,ell}."""
-    return sum((c * mv for c, mv in zip(weights, m)), start=Fraction(0))
+def _eigenvalue(numerators: tuple[int, ...], den: int, m: tuple[int, ...]) -> Fraction:
+    """g_I = sum of weights[ell-1] * m_{I,ell}, summed over the integer
+    numerators of the weights and divided by their common denominator once."""
+    return Fraction(sum(c * mv for c, mv in zip(numerators, m)), den)
 
 
 def eigenvalue_for_set(weights: WeightVector, members: Iterable[int], n: int) -> Fraction:
@@ -42,7 +49,8 @@ def eigenvalue_for_set(weights: WeightVector, members: Iterable[int], n: int) ->
     s = set(members)
     if not is_lacunar(s) or any(not 1 <= i <= n - 1 for i in s):
         raise ValueError(f"{s} is not a lacunar subset of [{n - 1}]")
-    return _eigenvalue(_exact_weights(weights, n), m_vector(s, n))
+    _, den, numerators = _exact_weights(weights, n)
+    return _eigenvalue(numerators, den, m_vector(s, n))
 
 
 def delta(i: int, catalog: LacunarCatalog) -> int:
@@ -112,13 +120,13 @@ def full_spectrum(weights: WeightVector, catalog: LacunarCatalog) -> SpectrumRep
     Always sums to n! because every permutation has exactly one Q-index.
     """
     n = catalog.n
-    weights = _exact_weights(weights, n)
+    weights, den, numerators = _exact_weights(weights, n)
     rows = []
     totals: dict[Fraction, int] = {}
     for i in range(1, len(catalog) + 1):
         members = catalog[i]
         m = m_vector(members, n)
-        g = _eigenvalue(weights, m)
+        g = _eigenvalue(numerators, den, m)
         d = delta(i, catalog)
         rows.append(SpectrumRow(members, m, g, d))
         totals[g] = totals.get(g, 0) + d
@@ -145,12 +153,11 @@ def annihilator_check(
     return product.is_zero(), product
 
 
-def _krylov_annihilator(seed: dict, x: AlgebraElement) -> Polynomial:
-    """Monic annihilator of the vector ``seed`` under repeated right
-    multiplication by x, via incremental Gaussian elimination on the
-    Krylov sequence."""
+def _krylov_annihilator(x: AlgebraElement) -> Polynomial:
+    """Monic annihilator of the identity under repeated right multiplication
+    by x, via incremental Gaussian elimination on the Krylov sequence."""
     pivots: list[tuple] = []  # (pivot perm, reduced vector, combination over powers)
-    current = dict(seed)
+    current = {tuple(range(1, x.n + 1)): 1}
     power = 0
     while True:
         vec = {w: Fraction(c) for w, c in current.items()}
@@ -189,14 +196,13 @@ def minimal_polynomial(x: AlgebraElement, max_n: int = 5) -> Polynomial:
     """
     if x.n > max_n:
         raise ValueError(f"degree {x.n} exceeds the minimal-polynomial cap {max_n}")
-    seed = {tuple(range(1, x.n + 1)): Fraction(1)}
-    poly = _krylov_annihilator(seed, x)
+    poly = _krylov_annihilator(x)
     if not poly(x).is_zero():
         raise RuntimeError(f"Krylov relation {poly} does not annihilate x; elimination broken")
     return poly
 
 
-def char_poly_oracle(matrix: Sequence[Sequence[Scalar]], max_dim: int = 120) -> Polynomial:
+def char_poly_oracle(matrix: Sequence[Sequence[Scalar]]) -> Polynomial:
     """Exact characteristic polynomial det(xI - M) of a square rational matrix.
 
     Reduces M to upper Hessenberg form by exact similarity transformations,
@@ -208,8 +214,8 @@ def char_poly_oracle(matrix: Sequence[Sequence[Scalar]], max_dim: int = 120) -> 
     True
     """
     size = len(matrix)
-    if size > max_dim:
-        raise ValueError(f"matrix dimension {size} exceeds the oracle cap {max_dim}")
+    if size > CHAR_POLY_MAX_DIM:
+        raise ValueError(f"matrix dimension {size} exceeds the oracle cap {CHAR_POLY_MAX_DIM}")
     h = [[Fraction(v) for v in row] for row in matrix]
     if any(len(row) != size for row in h):
         raise ValueError("characteristic polynomial needs a square matrix")

@@ -25,17 +25,20 @@ from cycleshuffles.cli import run
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
-SIGNED_WEIGHTS = ("-3", "1/2", "0", "7/3", "-1", "5", "-2/9", "4")
+SIGNED_WEIGHTS = (
+    "-3", "1/2", "0", "7/3", "-1", "5", "-2/9", "4",
+    "3/4", "-5", "2", "-1/3", "6", "0", "-7/2", "1",
+)
 
 
 def _cases() -> list[tuple[str, ...]]:
     cases = []
-    for n in range(1, 9):
+    for n in (*range(1, 9), 12, 16):
         weights = ("--weights=" + ",".join(SIGNED_WEIGHTS[:n]),)
         for flags in (("--r2b",), ("--t2r",), ("--unweighted",), weights):
             for fmt in ("text", "json", "csv"):
                 cases.append(("spectrum", "--n", str(n), *flags, "--format", fmt))
-    for n in range(1, 13):
+    for n in (*range(1, 13), 16, 20):
         for fmt in ("text", "json", "csv"):
             cases.append(("filtration", "--n", str(n), "--format", fmt))
     for n in range(1, 6):

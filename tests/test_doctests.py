@@ -6,6 +6,7 @@ import cycleshuffles.algebra
 import cycleshuffles.basis
 import cycleshuffles.lacunar
 import cycleshuffles.perms
+import cycleshuffles.polys
 import cycleshuffles.shuffles
 import cycleshuffles.simulate
 import cycleshuffles.spectrum
@@ -14,6 +15,7 @@ MODULES = [
     cycleshuffles.perms,
     cycleshuffles.lacunar,
     cycleshuffles.algebra,
+    cycleshuffles.polys,
     cycleshuffles.shuffles,
     cycleshuffles.basis,
     cycleshuffles.spectrum,

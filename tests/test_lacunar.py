@@ -108,7 +108,7 @@ def test_locate_interval_unique_everywhere_small():
     for n in range(1, 10):
         for mask in range(1 << (n - 1)):
             members = {i + 1 for i in range(n - 1) if mask >> i & 1}
-            found = locate_interval(members, n, check_unique=True)
+            found = locate_interval(members, n)
             assert non_shadow(found, n) <= members
             assert not members & found
 
