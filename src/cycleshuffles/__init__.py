@@ -36,7 +36,6 @@ from .lacunar import (
     fibonacci,
     is_lacunar,
     locate_interval,
-    m_value,
     m_vector,
     non_shadow,
 )

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .algebra import AlgebraElement, linear_combine, require_within_cap
 from .basis import BasisFamily, QIndexTable, build_a_family, dual_basis, expand_in_b, rmul_columns
 from .identities import _nilpotency_reports, identity_suite
-from .lacunar import enumerate_lacunar, locate_interval, m_value
+from .lacunar import enumerate_lacunar, locate_interval, m_vector
 from .perms import inverse
 from .shuffles import build_t, build_t_prime, combine, r2b_weights
 from .spectrum import annihilator_check
@@ -67,13 +67,14 @@ def _triangularity(
     else:
         suite, shuffle, basis, reaches, sign = "duality", build_t_prime, "b", operator.le, "<="
         name = "R(t'_{}) upper-triangular in reverse Q-order"
+    diagonals = [m_vector(members, n) for members in table.catalog.sets]
     results = []
     for ell in range(1, n + 1):
         bad = None
         for w, column in rmul_columns(shuffle(n, ell), basis, family, b_family, max_n):
             qw = table[w]
             diag = column.pop(w, 0)
-            if diag != m_value(table.catalog[qw], n, ell):
+            if diag != diagonals[qw - 1][ell - 1]:
                 bad = f"diagonal of column {w} is {diag}"
                 break
             offender = next((v for v in column if reaches(table[v], qw)), None)

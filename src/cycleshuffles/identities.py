@@ -31,17 +31,6 @@ class IdentityCheck:
     residual_terms: int
     smallest_surviving: Perm | None
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "params": list(self.params),
-            "passed": self.passed,
-            "residual_terms": self.residual_terms,
-            "smallest_surviving": list(self.smallest_surviving)
-            if self.smallest_surviving
-            else None,
-        }
-
 
 @dataclass(frozen=True)
 class IdentityReport:
@@ -54,9 +43,6 @@ class IdentityReport:
 
     def failures(self) -> list[IdentityCheck]:
         return [c for c in self.checks if not c.passed]
-
-    def to_json(self) -> list[dict]:
-        return [c.to_json() for c in self.checks]
 
 
 def _zero_check(name: str, params: tuple, residual: AlgebraElement) -> IdentityCheck:

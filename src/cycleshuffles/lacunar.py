@@ -89,12 +89,7 @@ class LacunarCatalog:
         sets = {m: _mask_to_set(m) for m in lacunar_masks(n)}
         self.masks: tuple[int, ...] = tuple(sorted(sets, key=lambda m: (sum(sets[m]), -m)))
         self.sets: tuple[Subset, ...] = tuple(sets[m] for m in self.masks)
-        self._index = {m: i + 1 for i, m in enumerate(self.masks)}
-        # bit i survives when neither i nor i + 1 is in the set, as in non_shadow
-        inner = (1 << n) - 2
-        self.non_shadow_masks: tuple[int, ...] = tuple(
-            inner & ~(m | m >> 1) for m in self.masks
-        )
+        self.non_shadow_masks: tuple[int, ...] = tuple(_non_shadow_mask(m, n) for m in self.masks)
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -107,11 +102,11 @@ class LacunarCatalog:
 
     def index_of(self, members: Iterable[int]) -> int:
         """1-based catalog position of a lacunar subset."""
-        mask = set_to_mask(members)
+        s = set(members)
         try:
-            return self._index[mask]
-        except KeyError:
-            raise ValueError(f"{set(members)} is not a lacunar subset of [{self.n - 1}]") from None
+            return self.masks.index(set_to_mask(s)) + 1
+        except ValueError:
+            raise ValueError(f"{s} is not a lacunar subset of [{self.n - 1}]") from None
 
 
 @lru_cache(maxsize=None)
@@ -124,27 +119,25 @@ def enumerate_lacunar(n: int) -> LacunarCatalog:
     return LacunarCatalog(n)
 
 
-def m_value(members: Iterable[int], n: int, ell: int) -> int:
-    """Distance from ell up to the next element of the enclosure {0} | I | {n+1}.
-
-    Zero exactly when ell lies in I.
-
-    >>> [m_value({2, 3}, 5, ell) for ell in range(1, 6)]
-    [1, 0, 0, 2, 1]
-    """
-    if not 1 <= ell <= n:
-        raise ValueError(f"position {ell} outside [1, {n}]")
-    best = n + 1
-    for i in members:
-        if ell <= i < best:
-            best = i
-    return best - ell
-
-
 def m_vector(members: Iterable[int], n: int) -> tuple[int, ...]:
-    """(m_1, ..., m_n) for the given subset."""
-    s = set(members)
-    return tuple(m_value(s, n, ell) for ell in range(1, n + 1))
+    """(m_1, ..., m_n): the distance from each ell up to the next element of
+    the enclosure {0} | I | {n+1}, zero exactly when ell lies in I.  Members
+    outside [1, n] are ignored.
+
+    >>> m_vector({2, 3}, 5)
+    (1, 0, 0, 2, 1)
+    """
+    m: list[int] = []
+    low = 0
+    for high in sorted({i for i in members if 1 <= i <= n}) + [n + 1]:
+        m.extend(range(high - low - 1, -1, -1))  # the gap (low, high] counts down to 0
+        low = high
+    return tuple(m[:n])  # drop position n + 1
+
+
+def _non_shadow_mask(mask: int, n: int) -> int:
+    """Bits i in [1, n-1] with neither bit i nor bit i+1 set in the mask."""
+    return ((1 << n) - 2) & ~(mask | mask >> 1)
 
 
 def non_shadow(members: Iterable[int], n: int) -> Subset:
@@ -155,8 +148,7 @@ def non_shadow(members: Iterable[int], n: int) -> Subset:
     >>> sorted(non_shadow({1}, 4))
     [2, 3]
     """
-    s = set(members)
-    return frozenset(i for i in range(1, n) if i not in s and i + 1 not in s)
+    return _mask_to_set(_non_shadow_mask(set_to_mask(i for i in members if 1 <= i <= n), n))
 
 
 def locate_interval(members: Iterable[int], n: int) -> Subset:
@@ -165,21 +157,20 @@ def locate_interval(members: Iterable[int], n: int) -> Subset:
     Scans the whole catalog; existence and uniqueness hold for every J, so
     an empty scan or a second match means a broken catalog.
     """
-    j_mask = set_to_mask(members)
-    if j_mask >> n:
-        raise ValueError(f"{set(members)} is not a subset of [{n - 1}]")
+    s = set(members)
+    if any(not 1 <= i <= n - 1 for i in s):
+        raise ValueError(f"{s} is not a subset of [{n - 1}]")
+    j_mask = set_to_mask(s)
     catalog = enumerate_lacunar(n)
     full = (1 << n) - 2  # bits 1..n-1
     found = None
     for q_mask, np_mask in zip(catalog.masks, catalog.non_shadow_masks):
         if np_mask & j_mask == np_mask and j_mask & (full & ~q_mask) == j_mask:
             if found is not None:
-                raise RuntimeError(
-                    f"Boolean interval partition violated: {set(members)} matched twice"
-                )
+                raise RuntimeError(f"Boolean interval partition violated: {s} matched twice")
             found = q_mask
     if found is None:
-        raise RuntimeError(f"no lacunar interval located for {set(members)}; catalog broken")
+        raise RuntimeError(f"no lacunar interval located for {s}; catalog broken")
     return _mask_to_set(found)
 
 

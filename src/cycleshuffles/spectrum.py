@@ -37,10 +37,10 @@ def _exact_weights(
     return exact, den, tuple(c.numerator * (den // c.denominator) for c in exact)
 
 
-def _eigenvalue(numerators: tuple[int, ...], den: int, m: tuple[int, ...]) -> Fraction:
-    """g_I = sum of weights[ell-1] * m_{I,ell}, summed over the integer
-    numerators of the weights and divided by their common denominator once."""
-    return Fraction(sum(c * mv for c, mv in zip(numerators, m)), den)
+def _eigenvalue(numerators: tuple[int, ...], m: tuple[int, ...]) -> int:
+    """d * g_I = sum of numerators[ell-1] * m_{I,ell}, where numerators are
+    the integers d * weight of _exact_weights; g_I itself is this over d."""
+    return sum(c * mv for c, mv in zip(numerators, m))
 
 
 def eigenvalue_for_set(weights: WeightVector, members: Iterable[int], n: int) -> Fraction:
@@ -50,7 +50,7 @@ def eigenvalue_for_set(weights: WeightVector, members: Iterable[int], n: int) ->
     if not is_lacunar(s) or any(not 1 <= i <= n - 1 for i in s):
         raise ValueError(f"{s} is not a lacunar subset of [{n - 1}]")
     _, den, numerators = _exact_weights(weights, n)
-    return _eigenvalue(numerators, den, m_vector(s, n))
+    return Fraction(_eigenvalue(numerators, m_vector(s, n)), den)
 
 
 def delta(i: int, catalog: LacunarCatalog) -> int:
@@ -122,15 +122,15 @@ def full_spectrum(weights: WeightVector, catalog: LacunarCatalog) -> SpectrumRep
     n = catalog.n
     weights, den, numerators = _exact_weights(weights, n)
     rows = []
-    totals: dict[Fraction, int] = {}
-    for i in range(1, len(catalog) + 1):
-        members = catalog[i]
+    # den * g_I -> [g_I, multiplicity]; den > 0 keeps the order
+    totals: dict[int, list] = {}
+    for i, members in enumerate(catalog.sets, start=1):
         m = m_vector(members, n)
-        g = _eigenvalue(numerators, den, m)
-        d = delta(i, catalog)
-        rows.append(SpectrumRow(members, m, g, d))
-        totals[g] = totals.get(g, 0) + d
-    aggregate = tuple(sorted(totals.items(), key=lambda item: item[0], reverse=True))
+        g = _eigenvalue(numerators, m)
+        row = SpectrumRow(members, m, Fraction(g, den), delta(i, catalog))
+        rows.append(row)
+        totals.setdefault(g, [row.eigenvalue, 0])[1] += row.multiplicity
+    aggregate = tuple((value, mult) for _, (value, mult) in sorted(totals.items(), reverse=True))
     return SpectrumReport(n, weights, tuple(rows), aggregate)
 
 

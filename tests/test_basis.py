@@ -19,7 +19,7 @@ from cycleshuffles.basis import (
     rmul_columns,
     rmul_matrix,
 )
-from cycleshuffles.lacunar import enumerate_lacunar, m_value, non_shadow
+from cycleshuffles.lacunar import enumerate_lacunar, m_vector, non_shadow
 from cycleshuffles.perms import all_permutations, cycle, descent_set, identity
 from cycleshuffles.shuffles import build_osc, build_t, build_t_prime, transition_matrix, uniform_distribution
 
@@ -136,7 +136,7 @@ def test_triangularity_in_q_order(n):
     for ell in range(1, n + 1):
         _, matrix = rmul_matrix(build_t(n, ell), "a", "qindex")
         for j, w in enumerate(order):
-            assert matrix[j][j] == m_value(catalog[table[w]], n, ell)
+            assert matrix[j][j] == m_vector(catalog[table[w]], n)[ell - 1]
             for i in range(j + 1, len(order)):
                 assert matrix[i][j] == 0
 
@@ -149,7 +149,7 @@ def test_dual_triangularity_in_reverse_q_order(n):
     for ell in range(1, n + 1):
         _, matrix = rmul_matrix(build_t_prime(n, ell), "b", "qindex-desc")
         for j, w in enumerate(order):
-            assert matrix[j][j] == m_value(catalog[table[w]], n, ell)
+            assert matrix[j][j] == m_vector(catalog[table[w]], n)[ell - 1]
             for i in range(j + 1, len(order)):
                 assert matrix[i][j] == 0
 

@@ -57,8 +57,8 @@ TRIANGULARITY_CHECKS = [
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("suite, run", TRIANGULARITY_CHECKS)
 def test_triangularity_fails_on_a_diagonal_off_by_one(n, suite, run, monkeypatch):
-    real = checks.m_value
-    monkeypatch.setattr(checks, "m_value", lambda subset, n, ell: real(subset, n, ell) + 1)
+    real = checks.m_vector
+    monkeypatch.setattr(checks, "m_vector", lambda subset, n: tuple(m + 1 for m in real(subset, n)))
     results = run(n)
     assert len(results) == n
     for result in results:

@@ -80,16 +80,6 @@ def test_mixed_commutator_products_vanish_under_theorem_hypotheses():
         mixed_commutator_product(n, 3, [4])
 
 
-def test_report_json_round_shape():
-    report = identity_suite(3)
-    data = report.to_json()
-    assert all(
-        set(item) == {"name", "params", "passed", "residual_terms", "smallest_surviving"}
-        for item in data
-    )
-    assert all(item["passed"] for item in data)
-
-
 def test_failure_diagnostics_report_surviving_terms():
     # feed a deliberately false identity through the same bookkeeping
     from cycleshuffles.identities import _zero_check

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from cycleshuffles.lacunar import (
@@ -7,7 +9,6 @@ from cycleshuffles.lacunar import (
     is_lacunar,
     lacunar_masks,
     locate_interval,
-    m_value,
     m_vector,
     non_shadow,
     set_to_mask,
@@ -65,14 +66,33 @@ def test_catalog_index_lookup():
         catalog[9]
 
 
+def _m_by_scan(members, n):
+    """Reference m vector: for each ell, scan the set for the least member in
+    [ell, n], or take n + 1 when there is none."""
+    out = []
+    for ell in range(1, n + 1):
+        best = n + 1
+        for i in members:
+            if ell <= i < best:
+                best = i
+        out.append(best - ell)
+    return tuple(out)
+
+
+def _non_shadow_by_set(members, n):
+    """Reference non-shadow: the i in [n-1] with neither i nor i+1 in the set."""
+    s = set(members)
+    return frozenset(i for i in range(1, n) if i not in s and i + 1 not in s)
+
+
 def test_m_value_examples():
     assert m_vector({2, 3}, 5) == (1, 0, 0, 2, 1)
     for n in range(1, 8):
         assert m_vector(set(), n) == tuple(n + 1 - ell for ell in range(1, n + 1))
     for ell in (2, 3):
-        assert m_value({2, 3}, 5, ell) == 0
-    with pytest.raises(ValueError):
-        m_value({1}, 4, 5)
+        assert m_vector({2, 3}, 5)[ell - 1] == 0
+    with pytest.raises(IndexError):
+        m_vector({1}, 4)[5 - 1]
 
 
 def test_m_value_range():
@@ -80,7 +100,17 @@ def test_m_value_range():
         for mask in range(1 << n):
             members = {i + 1 for i in range(n) if mask >> i & 1}
             for ell in range(1, n + 1):
-                assert 0 <= m_value(members, n, ell) <= n + 1 - ell
+                assert 0 <= m_vector(members, n)[ell - 1] <= n + 1 - ell
+
+
+def test_m_vector_matches_the_per_position_scan():
+    # every subset of [n], alone and with members outside [1, n] mixed in
+    for n in range(1, 11):
+        for mask in range(1 << n):
+            members = {i + 1 for i in range(n) if mask >> i & 1}
+            for extra in ((), (0,), (n + 1,), (-1, 0, n + 1, n + 5)):
+                both = members | set(extra)
+                assert m_vector(both, n) == _m_by_scan(both, n), (n, both)
 
 
 def test_non_shadow_examples():
@@ -93,9 +123,13 @@ def test_non_shadow_examples():
 def test_non_shadow_masks_match_non_shadow():
     for n in range(1, 17):
         catalog = enumerate_lacunar(n)
-        assert catalog.non_shadow_masks == tuple(
-            set_to_mask(non_shadow(s, n)) for s in catalog.sets
-        )
+        expected = [_non_shadow_by_set(s, n) for s in catalog.sets]
+        assert [non_shadow(s, n) for s in catalog.sets] == expected
+        assert catalog.non_shadow_masks == tuple(set_to_mask(e) for e in expected)
+    for n in range(1, 9):
+        for mask in range(1 << n):
+            members = {i + 1 for i in range(n) if mask >> i & 1} | {-2, 0, n + 1, n + 3}
+            assert non_shadow(members, n) == _non_shadow_by_set(members, n), (n, members)
 
 
 def test_locate_interval_examples():
@@ -114,8 +148,9 @@ def test_locate_interval_unique_everywhere_small():
 
 
 def test_locate_interval_rejects_oversized_subsets():
-    with pytest.raises(ValueError):
-        locate_interval({4}, 4)
+    for members in ({4}, {0}, {-1}, {1, 0}):
+        with pytest.raises(ValueError, match=re.escape(f"{members} is not a subset of [3]")):
+            locate_interval(members, 4)
 
 
 def test_format_subset():

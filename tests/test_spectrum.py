@@ -6,9 +6,9 @@ import pytest
 from cycleshuffles.algebra import AlgebraElement
 from cycleshuffles.basis import QIndexTable, filtration_dimensions, rmul_matrix
 from cycleshuffles.checks import pseudo_random_weights
-from cycleshuffles.lacunar import enumerate_lacunar, m_value
+from cycleshuffles.lacunar import enumerate_lacunar, m_vector
 from cycleshuffles.polys import Polynomial
-from cycleshuffles.shuffles import build_t, combine, r2b_weights
+from cycleshuffles.shuffles import build_t, combine, r2b_weights, t2r_weights, unweighted_weights
 from cycleshuffles.spectrum import (
     CERTIFIED_DIAGONALIZABLE,
     INCONCLUSIVE,
@@ -75,6 +75,30 @@ def test_delta_tables(n, expected):
 def test_delta_single_set_example():
     catalog = enumerate_lacunar(4)
     assert delta(catalog.index_of({2}), catalog) == 8
+
+
+def _reference_spectrum(weights, catalog):
+    """Rows (eigenvalue, multiplicity) and the aggregate, summed in Fractions
+    and keyed by Fraction, sorted by eigenvalue descending."""
+    n = catalog.n
+    rows, totals = [], {}
+    for i in range(1, len(catalog) + 1):
+        g = sum(Fraction(c) * m for c, m in zip(weights, m_vector(catalog[i], n)))
+        d = delta(i, catalog)
+        rows.append((g, d))
+        totals[g] = totals.get(g, 0) + d
+    return rows, sorted(totals.items(), key=lambda item: item[0], reverse=True)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_full_spectrum_matches_a_fraction_keyed_reference(n):
+    catalog = enumerate_lacunar(n)
+    for weights in (r2b_weights(n), t2r_weights(n), unweighted_weights(n), pseudo_random_weights(n)):
+        report = full_spectrum(weights, catalog)
+        rows, aggregate = _reference_spectrum(weights, catalog)
+        assert [(row.eigenvalue, row.multiplicity) for row in report.rows] == rows
+        assert list(report.aggregate) == aggregate
+        assert all(type(g) is Fraction for g, _ in report.aggregate)
 
 
 def test_delta_sums_and_divisibility():
@@ -290,5 +314,5 @@ def test_top_to_random_spectrum_via_m_values():
     # m_{I,1} over lacunar I is {0} when 1 is a member, else gap to the next
     for n in range(2, 9):
         catalog = enumerate_lacunar(n)
-        values = {m_value(catalog[i], n, 1) for i in range(1, len(catalog) + 1)}
+        values = {m_vector(catalog[i], n)[0] for i in range(1, len(catalog) + 1)}
         assert values == set(range(n - 1)) | {n}
