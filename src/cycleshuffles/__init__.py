@@ -10,13 +10,7 @@ identities by brute force at small deck sizes, and simulates the bookmark
 strong stationary time against its exact expected value.
 """
 
-from .algebra import (
-    AlgebraElement,
-    bilinear_form,
-    element_from_json,
-    element_to_json,
-    linear_combine,
-)
+from .algebra import AlgebraElement, bilinear_form, linear_combine
 from .basis import (
     BasisFamily,
     QIndexTable,
@@ -24,7 +18,6 @@ from .basis import (
     build_a_family,
     dual_basis,
     expand_in_a,
-    family_to_json,
     filtration_dimensions,
     q_index,
     rmul_matrix,
@@ -39,14 +32,7 @@ from .lacunar import (
     m_vector,
     non_shadow,
 )
-from .perms import (
-    compose,
-    cycle,
-    descent_set,
-    identity,
-    inverse,
-    young_subgroup,
-)
+from .perms import compose, cycle, descent_set, identity, inverse
 from .polys import Polynomial
 from .shuffles import (
     build_osc,
@@ -58,13 +44,7 @@ from .shuffles import (
     transition_matrix,
     unweighted_weights,
 )
-from .simulate import (
-    bounds,
-    exact_expected_tau,
-    fast_bookmark_sim,
-    simulate_sst,
-    step,
-)
+from .simulate import bounds, exact_expected_tau, fast_bookmark_sim, simulate_sst
 from .spectrum import (
     SpectrumReport,
     annihilator_check,

@@ -300,25 +300,3 @@ def bilinear_form(x: AlgebraElement, y: AlgebraElement) -> Scalar:
         if d is not None:
             total += c * d
     return total
-
-
-def element_to_json(x: AlgebraElement) -> dict:
-    """JSON form: terms sorted lexicographically, big integers as strings."""
-    terms = []
-    for w in sorted(x.terms):
-        c = Fraction(x.terms[w])
-        terms.append(
-            {"perm": format_permutation(w), "num": str(c.numerator), "den": str(c.denominator)}
-        )
-    return {"n": x.n, "terms": terms}
-
-
-def element_from_json(data: Mapping) -> AlgebraElement:
-    from .perms import parse_permutation
-
-    n = int(data["n"])
-    terms: dict[Perm, Scalar] = {}
-    for item in data["terms"]:
-        w = parse_permutation(item["perm"])
-        terms[w] = Fraction(int(item["num"]), int(item["den"]))
-    return AlgebraElement(n, terms)

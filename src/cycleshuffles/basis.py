@@ -128,13 +128,6 @@ def build_a_family(n: int, max_n: int | None = None) -> BasisFamily:
     return BasisFamily(n, {w: a_element(w) for w in sn_index(n)[0]}, kind="a")
 
 
-def family_to_json(family: BasisFamily) -> list[dict]:
-    """Basis dump: one element serialization per permutation, in lex order."""
-    from .algebra import element_to_json
-
-    return [element_to_json(family.elements[w]) for w in family.perms]
-
-
 def expand_in_a(x: AlgebraElement, family: BasisFamily) -> dict[Perm, Scalar]:
     """Coefficients of x in the a-basis, by descending-lex back-substitution.
 

@@ -47,13 +47,6 @@ def check_triangularity(n: int, max_n: int | None = None) -> list[CheckResult]:
     return _triangularity(build_a_family(n, max_n), None, QIndexTable(n, max_n), max_n)
 
 
-def check_dual_triangularity(n: int, max_n: int | None = None) -> list[CheckResult]:
-    """Right multiplication by each t'_ell is upper-triangular on the dual
-    basis in decreasing Q-index order, with the same diagonal."""
-    family = build_a_family(n, max_n)
-    return _triangularity(family, dual_basis(family), QIndexTable(n, max_n), max_n)
-
-
 def _triangularity(
     family: BasisFamily, b_family: BasisFamily | None, table: QIndexTable, max_n: int | None
 ) -> list[CheckResult]:

@@ -23,6 +23,7 @@ from .algebra import MAX_N_ENV_VAR
 from .basis import rmul_matrix
 from .checks import SUITES, run_suite
 from .lacunar import enumerate_lacunar, format_subset, non_shadow
+from .perms import format_permutation
 from .shuffles import (
     build_osc,
     build_t,
@@ -53,6 +54,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _output_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got an empty string")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cycleshuffles",
@@ -63,12 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, formats=("text", "json", "csv")) -> None:
         p.add_argument("--n", type=_positive_int, required=True, help="deck size")
         p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--output", help="write to this path instead of stdout")
+        p.add_argument("--output", type=_output_path, help="write to this path instead of stdout")
 
     def max_n(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--max-n",
-            type=int,
+            type=_positive_int,
             default=None,
             help=f"override the full-algebra degree cap (also {MAX_N_ENV_VAR})",
         )
@@ -101,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", choices=("lex", "qindex", "qindex-desc"), default="lex")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    common(p)
+    common(p, formats=("text", "json"))
     max_n(p)
     p.add_argument("--suite", choices=sorted(SUITES) + ["all"], required=True)
 
@@ -259,7 +266,7 @@ def cmd_matrix(args) -> int:
     labels, rows = rmul_matrix(element, args.basis, args.order, max_n=args.max_n)
     if args.osc is not None and args.basis == "std":
         rows = zip(*rows)  # the transition matrix: row tau holds tau * osc(P)
-    names = [",".join(map(str, w)) for w in labels]
+    names = [format_permutation(w) for w in labels]
     if args.format == "json":
         payload = {"n": n, "order": names, "rows": [[str(v) for v in row] for row in rows]}
         _emit_json(payload, args.output)

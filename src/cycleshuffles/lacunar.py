@@ -100,14 +100,6 @@ class LacunarCatalog:
             raise IndexError(f"catalog index {i} outside [1, {len(self.sets)}]")
         return self.sets[i - 1]
 
-    def index_of(self, members: Iterable[int]) -> int:
-        """1-based catalog position of a lacunar subset."""
-        s = set(members)
-        try:
-            return self.masks.index(set_to_mask(s)) + 1
-        except ValueError:
-            raise ValueError(f"{s} is not a lacunar subset of [{self.n - 1}]") from None
-
 
 @lru_cache(maxsize=None)
 def enumerate_lacunar(n: int) -> LacunarCatalog:

@@ -12,19 +12,9 @@ module can be shared freely between threads.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
-
-
-def is_permutation(word: Sequence[int]) -> bool:
-    """Check that ``word`` lists each of 1..len(word) exactly once.
-
-    >>> is_permutation((2, 1, 3)), is_permutation((1, 1, 2)), is_permutation((0, 1))
-    (True, False, False)
-    """
-    n = len(word)
-    return sorted(word) == list(range(1, n + 1))
 
 
 def identity(n: int) -> Perm:
@@ -116,66 +106,6 @@ def all_permutations(n: int) -> Iterator[Perm]:
     return itertools.permutations(range(1, n + 1))
 
 
-def _index_blocks(n: int, indices: Iterable[int]) -> list[range]:
-    """Maximal runs of consecutive generator indices, as position blocks.
-
-    A run {a, a+1, ..., b} of adjacent-transposition indices generates the
-    full symmetric group on positions a..b+1.
-    """
-    idx = sorted(set(indices))
-    for i in idx:
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"generator index {i} outside [1, {n - 1}]")
-    blocks = []
-    k = 0
-    while k < len(idx):
-        start = idx[k]
-        while k + 1 < len(idx) and idx[k + 1] == idx[k] + 1:
-            k += 1
-        blocks.append(range(start, idx[k] + 2))
-        k += 1
-    return blocks
-
-
-def young_subgroup(n: int, indices: Iterable[int]) -> list[Perm]:
-    """All elements of the subgroup of S_n generated by {s_i : i in indices}.
-
-    The generated group is a direct product of symmetric groups on the
-    maximal runs of consecutive indices, so it is enumerated block by block
-    rather than by generic closure.
-
-    >>> sorted(young_subgroup(3, {2}))
-    [(1, 2, 3), (1, 3, 2)]
-    >>> len(young_subgroup(5, {2, 4}))
-    4
-    """
-    blocks = _index_blocks(n, indices)
-    members = []
-    per_block = [list(itertools.permutations(block)) for block in blocks]
-    for choice in itertools.product(*per_block):
-        word = list(range(1, n + 1))
-        for block, images in zip(blocks, choice):
-            for pos, img in zip(block, images):
-                word[pos - 1] = img
-        members.append(tuple(word))
-    return members
-
-
-def parse_permutation(text: str) -> Perm:
-    """Parse the comma-separated one-line form, e.g. "3,2,4,1".
-
-    >>> parse_permutation("3,2,4,1")
-    (3, 2, 4, 1)
-    """
-    try:
-        word = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"malformed permutation {text!r}") from None
-    if not word or not is_permutation(word):
-        raise ValueError(f"{text!r} is not a permutation of 1..{len(word)}")
-    return word
-
-
 def format_permutation(w: Perm) -> str:
-    """Comma-separated one-line form, inverse of :func:`parse_permutation`."""
+    """Comma-separated one-line form: (3, 2, 4, 1) -> "3,2,4,1"."""
     return ",".join(str(v) for v in w)

@@ -108,10 +108,6 @@ class TransitionMatrix:
     perms: tuple[Perm, ...]
     rows: tuple[tuple[Scalar, ...], ...]
 
-    def as_floats(self) -> list[list[float]]:
-        """Lossy float view; the rationals stay authoritative."""
-        return [[float(v) for v in row] for row in self.rows]
-
 
 def transition_matrix(x: AlgebraElement, max_n: int | None = None) -> TransitionMatrix:
     """Markov transition matrix of the chain driven by x: entry (tau, sigma)

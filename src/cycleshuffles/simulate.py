@@ -58,21 +58,6 @@ _PHILOX_ROUNDS = 10
 EXACT_TAU_MAX_N = 200
 
 
-@dataclass(frozen=True)
-class DeckState:
-    """Deck order (cards order[0..n-1] from top to bottom) plus the number of
-    cards strictly below the bookmark; the count never decreases."""
-
-    order: Perm
-    below: int
-
-
-def initial_state(n: int) -> DeckState:
-    if n < 1:
-        raise ValueError(f"deck size must be at least 1, got {n}")
-    return DeckState(tuple(range(1, n + 1)), 1)
-
-
 def _apply_move(deck: list[int], below: int, i: int, j: int) -> int:
     """Move the card at position i to position j >= i; return the new count
     of cards below the bookmark.
@@ -153,18 +138,6 @@ def _move_rows(decks: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     source = pos + ((i0 <= pos) & (pos < j0))
     source = np.where(pos == j0, i0, source)
     return np.take_along_axis(decks, source, axis=1)
-
-
-def step(state: DeckState, probabilities: Sequence[Scalar], rng: np.random.Generator) -> DeckState:
-    """One shuffle step drawing two uniforms: the picked position and the
-    weakly-lower insertion position."""
-    cdf = np.cumsum([float(p) for p in _validated(probabilities)])
-    n = len(state.order)
-    u1, u2 = rng.random(2)
-    i, j = map(int, _sample_move(u1, u2, cdf, n))
-    deck = list(state.order)
-    below = _apply_move(deck, state.below, i, j)
-    return DeckState(tuple(deck), below)
 
 
 @dataclass(frozen=True)

@@ -91,9 +91,6 @@ class SpectrumReport:
     rows: tuple[SpectrumRow, ...]
     aggregate: tuple[tuple[Fraction, int], ...]
 
-    def aggregate_dict(self) -> dict[Fraction, int]:
-        return dict(self.aggregate)
-
     def to_json(self) -> dict:
         return {
             "n": self.n,

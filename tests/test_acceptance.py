@@ -22,7 +22,7 @@ from cycleshuffles.checks import (
     check_annihilator,
     check_antipode_conjugation,
     check_boolean_partition,
-    check_dual_triangularity,
+    check_duality,
     check_triangularity,
     pseudo_random_weights,
 )
@@ -255,7 +255,8 @@ def test_criterion_09_duality_and_dual_triangularity():
             for q in family.perms:
                 assert bilinear_form(ap, b_family.elements[q]) == (1 if p == q else 0)
     for n in range(2, 6):
-        results = check_dual_triangularity(n)
+        results = [r for r in check_duality(n) if "upper-triangular" in r.name]
+        assert len(results) == n
         assert all(r.passed for r in results), [r.detail for r in results if not r.passed]
     for n in range(1, 7):
         for ell in range(1, n + 1):

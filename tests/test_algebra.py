@@ -9,8 +9,6 @@ from cycleshuffles.algebra import (
     AlgebraElement,
     _gather_table,
     bilinear_form,
-    element_from_json,
-    element_to_json,
     linear_combine,
     require_within_cap,
     rmul_terms,
@@ -154,16 +152,6 @@ def test_antipode_adjoint_for_bilinear_form():
         n = rng.randrange(1, 6)
         u, v, x = (random_element(rng, n) for _ in range(3))
         assert bilinear_form(u, v * x.antipode()) == bilinear_form(u * x, v)
-
-
-def test_json_roundtrip():
-    rng = random.Random(17)
-    x = random_element(rng, 4, terms=6)
-    data = element_to_json(x)
-    assert [item["perm"] for item in data["terms"]] == sorted(
-        item["perm"] for item in data["terms"]
-    )
-    assert element_from_json(data) == x
 
 
 def test_cap_enforcement(monkeypatch):

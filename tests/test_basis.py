@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,7 +21,7 @@ from cycleshuffles.basis import (
     rmul_matrix,
 )
 from cycleshuffles.lacunar import enumerate_lacunar, m_vector, non_shadow
-from cycleshuffles.perms import all_permutations, cycle, descent_set, identity
+from cycleshuffles.perms import all_permutations, compose, cycle, descent_set, identity
 from cycleshuffles.shuffles import build_osc, build_t, build_t_prime, transition_matrix, uniform_distribution
 
 
@@ -37,9 +38,77 @@ def test_a_element_table_n3():
     assert a_element((3, 2, 1)) == element(3, *all_permutations(3))
 
 
-def test_a_element_matches_young_subgroup_definition():
-    from cycleshuffles.perms import compose, young_subgroup
+def _index_blocks(n, indices):
+    """Maximal runs of consecutive generator indices, as position blocks.
 
+    A run {a, a+1, ..., b} of adjacent-transposition indices generates the
+    full symmetric group on positions a..b+1.
+    """
+    idx = sorted(set(indices))
+    for i in idx:
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"generator index {i} outside [1, {n - 1}]")
+    blocks = []
+    k = 0
+    while k < len(idx):
+        start = idx[k]
+        while k + 1 < len(idx) and idx[k + 1] == idx[k] + 1:
+            k += 1
+        blocks.append(range(start, idx[k] + 2))
+        k += 1
+    return blocks
+
+
+def young_subgroup(n, indices):
+    """All elements of the subgroup of S_n generated by {s_i : i in indices}.
+
+    The generated group is a direct product of symmetric groups on the
+    maximal runs of consecutive indices, so it is enumerated block by block
+    rather than by generic closure.
+    """
+    blocks = _index_blocks(n, indices)
+    members = []
+    per_block = [list(itertools.permutations(block)) for block in blocks]
+    for choice in itertools.product(*per_block):
+        word = list(range(1, n + 1))
+        for block, images in zip(blocks, choice):
+            for pos, img in zip(block, images):
+                word[pos - 1] = img
+        members.append(tuple(word))
+    return members
+
+
+def test_young_subgroup_examples():
+    assert sorted(young_subgroup(3, {2})) == [(1, 2, 3), (1, 3, 2)]
+    assert len(young_subgroup(3, {1, 2})) == 6
+    assert len(young_subgroup(5, {2, 4})) == 4
+
+
+def test_young_subgroup_sizes_divide_factorial():
+    for n in range(2, 8):
+        for mask in range(1 << (n - 1)):
+            members = {i + 1 for i in range(n - 1) if mask >> i & 1}
+            size = len(young_subgroup(n, members))
+            assert math.factorial(n) % size == 0
+            # the product of block factorials is the expected group order
+            expected = 1
+            run = 0
+            for i in range(1, n):
+                if i in members:
+                    run += 1
+                else:
+                    expected *= math.factorial(run + 1) if run else 1
+                    run = 0
+            expected *= math.factorial(run + 1) if run else 1
+            assert size == expected
+
+
+def test_young_subgroup_rejects_out_of_range():
+    with pytest.raises(ValueError):
+        young_subgroup(3, {3})
+
+
+def test_a_element_matches_young_subgroup_definition():
     for n in range(1, 6):
         for w in all_permutations(n):
             group = young_subgroup(n, descent_set(w))
@@ -204,17 +273,6 @@ def test_basis_order_variants():
     assert asc[0] == (3, 2, 1)  # the reversal is the unique Q-index-1 element
     with pytest.raises(ValueError):
         basis_order(3, "sideways")
-
-
-def test_family_json_dump():
-    from cycleshuffles.algebra import element_from_json
-    from cycleshuffles.basis import family_to_json
-
-    family = build_a_family(3)
-    dump = family_to_json(family)
-    assert len(dump) == 6
-    rebuilt = [element_from_json(item) for item in dump]
-    assert rebuilt == [family.elements[w] for w in family.perms]
 
 
 def test_identity_has_empty_descents_and_late_q_index():

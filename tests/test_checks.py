@@ -49,7 +49,6 @@ def test_duality_builds_one_family_and_one_dual_basis(monkeypatch):
 
 TRIANGULARITY_CHECKS = [
     ("triangularity", checks.check_triangularity),
-    ("duality", checks.check_dual_triangularity),
     ("duality", lambda n: [r for r in checks.check_duality(n) if "upper-triangular" in r.name]),
 ]
 

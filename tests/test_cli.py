@@ -290,6 +290,29 @@ def test_max_n_is_refused_where_nothing_enumerates_sn(argv, capsys):
     assert "--max-n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("verify", "--n", "3", "--suite", "boolean-partition", "--format", "csv"), "--format"),
+        (("spectrum", "--n", "3", "--r2b", "--output="), "--output"),
+        (("matrix", "--n", "3", "--t", "1", "--max-n", "0"), "--max-n"),
+        (("matrix", "--n", "3", "--t", "1", "--max-n", "-1"), "--max-n"),
+    ],
+)
+def test_bad_flag_values_are_refused_at_parse_time(argv, flag, tmp_path, monkeypatch, capsys):
+    workdir = tmp_path / "cwd"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    with pytest.raises(SystemExit) as excinfo:
+        run(list(argv))
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["cwd"]
+    assert not any(workdir.iterdir())
+
+
 def test_max_n_flag_lowers_the_cap(capsys):
     code, out, err = invoke(capsys, "verify", "--n", "5", "--suite", "triangularity", "--max-n", "4")
     assert code == 2

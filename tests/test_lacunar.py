@@ -59,11 +59,11 @@ def test_catalog_sums_weakly_increase():
 def test_catalog_index_lookup():
     catalog = enumerate_lacunar(5)
     assert catalog[1] == frozenset()
-    assert catalog.index_of({1, 3}) == 6
-    with pytest.raises(ValueError):
-        catalog.index_of({1, 2})
+    assert catalog[6] == frozenset({1, 3})
     with pytest.raises(IndexError):
         catalog[9]
+    with pytest.raises(IndexError):
+        catalog[0]
 
 
 def _m_by_scan(members, n):

@@ -141,9 +141,3 @@ def test_transition_matrix_rejects_bad_input():
         transition_matrix(bad)
     with pytest.raises(ValueError):
         transition_matrix(build_osc(uniform_distribution(9)))  # over the cap
-
-
-def test_transition_matrix_float_view():
-    tm = transition_matrix(build_osc([1, 0, 0]))
-    floats = tm.as_floats()
-    assert floats[0][0] == pytest.approx(1 / 3)

@@ -10,7 +10,6 @@ import pytest
 
 from cycleshuffles import simulate
 from cycleshuffles.simulate import (
-    DeckState,
     EXACT_TAU_MAX_N,
     RNG_ID,
     _apply_move,
@@ -27,24 +26,14 @@ from cycleshuffles.simulate import (
     expected_tau_extended,
     fast_bookmark_sim,
     harmonic,
-    initial_state,
     simulate_sst,
     stage_probabilities,
-    step,
 )
 from cycleshuffles.shuffles import uniform_distribution
 
 
 def uniform(n):
     return [Fraction(1, n)] * n
-
-
-def test_initial_state():
-    state = initial_state(4)
-    assert state.order == (1, 2, 3, 4)
-    assert state.below == 1
-    with pytest.raises(ValueError):
-        initial_state(0)
 
 
 def test_apply_move_deck_semantics():
@@ -81,16 +70,6 @@ def test_forced_crossing_n2():
     below = _apply_move(deck, 1, 1, 2)
     assert deck == [2, 1]
     assert below == 2
-
-
-def test_step_is_pure_and_monotone():
-    rng = _trial_rng(123, 0)
-    state = initial_state(5)
-    for _ in range(200):
-        nxt = step(state, uniform(5), rng)
-        assert sorted(nxt.order) == [1, 2, 3, 4, 5]
-        assert nxt.below >= state.below
-        state = nxt if nxt.below < 5 else initial_state(5)
 
 
 def test_bookmark_monotone_over_many_random_steps():
@@ -156,24 +135,6 @@ def test_simulation_reproducible_and_chunk_independent(monkeypatch):
     assert a.histogram == b.histogram == c.histogram
     d = simulate_sst(uniform(4), trials=500, seed=78)
     assert d.histogram != a.histogram
-
-
-def test_optimized_loop_matches_single_steps():
-    n, trials, seed = 4, 60, 31
-    result = simulate_sst(uniform(n), trials=trials, seed=seed)
-    reference = []
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        state = initial_state(n)
-        steps = 0
-        while state.below < n:
-            state = step(state, uniform(n), rng)
-            steps += 1
-        reference.append(steps)
-    histogram = {}
-    for tau in reference:
-        histogram[tau] = histogram.get(tau, 0) + 1
-    assert dict(result.histogram) == histogram
 
 
 def test_simulated_mean_matches_exact_small_n():
@@ -400,12 +361,6 @@ def test_exact_chain_tau_law_and_uniform_deck_at_tau():
                 alive = nxt
                 assert sum(stopped.values(), Fraction(0)) == pmf[k], (probs, k)
                 assert all(stopped[deck] == pmf[k] / len(decks) for deck in decks), (probs, k)
-
-
-def test_deckstate_is_frozen():
-    state = DeckState((1, 2), 1)
-    with pytest.raises(AttributeError):
-        state.below = 2
 
 
 _EDGE_SEEDS = [0, 1, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, (1 << 64) - 1, -5, (1 << 64) + 3]
