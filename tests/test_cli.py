@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import os
 import stat
@@ -10,6 +11,7 @@ import pytest
 
 from cycleshuffles.basis import basis_order, rmul_matrix
 from cycleshuffles.cli import run
+from cycleshuffles.perms import format_permutation
 from cycleshuffles.shuffles import build_osc, build_t, transition_matrix
 
 
@@ -79,6 +81,18 @@ def test_matrix_csv_export(capsys):
     assert lines[0].startswith(',"1,2,3"')
     assert lines[1].split(",", 3)[-1].startswith('1/3')
     assert len(lines) == 7
+
+
+def test_matrix_labels_are_formatted_permutations(capsys):
+    names = [format_permutation(w) for w in itertools.permutations(range(1, 4))]
+    code, out, _ = invoke(capsys, "matrix", "--n", "3", "--t", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["order"] == names
+    code, out, _ = invoke(capsys, "matrix", "--n", "3", "--t", "1")
+    assert code == 0
+    table = list(csv.reader(io.StringIO(out)))
+    assert table[0] == ["", *names]
+    assert [row[0] for row in table[1:]] == names
 
 
 def test_matrix_a_basis_qindex_is_triangular(capsys):

@@ -133,6 +133,13 @@ def test_transition_matrix_rows_sum_to_one_random_p():
             assert all(sum(row) == 1 for row in tm.rows)
 
 
+def test_transition_matrix_entries_are_exact_rationals():
+    tm = transition_matrix(build_osc([1, 0, 0]))
+    assert tm.rows[0][0] == Fraction(1, 3)
+    assert float(tm.rows[0][0]) == pytest.approx(1 / 3)
+    assert all(isinstance(v, (int, Fraction)) for row in tm.rows for v in row)
+
+
 def test_transition_matrix_rejects_bad_input():
     with pytest.raises(ValueError):
         transition_matrix(build_t(3, 1))  # coefficients sum to 3

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -85,6 +86,36 @@ def test_bookmark_monotone_over_many_random_steps():
             new_below = _apply_move(deck, below, i, j)
             assert new_below >= below
             below = new_below
+
+
+def test_random_moves_keep_the_deck_a_permutation():
+    n = 5
+    rng = _trial_rng(123, 0)
+    cdf = np.cumsum([1.0 / n] * n)
+    deck = list(range(1, n + 1))
+    below = 1
+    for _ in range(200):
+        u1, u2 = rng.random(2)
+        i, j = _sample_move(u1, u2, cdf, n)
+        new_below = _apply_move(deck, below, i, j)
+        assert sorted(deck) == list(range(1, n + 1))
+        assert new_below >= below
+        if new_below == n:
+            deck, new_below = list(range(1, n + 1)), 1
+        below = new_below
+
+
+def test_simulate_rejects_an_empty_deck():
+    with pytest.raises(ValueError):
+        simulate_sst([], trials=10, seed=1)
+    with pytest.raises(ValueError):
+        fast_bookmark_sim([], trials=10, seed=1)
+
+
+def test_simulation_result_is_frozen():
+    result = simulate_sst(uniform(2), trials=3, seed=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.mean = 0.0
 
 
 def test_climb_probability_values():
