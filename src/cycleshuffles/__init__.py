@@ -7,7 +7,9 @@ among them).  This package computes their complete eigenvalue spectrum with
 multiplicities over exact rationals, constructs the basis that
 simultaneously triangularizes all of them, verifies the underlying algebraic
 identities by brute force at small deck sizes, and simulates the bookmark
-strong stationary time against its exact expected value.
+strong stationary time against its exact expected value.  The simulators
+live in cycleshuffles.simulate, the only module that imports numpy; the
+package root does not import it.
 """
 
 from .algebra import AlgebraElement, bilinear_form, linear_combine
@@ -44,7 +46,6 @@ from .shuffles import (
     transition_matrix,
     unweighted_weights,
 )
-from .simulate import bounds, exact_expected_tau, fast_bookmark_sim, simulate_sst
 from .spectrum import (
     SpectrumReport,
     annihilator_check,

@@ -43,9 +43,16 @@ def algebra_cap(override: int | None = None) -> int:
     if override is not None:
         return override
     env = os.environ.get(MAX_N_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_MAX_N
+    if env is None:
+        return DEFAULT_MAX_N
+    message = f"{MAX_N_ENV_VAR} must be a positive integer, got {env!r}"
+    try:
+        cap = int(env)
+    except ValueError:
+        raise ValueError(message) from None
+    if cap < 1:
+        raise ValueError(message)
+    return cap
 
 
 def require_within_cap(n: int, override: int | None = None) -> None:

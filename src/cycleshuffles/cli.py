@@ -33,7 +33,6 @@ from .shuffles import (
     unweighted_weights,
 )
 from .spectrum import delta, full_spectrum
-from .simulate import fast_bookmark_sim, simulate_sst
 
 
 def _fraction(text: str) -> Fraction:
@@ -290,6 +289,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # Imported here so that only this subcommand pays for loading numpy.
+    from .simulate import fast_bookmark_sim, simulate_sst
+
     n = args.n
     dist = uniform_distribution(n) if args.dist is None else args.dist
     if len(dist) != n:

@@ -443,3 +443,26 @@ def test_output_to_a_fifo_writes_through_it(tmp_path, capsys):
     assert received == [out]
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [("matrix", "--n", "3", "--t", "1"), ("verify", "--n", "3", "--suite", "triangularity")],
+)
+def test_bad_cap_environment_variable_is_a_usage_error(argv, value, monkeypatch, capsys):
+    monkeypatch.setenv("CYCLESHUFFLES_MAX_N", value)
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "CYCLESHUFFLES_MAX_N" in err and repr(value) in err
+
+
+def test_cap_environment_variable_sets_the_cap(monkeypatch, capsys):
+    monkeypatch.setenv("CYCLESHUFFLES_MAX_N", "5")
+    assert invoke(capsys, "matrix", "--n", "3", "--t", "1")[0] == 0
+    assert invoke(capsys, "verify", "--n", "3", "--suite", "triangularity")[0] == 0
+    code, out, err = invoke(capsys, "verify", "--n", "6", "--suite", "boolean-partition")
+    assert code == 2 and out == "" and "cap 5" in err
+    monkeypatch.setenv("CYCLESHUFFLES_MAX_N", "9")
+    assert invoke(capsys, "verify", "--n", "9", "--suite", "boolean-partition")[0] == 0
