@@ -15,6 +15,11 @@ are built on first use, never at import, and at most _GATHER_TABLES tables
 are kept.  Otherwise it composes the permutation tuples directly, so
 sparse products never touch an n!-sized table.
 
+Code that already holds integer vectors over lexicographic ranks (the basis
+columns and the Krylov sequence) multiplies them by an element with
+rank_factors and rank_product instead: the same gather tables, the
+denominator of the element cleared once, and no permutation tuples.
+
 Operations that enumerate all of S_n refuse to run above a degree cap
 (default 8, i.e. 40320 basis permutations) to guard against accidental
 factorial blowup; the cap can be lifted per call or through the
@@ -28,7 +33,7 @@ import math
 import os
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .perms import Perm, all_permutations, format_permutation, identity, inverse
 
@@ -217,6 +222,19 @@ def _gather_table(n: int, v: Perm) -> tuple[int, ...]:
     return tuple(rank[times_v(u)] for u in perms)
 
 
+class _ComposedRanks:
+    """rank(u) -> rank(u*v), composed on each lookup instead of tabulated."""
+
+    __slots__ = ("perms", "rank", "times_v")
+
+    def __init__(self, n: int, v: Perm):
+        self.perms, self.rank = sn_index(n)
+        self.times_v = _composer(v)
+
+    def __getitem__(self, r: int) -> int:
+        return self.rank[self.times_v(self.perms[r])]
+
+
 def integer_terms(terms: Mapping[Perm, Scalar]) -> tuple[int, list[tuple[Perm, int]]]:
     """A common denominator d of the coefficients and the integers d*c."""
     den = math.lcm(*(c.denominator for c in terms.values()))
@@ -228,6 +246,34 @@ def divide_terms(terms: Mapping[Perm, int], den: int) -> dict[Perm, Scalar]:
     if den == 1:
         return {w: c for w, c in terms.items() if c}
     return {w: Fraction(c, den) for w, c in terms.items() if c}
+
+
+RankFactors = list[tuple[Sequence[int], int]]
+
+
+def rank_factors(terms: Mapping[Perm, Scalar], n: int) -> tuple[int, RankFactors]:
+    """A common denominator d of the coefficients of y and, per term v of y,
+    the map rank(u) -> rank(u*v) with the integer d*[v]y: right
+    multiplication by d*y on lexicographic ranks.  Up to _GATHER_TABLES
+    terms the maps are the cached gather tables; beyond, they compose on
+    lookup, so no n!-sized table is built per term.
+    """
+    den, ys = integer_terms(terms)
+    if len(ys) <= _GATHER_TABLES:
+        return den, [(_gather_table(n, v), b) for v, b in ys]
+    return den, [(_ComposedRanks(n, v), b) for v, b in ys]
+
+
+def rank_product(row: Sequence[tuple[int, int]], factors: RankFactors) -> dict[int, int]:
+    """The integer vector row, as (rank, c) pairs, times d*y given by
+    rank_factors, keyed by rank; cancelled entries stay as zeros."""
+    product: dict[int, int] = {}
+    get = product.get
+    for table, b in factors:
+        for u, a in row:
+            k = table[u]
+            product[k] = get(k, 0) + a * b
+    return product
 
 
 def rmul_terms(

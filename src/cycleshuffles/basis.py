@@ -21,28 +21,52 @@ in a_p, instead of one bilinear form per basis element.
 
 rmul_columns is the one builder of the columns of right multiplication, in
 the permutation basis, the a-basis or the b-basis: rmul_matrix, the
-transition matrices, and the triangularity and antipode checks all draw
-their columns from it, one at a time, in lexicographic order.
+transition matrices, and the triangularity, Gram and antipode checks all
+draw their columns from it, one at a time, in lexicographic order.  The
+three bases share one integer kernel over lexicographic ranks.  Each
+family keeps its elements as rows of (rank, integer) pairs; the row of w
+is multiplied by the integer numerators of x through the gather tables of
+the algebra module; the product is expanded by the back-substitution (a)
+or the incidence (b) on rank-keyed integers; and the common denominator
+of x is divided out once per column.  expand_in_a, expand_in_b,
+dual_basis and the Gram check run the same back-substitution and
+incidence.
 """
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import itertools
-from functools import cached_property
-from typing import Iterator, Literal, Mapping
+import math
+from functools import cached_property, partial
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from .algebra import (
     AlgebraElement,
     Scalar,
     divide_terms,
     integer_terms,
+    rank_factors,
+    rank_product,
     require_within_cap,
-    rmul_terms,
     sn_index,
 )
 from .lacunar import LacunarCatalog, enumerate_lacunar, set_to_mask
 from .perms import Perm, descent_set
+
+Row = list[tuple[int, int]]
+
+
+def _young_words(w: Perm) -> Iterator[Perm]:
+    """w sigma over sigma in the Young subgroup of the descent set of w, w first."""
+    blocks: list[list[int]] = [[w[0]]]
+    for value in w[1:]:
+        if blocks[-1][-1] > value:
+            blocks[-1].append(value)
+        else:
+            blocks.append([value])
+    for choice in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        yield tuple(itertools.chain.from_iterable(choice))
 
 
 def a_element(w: Perm) -> AlgebraElement:
@@ -53,17 +77,7 @@ def a_element(w: Perm) -> AlgebraElement:
     >>> len(a_element((3, 2, 1)))
     6
     """
-    n = len(w)
-    blocks: list[list[int]] = [[w[0]]]
-    for value in w[1:]:
-        if blocks[-1][-1] > value:
-            blocks[-1].append(value)
-        else:
-            blocks.append([value])
-    terms: dict[Perm, Scalar] = {}
-    for choice in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        terms[tuple(itertools.chain.from_iterable(choice))] = 1
-    return AlgebraElement(n, terms)
+    return AlgebraElement(len(w), dict.fromkeys(_young_words(w), 1))
 
 
 def q_index(w: Perm, catalog: LacunarCatalog) -> int:
@@ -97,69 +111,108 @@ class QIndexTable:
 
 
 class BasisFamily:
-    """The a-basis of Q[S_n] (or its dual), indexed by permutations.
+    """The a-basis of Q[S_n] (or its dual) as integer rows over lexicographic
+    ranks: rows[r] lists (rank(v), [v] element) for the element indexed by
+    the r-th permutation.
 
     ``perms`` holds the lexicographic order, the order in which the change
     of basis to the permutation basis is unitriangular.
     """
 
-    def __init__(self, n: int, elements: Mapping[Perm, AlgebraElement], kind: str):
+    def __init__(self, n: int, rows: Sequence[Row], kind: str):
         self.n = n
         self.perms: tuple[Perm, ...] = sn_index(n)[0]
-        self.elements = dict(elements)
+        self.rows: tuple[Row, ...] = tuple(rows)
         self.kind = kind
 
     def __getitem__(self, w: Perm) -> AlgebraElement:
-        return self.elements[w]
+        perms, rank = sn_index(self.n)
+        return AlgebraElement(self.n, {perms[v]: c for v, c in self.rows[rank[w]]})
 
     @cached_property
-    def containing(self) -> dict[Perm, list[tuple[Perm, Scalar]]]:
-        """The transpose of the family: w -> [(p, [w] element_p), ...] over
-        the p whose element contains w, p in lexicographic order."""
-        incidence: dict[Perm, list[tuple[Perm, Scalar]]] = {w: [] for w in self.perms}
-        for p in self.perms:
-            for w, c in self.elements[p].terms.items():
-                incidence[w].append((p, c))
+    def containing(self) -> list[list[int]]:
+        """The transpose of the a-family: for each rank v, the ranks p whose
+        a_p contains v, in increasing order (every coefficient of a_p is 1)."""
+        if self.kind != "a":
+            raise ValueError("expansion in the dual basis needs the a-family")
+        incidence: list[list[int]] = [[] for _ in self.perms]
+        for p, row in enumerate(self.rows):
+            for v, _ in row:
+                incidence[v].append(p)
         return incidence
 
 
 def build_a_family(n: int, max_n: int | None = None) -> BasisFamily:
     require_within_cap(n, max_n)
-    return BasisFamily(n, {w: a_element(w) for w in sn_index(n)[0]}, kind="a")
+    perms, rank = sn_index(n)
+    return BasisFamily(n, [[(rank[v], 1) for v in _young_words(w)] for w in perms], kind="a")
+
+
+def _back_substitute(a_rows: Sequence[Row], work: dict[int, int]) -> dict[int, int]:
+    """a-coefficients of the integer vector work (rank -> int), which is used up.
+
+    At each step the largest surviving rank r must be carried by a_r (every
+    other a_v with v < r only contains ranks < r), so subtracting
+    work[r] * a_r is forced; the diagonal term of a_r is 1, so it zeroes
+    work[r].  The pending ranks are kept sorted, and every rank a_r adds is
+    below r, so the largest is always the last.
+    """
+    pending = sorted(work)
+    insort = bisect.insort
+    out: dict[int, int] = {}
+    while pending:
+        r = pending.pop()
+        c = work[r]
+        if not c:
+            continue
+        out[r] = c
+        for v, av in a_rows[r]:
+            if v in work:
+                work[v] -= c * av
+            else:
+                work[v] = -c * av
+                insort(pending, v)
+    return out
+
+
+def _pair(containing: Sequence[list[int]], y: dict[int, int]) -> dict[int, int]:
+    """b-coefficients f(a_p, y) of the integer vector y (rank -> int), through
+    the a-family's transposed incidence."""
+    out: dict[int, int] = {}
+    get = out.get
+    for v, yv in y.items():
+        if yv:
+            for p in containing[v]:
+                out[p] = get(p, 0) + yv
+    return out
+
+
+def _require_degree(family: BasisFamily, n: int) -> None:
+    if family.n != n:
+        raise ValueError(f"degree mismatch: family of degree {family.n}, element of degree {n}")
+
+
+def _perm_terms(coefficients: dict[int, int], den: int, n: int) -> dict[Perm, Scalar]:
+    """The rank-keyed integers over den, keyed by permutation, zeros dropped."""
+    perms = sn_index(n)[0]
+    return divide_terms({perms[r]: c for r, c in coefficients.items() if c}, den)
+
+
+def _rank_terms(x: AlgebraElement) -> tuple[int, dict[int, int]]:
+    """A common denominator d of x and the integers d * x keyed by rank."""
+    rank = sn_index(x.n)[1]
+    den, numerators = integer_terms(x.terms)
+    return den, {rank[w]: c for w, c in numerators}
 
 
 def expand_in_a(x: AlgebraElement, family: BasisFamily) -> dict[Perm, Scalar]:
-    """Coefficients of x in the a-basis, by descending-lex back-substitution.
-
-    At each step the lexicographically largest surviving permutation w must
-    be carried by a_w (every other a_v with v < w only contains words < w),
-    so subtracting coefficient * a_w is forced and terminates.  The
-    denominators of x are cleared first, so the elimination runs on
-    integers.
-    """
+    """Coefficients of x in the a-basis, by descending-lex back-substitution
+    on the integer numerators of x."""
     if family.kind != "a":
         raise ValueError("expansion by back-substitution needs the a-family")
-    perms, rank = sn_index(family.n)
-    den, numerators = integer_terms(x.terms)
-    work = dict(numerators)
-    heap = [-rank[w] for w in work]
-    heapq.heapify(heap)
-    out: dict[Perm, Scalar] = {}
-    while heap:
-        w = perms[-heapq.heappop(heap)]
-        c = work.get(w, 0)
-        if not c:
-            continue
-        out[w] = c
-        for v, av in family.elements[w].terms.items():
-            s = work.get(v, 0) - c * av
-            if s:
-                if v not in work:
-                    heapq.heappush(heap, -rank[v])
-                work[v] = s
-            else:
-                work.pop(v, None)
-    return divide_terms(out, den)
+    _require_degree(family, x.n)
+    den, work = _rank_terms(x)
+    return _perm_terms(_back_substitute(family.rows, work), den, x.n)
 
 
 def dual_basis(family: BasisFamily) -> BasisFamily:
@@ -171,27 +224,19 @@ def dual_basis(family: BasisFamily) -> BasisFamily:
     """
     if family.kind != "a":
         raise ValueError("dual_basis expects the a-family")
-    n = family.n
-    columns: dict[Perm, dict[Perm, Scalar]] = {w: {} for w in family.perms}
-    for v in family.perms:
-        for q, c in expand_in_a(AlgebraElement.from_perm(v), family).items():
-            columns[q][v] = c
-    return BasisFamily(
-        n, {q: AlgebraElement(n, col) for q, col in columns.items()}, kind="b"
-    )
+    rows: list[Row] = [[] for _ in family.perms]
+    for v in range(len(family.perms)):
+        for q, c in _back_substitute(family.rows, {v: 1}).items():
+            rows[q].append((v, c))
+    return BasisFamily(family.n, rows, kind="b")
 
 
 def expand_in_b(y: AlgebraElement, a_family: BasisFamily) -> dict[Perm, Scalar]:
     """Coefficients of y in the dual basis: the b_p-coefficient is f(a_p, y),
     accumulated over the support of y through the family's incidence."""
-    if a_family.kind != "a":
-        raise ValueError("expansion in the dual basis needs the a-family")
-    containing = a_family.containing
-    out: dict[Perm, Scalar] = {}
-    for w, yw in y.terms.items():
-        for p, c in containing[w]:
-            out[p] = out.get(p, 0) + c * yw
-    return {p: c for p, c in out.items() if c}
+    _require_degree(a_family, y.n)
+    den, y_ranks = _rank_terms(y)
+    return _perm_terms(_pair(a_family.containing, y_ranks), den, y.n)
 
 
 BasisName = Literal["std", "a", "b"]
@@ -226,20 +271,39 @@ def rmul_columns(
     pairs in lexicographic order of w, each computed when it is drawn.
 
     Column w maps each row index v to the coefficient of the v-th basis
-    vector in (basis vector w) * x.  The cap and the basis name are checked,
-    and the families built, when this is called.
+    vector in (basis vector w) * x.  The cap, the basis name and the degree
+    of any given family are checked, and the families built, when this is
+    called.
     """
     n = x.n
     require_within_cap(n, max_n)
     if basis == "std":
-        return ((w, rmul_terms({w: 1}, x.terms, n)) for w in sn_index(n)[0])
+        return _columns(x, ([(r, 1)] for r in range(math.factorial(n))), None)
     if basis not in ("a", "b"):
         raise ValueError(f"unknown basis {basis!r}; expected std, a or b")
+    for family in (a_family, b_family):
+        if family is not None:
+            _require_degree(family, n)
     a_family = a_family or build_a_family(n, max_n)
     if basis == "a":
-        return ((w, expand_in_a(a_family.elements[w] * x, a_family)) for w in a_family.perms)
+        return _columns(x, a_family.rows, partial(_back_substitute, a_family.rows))
     b_family = b_family or dual_basis(a_family)
-    return ((w, expand_in_b(b_family.elements[w] * x, a_family)) for w in a_family.perms)
+    return _columns(x, b_family.rows, partial(_pair, a_family.containing))
+
+
+def _columns(
+    x: AlgebraElement,
+    rows: Iterable[Row],
+    expand: Callable[[dict[int, int]], dict[int, int]] | None,
+) -> Iterator[tuple[Perm, dict[Perm, Scalar]]]:
+    """The integer kernel of rmul_columns: the row of each basis vector, in
+    lexicographic order, times the integer numerators d * x through the
+    gather tables, expanded back into the basis over ranks (the std basis
+    needs no expansion) and divided by d once per column."""
+    den, factors = rank_factors(x.terms, x.n)
+    for w, row in zip(sn_index(x.n)[0], rows):
+        product = rank_product(row, factors)
+        yield w, _perm_terms(product if expand is None else expand(product), den, x.n)
 
 
 def rmul_matrix(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebra import AlgebraElement, Scalar, require_within_cap, rmul_terms
+from .algebra import AlgebraElement, Scalar, rank_factors, rank_product, require_within_cap
 from .lacunar import LacunarCatalog, Subset, is_lacunar, m_vector
 from .polys import Polynomial
 from .shuffles import WeightVector, combine
@@ -152,35 +152,42 @@ def annihilator_check(
 
 def _krylov_annihilator(x: AlgebraElement) -> Polynomial:
     """Monic annihilator of the identity under repeated right multiplication
-    by x, via incremental Gaussian elimination on the Krylov sequence."""
-    pivots: list[tuple] = []  # (pivot perm, reduced vector, combination over powers)
-    current = {tuple(range(1, x.n + 1)): 1}
-    power = 0
+    by x, via incremental fraction-free elimination on the Krylov sequence.
+
+    With d a common denominator of x, the sequence (d x)^k is kept as
+    integer vectors over lexicographic ranks.  Each new vector is reduced
+    against the stored pivots by vec <- (lead/g) vec - (c/g) pivot_vec, with
+    g = gcd(lead, c), together with its combination over the powers, and
+    the content of both is divided out after each step.  The first vector
+    that reduces to zero gives sum of combo[k] (d x)^k = 0, so the
+    polynomial has coefficients combo[k] d^k.
+    """
+    size = math.factorial(x.n)
+    den, factors = rank_factors(x.terms, x.n)
+    current = [1] + [0] * (size - 1)  # the identity has lexicographic rank 0
+    pivots: list[tuple[int, list[int], list[int]]] = []  # (rank, vector, combination)
     while True:
-        vec = {w: Fraction(c) for w, c in current.items()}
-        combo = [Fraction(0)] * (power + 1)
-        combo[power] = Fraction(1)
+        vec, combo = current, [0] * len(pivots) + [1]
         for pivot, pvec, pcombo in pivots:
-            c = vec.get(pivot)
+            c = vec[pivot]
             if not c:
                 continue
-            for w, pv in pvec.items():
-                s = vec.get(w, Fraction(0)) - c * pv
-                if s:
-                    vec[w] = s
-                else:
-                    vec.pop(w, None)
+            g = math.gcd(pvec[pivot], c)
+            lead, c = pvec[pivot] // g, c // g
+            vec = [lead * v - c * pv for v, pv in zip(vec, pvec)]
+            combo = [lead * v for v in combo]
             for k, pc in enumerate(pcombo):
                 combo[k] -= c * pc
-        if not vec:
-            return Polynomial(combo).monic()
-        pivot = next(iter(vec))
-        lead = vec[pivot]
-        vec = {w: c / lead for w, c in vec.items()}
-        combo = [c / lead for c in combo]
+            content = math.gcd(*vec, *combo)
+            if content > 1:
+                vec = [v // content for v in vec]
+                combo = [v // content for v in combo]
+        pivot = next((r for r, v in enumerate(vec) if v), None)
+        if pivot is None:
+            return Polynomial([c * den**k for k, c in enumerate(combo)]).monic()
         pivots.append((pivot, vec, combo))
-        current = rmul_terms(current, x.terms, x.n)
-        power += 1
+        following = rank_product([(r, a) for r, a in enumerate(current) if a], factors)
+        current = [following.get(r, 0) for r in range(size)]
 
 
 def minimal_polynomial(x: AlgebraElement, max_n: int = 5) -> Polynomial:

@@ -123,7 +123,7 @@ def test_criterion_03_triangularity_and_printed_expansion():
         results = check_triangularity(n)
         assert all(r.passed for r in results), [r.detail for r in results if not r.passed]
     family = build_a_family(4)
-    expansion = expand_in_a(family.elements[(4, 3, 1, 2)] * build_t(4, 2), family)
+    expansion = expand_in_a(family[(4, 3, 1, 2)] * build_t(4, 2), family)
     assert expansion == {
         (4, 3, 1, 2): 1,
         (4, 3, 2, 1): 1,
@@ -251,9 +251,9 @@ def test_criterion_09_duality_and_dual_triangularity():
         family = build_a_family(n)
         b_family = dual_basis(family)
         for p in family.perms:
-            ap = family.elements[p]
+            ap = family[p]
             for q in family.perms:
-                assert bilinear_form(ap, b_family.elements[q]) == (1 if p == q else 0)
+                assert bilinear_form(ap, b_family[q]) == (1 if p == q else 0)
     for n in range(2, 6):
         results = [r for r in check_duality(n) if "upper-triangular" in r.name]
         assert len(results) == n

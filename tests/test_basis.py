@@ -22,7 +22,14 @@ from cycleshuffles.basis import (
 )
 from cycleshuffles.lacunar import enumerate_lacunar, m_vector, non_shadow
 from cycleshuffles.perms import all_permutations, compose, cycle, descent_set, identity
-from cycleshuffles.shuffles import build_osc, build_t, build_t_prime, transition_matrix, uniform_distribution
+from cycleshuffles.shuffles import (
+    build_osc,
+    build_t,
+    build_t_prime,
+    combine,
+    transition_matrix,
+    uniform_distribution,
+)
 
 
 def element(n, *words):
@@ -153,15 +160,15 @@ def test_q_index_table_counts():
 def test_expand_in_a_is_inverse_of_building():
     family = build_a_family(4)
     for w in family.perms:
-        assert expand_in_a(family.elements[w], family) == {w: 1}
+        assert expand_in_a(family[w], family) == {w: 1}
     # round-trip a generic combination
-    combo = family.elements[(2, 1, 4, 3)] * 3 - family.elements[(1, 3, 2, 4)]
+    combo = family[(2, 1, 4, 3)] * 3 - family[(1, 3, 2, 4)]
     assert expand_in_a(combo, family) == {(2, 1, 4, 3): 3, (1, 3, 2, 4): -1}
 
 
 def test_printed_expansion_of_a4312_times_t2():
     family = build_a_family(4)
-    got = expand_in_a(family.elements[(4, 3, 1, 2)] * build_t(4, 2), family)
+    got = expand_in_a(family[(4, 3, 1, 2)] * build_t(4, 2), family)
     assert got == {
         (4, 3, 1, 2): 1,
         (4, 3, 2, 1): 1,
@@ -173,11 +180,11 @@ def test_printed_expansion_of_a4312_times_t2():
 
 def test_dual_basis_small_cases():
     fam1 = build_a_family(1)
-    assert dual_basis(fam1).elements[(1,)] == element(1, (1,))
+    assert dual_basis(fam1)[(1,)] == element(1, (1,))
     fam2 = build_a_family(2)
     b = dual_basis(fam2)
-    assert b.elements[(1, 2)] == AlgebraElement(2, {(1, 2): 1, (2, 1): -1})
-    assert b.elements[(2, 1)] == AlgebraElement(2, {(2, 1): 1})
+    assert b[(1, 2)] == AlgebraElement(2, {(1, 2): 1, (2, 1): -1})
+    assert b[(2, 1)] == AlgebraElement(2, {(2, 1): 1})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -186,13 +193,13 @@ def test_gram_matrix_identity(n):
     b_family = dual_basis(family)
     for p in family.perms:
         for q in family.perms:
-            assert bilinear_form(family.elements[p], b_family.elements[q]) == (p == q)
+            assert bilinear_form(family[p], b_family[q]) == (p == q)
 
 
 def test_expand_in_b_recovers_dual_coefficients():
     family = build_a_family(3)
     b_family = dual_basis(family)
-    y = b_family.elements[(2, 1, 3)] * 5 - b_family.elements[(3, 2, 1)]
+    y = b_family[(2, 1, 3)] * 5 - b_family[(3, 2, 1)]
     assert expand_in_b(y, family) == {(2, 1, 3): 5, (3, 2, 1): -1}
 
 
@@ -289,7 +296,7 @@ def expand_in_b_oracle(y, family):
     incidence-based expand_in_b."""
     out = {}
     for p in family.perms:
-        c = bilinear_form(family.elements[p], y)
+        c = bilinear_form(family[p], y)
         if c:
             out[p] = c
     return out
@@ -302,7 +309,7 @@ def test_expand_in_b_matches_the_bilinear_form_oracle(n):
     for ell in range(1, n + 1):
         tp = build_t_prime(n, ell)
         for q in family.perms:
-            y = b_family.elements[q] * tp
+            y = b_family[q] * tp
             assert expand_in_b(y, family) == expand_in_b_oracle(y, family)
 
 
@@ -315,15 +322,15 @@ def test_expand_in_a_with_fraction_coefficients_rebuilds_the_element():
             4, {w: Fraction(rng.randrange(-5, 6), rng.randrange(1, 7)) for w in support}
         )
         coeffs = expand_in_a(x, family)
-        assert linear_combine((c, family.elements[p]) for p, c in coeffs.items()) == x
+        assert linear_combine((c, family[p]) for p, c in coeffs.items()) == x
     assert expand_in_a(AlgebraElement.zero(4), family) == {}
 
 
 def test_incidence_is_cached_per_family():
     family = build_a_family(3)
     assert family.containing is family.containing
-    identity_in = [p for p in family.perms if (1, 2, 3) in family.elements[p].terms]
-    assert family.containing[(1, 2, 3)] == [(p, 1) for p in identity_in]
+    identity_in = [r for r, p in enumerate(family.perms) if (1, 2, 3) in family[p].terms]
+    assert family.containing[0] == identity_in
     # a second family gets its own table, never one left over from another instance
     other = build_a_family(3)
     assert other.containing is not family.containing
@@ -366,6 +373,20 @@ def test_the_cap_is_checked_before_s_n_is_enumerated(basis_name, forbid_enumerat
         rmul_matrix(build_t(9, 1), basis_name, "lex")
 
 
+@pytest.mark.parametrize("basis_name", ["a", "b"])
+def test_a_family_of_another_degree_is_refused(basis_name):
+    family = build_a_family(3)
+    b_family = dual_basis(family)
+    x = build_t(4, 1)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        rmul_columns(x, basis_name, family, b_family)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        rmul_columns(x, basis_name, build_a_family(4), b_family)
+    expand = {"a": expand_in_a, "b": expand_in_b}[basis_name]
+    with pytest.raises(ValueError, match="degree mismatch"):
+        expand(x, family)
+
+
 def test_rmul_columns_checks_its_basis_on_the_call():
     with pytest.raises(ValueError, match="unknown basis"):
         rmul_columns(build_t(3, 1), "c")
@@ -373,23 +394,93 @@ def test_rmul_columns_checks_its_basis_on_the_call():
 
 @pytest.mark.parametrize("basis_name", ["std", "a", "b"])
 def test_rmul_columns_draws_lex_columns_one_at_a_time(basis_name, monkeypatch):
+    expansion = {"std": None, "a": "_back_substitute", "b": "_pair"}[basis_name]
     family = build_a_family(4)
     b_family = dual_basis(family)
     x = build_t(4, 2)
-    drawn = []
-    for name in ("rmul_terms", "expand_in_a", "expand_in_b"):
+    # the first column, w = identity, is x itself times the identity's basis vector
+    first = {"std": x, "a": a_element(identity(4)) * x, "b": b_family[identity(4)] * x}[basis_name]
+    made = []
+    for name in ("rank_factors", "_perm_terms", expansion):
+        if name is None:
+            continue
         real = getattr(basis, name)
 
         def counted(*args, _real=real, _name=name):
-            drawn.append(_name)
+            made.append(_name)
             return _real(*args)
 
         monkeypatch.setattr(basis, name, counted)
     columns = rmul_columns(x, basis_name, family, b_family)
-    assert drawn == []
-    w, column = next(columns)
-    assert w == identity(4)
-    assert len(drawn) == 1
-    expected = {"std": x.terms, "a": expand_in_a(x, family), "b": expand_in_b(b_family[w] * x, family)}
-    assert column == expected[basis_name]
-    assert [w for w, _ in columns] == list(all_permutations(4))[1:]
+    assert made == []  # nothing is computed before the first draw
+    drawn = []
+    for k, (w, column) in enumerate(columns, start=1):
+        # the factors of x once, then one column (and one expansion) per draw
+        assert made.count("rank_factors") == 1
+        assert made.count("_perm_terms") == k
+        if expansion is not None:
+            assert made.count(expansion) == k
+        drawn.append((w, column))
+    assert [w for w, _ in drawn] == list(all_permutations(4))
+    w, column = drawn[0]
+    if basis_name == "std":
+        assert column == first.terms
+    elif basis_name == "a":
+        assert _rebuild(column, a_element, 4) == first
+    else:
+        assert column == expand_in_b_oracle(first, family)
+
+
+def _rebuild(column, vector, n):
+    """sum of c_v * vector(v) over the column, in group-algebra arithmetic."""
+    return linear_combine([(1, AlgebraElement.zero(n)), *((c, vector(v)) for v, c in column.items())])
+
+
+def _shuffles_to_rebuild(n):
+    yield "zero", AlgebraElement.zero(n)
+    for ell in range(1, n + 1):
+        yield f"t_{ell}", build_t(n, ell)
+        yield f"t'_{ell}", build_t_prime(n, ell)
+    yield "osc(uniform)", build_osc(uniform_distribution(n))
+    yield "osc(point mass)", build_osc((1,) + (0,) * (n - 1))
+    yield "pseudo-random", combine(checks.pseudo_random_weights(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("basis_name", ["a", "b"])
+def test_every_column_rebuilds_its_product(basis_name, n):
+    """Column w of R(x) in the a-basis (b-basis) holds the c_v with
+    sum of c_v a_v = a_w x (sum of c_p b_p = b_w x); both sides are built
+    with AlgebraElement arithmetic, a_v from its definition and b_p checked
+    against it by the bilinear form."""
+    family = build_a_family(n)
+    b_family = dual_basis(family)
+    if basis_name == "a":
+        vector = a_element
+    else:
+        vector = b_family.__getitem__
+        for p in family.perms:
+            for q in family.perms:
+                assert bilinear_form(a_element(p), b_family[q]) == (p == q)
+    for label, x in _shuffles_to_rebuild(n):
+        for w, column in rmul_columns(x, basis_name, family, b_family):
+            assert _rebuild(column, vector, n) == vector(w) * x, (label, w)
+
+
+@pytest.mark.parametrize("basis_name", ["std", "a", "b"])
+def test_a_factor_with_more_terms_than_gather_tables_is_composed(basis_name, monkeypatch):
+    """Right factors above the gather-table budget compose permutations on
+    each lookup; the columns still rebuild their products."""
+    from cycleshuffles import algebra
+
+    n = 5
+    x = AlgebraElement(
+        n, {w: Fraction(k % 7 - 3, 1 + k % 4) for k, w in enumerate(all_permutations(n)) if k % 5}
+    )
+    assert len(x) > algebra._GATHER_TABLES
+    family = build_a_family(n)
+    b_family = dual_basis(family)
+    vector = {"std": lambda w: AlgebraElement.from_perm(w), "a": a_element, "b": b_family.__getitem__}
+    monkeypatch.setattr(algebra, "_gather_table", None)  # no n!-sized table may be built
+    for w, column in rmul_columns(x, basis_name, family, b_family):
+        assert _rebuild(column, vector[basis_name], n) == vector[basis_name](w) * x

@@ -50,6 +50,15 @@ def _cases() -> list[tuple[str, ...]]:
             for basis in ("std", "a", "b"):
                 for order in ("lex", "qindex", "qindex-desc"):
                     cases.append(("matrix", "--n", str(n), *flags, "--basis", basis, "--order", order))
+    uniform5 = ",".join(["1/5"] * 5)
+    for basis in ("a", "b"):
+        for fmt in ("csv", "json"):
+            cases.append(
+                ("matrix", "--n", "5", "--osc", uniform5, "--basis", basis, "--order", "qindex", "--format", fmt)
+            )
+    cases.append(("matrix", "--n", "5", "--t", "2", "--basis", "b", "--order", "qindex-desc"))
+    for suite in ("triangularity", "duality"):
+        cases.append(("verify", "--n", "6", "--suite", suite, "--format", "json"))
     for n in range(1, 6):
         point_mass = ",".join(["1"] + ["0"] * (n - 1))
         for flags in ((), ("--fast",), ("--dist", point_mass)):

@@ -209,6 +209,74 @@ def test_minimal_polynomial_rejects_a_relation_that_does_not_annihilate(monkeypa
         minimal_polynomial(combine(ones(4)))
 
 
+def fraction_krylov(x):
+    """The Fraction elimination the fraction-free _krylov_annihilator
+    replaced: Gauss-Jordan on the Krylov sequence of x as Perm-keyed
+    Fraction vectors, each new pivot normalized to 1."""
+    pivots = []  # (pivot perm, reduced vector, combination over powers)
+    current = {tuple(range(1, x.n + 1)): 1}
+    power = 0
+    while True:
+        vec = {w: Fraction(c) for w, c in current.items()}
+        combo = [Fraction(0)] * (power + 1)
+        combo[power] = Fraction(1)
+        for pivot, pvec, pcombo in pivots:
+            c = vec.get(pivot)
+            if not c:
+                continue
+            for w, pv in pvec.items():
+                s = vec.get(w, Fraction(0)) - c * pv
+                if s:
+                    vec[w] = s
+                else:
+                    vec.pop(w, None)
+            for k, pc in enumerate(pcombo):
+                combo[k] -= c * pc
+        if not vec:
+            return Polynomial(combo).monic()
+        pivot = next(iter(vec))
+        lead = vec[pivot]
+        vec = {w: c / lead for w, c in vec.items()}
+        combo = [c / lead for c in combo]
+        pivots.append((pivot, vec, combo))
+        current = (AlgebraElement(x.n, current) * x).terms
+        power += 1
+
+
+KRYLOV_CASES = [
+    (n, name, weights)
+    for n in range(1, 6)
+    for name, weights in (
+        ("r2b", r2b_weights),
+        ("t2r", t2r_weights),
+        ("unweighted", unweighted_weights),
+        ("signed", pseudo_random_weights),
+    )
+] + [(6, "r2b", r2b_weights)]
+
+
+@pytest.mark.parametrize(
+    "n, name, weights", KRYLOV_CASES, ids=[f"{name}-{n}" for n, name, _ in KRYLOV_CASES]
+)
+def test_fraction_free_krylov_matches_the_fraction_elimination(n, name, weights):
+    from cycleshuffles import spectrum
+
+    x = combine(weights(n))
+    expected = fraction_krylov(x)
+    got = spectrum._krylov_annihilator(x)
+    assert got == expected
+    assert [str(c) for c in got.coeffs] == [str(c) for c in expected.coeffs]
+    assert minimal_polynomial(x, max_n=n) == expected
+
+
+def test_fraction_free_krylov_of_zero_and_one():
+    from cycleshuffles import spectrum
+
+    for n in (1, 3):
+        assert spectrum._krylov_annihilator(AlgebraElement.zero(n)) == Polynomial((0, 1))
+        assert spectrum._krylov_annihilator(AlgebraElement.one(n)) == Polynomial.x_minus(1)
+
+
 def test_minimal_polynomial_divides_annihilator():
     # one factor per lacunar set: equal eigenvalues repeat, and the minimal
     # polynomial may genuinely need the repeat (n=4 all-ones has (x-4)^2)
