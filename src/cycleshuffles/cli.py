@@ -2,8 +2,9 @@
 verification suites and strong-stationary-time simulation.
 
 Exit codes: 0 on success (and all checks passing), 1 on a verification
-failure, 2 on a usage or I/O error (malformed rationals, degree over cap,
-P(1) = 0 for simulate, an unwritable --output, ...).
+failure, 2 on a usage, I/O or memory error (malformed rationals, degree
+over cap, P(1) = 0 for simulate, an unwritable --output, more trials than
+memory holds, ...).
 """
 
 from __future__ import annotations
@@ -327,8 +328,8 @@ def run(argv) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -15,10 +15,16 @@ Randomness is Philox4x64-10 ("philox4x64", Salmon et al., SC'11): trial t
 of a run seeded s draws the stream keyed (s, t), the stream numpy's
 Philox(key=[s, t]) produces.  simulate_sst computes those streams itself
 with a vectorised numpy Philox kernel, checked word for word against
-numpy's Philox in the tests, and advances a batch of trials in lockstep, one
-block of four words (two steps) per pass.  Results therefore depend only on
-(seed, trials), never on the batch size.  Means and standard errors are
-derived from exact integer sums of the sampled times.
+numpy's Philox in the tests, and advances SST_LANES lanes in lockstep, one
+block of four words (two steps) per pass, each lane at its own block index.
+A lane whose trial has finished takes the next unused stream and starts it
+at block 0, so every lane stays busy until the streams run out.  Results
+therefore depend only on (seed, trials), never on the lane count.
+fast_bookmark_sim draws each geometric stage as numpy's Generator.geometric
+does, draw for draw: below p = 1/3 that is inversion of one Exp(1) variate,
+ceil(E / -log1p(-p)) (Devroye 1986, X.2), done here over the whole stage at
+once.  Means and standard errors are derived from exact integer sums of the
+sampled times.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ RNG_ID = "philox4x64"
 _U64 = (1 << 64) - 1
 _FAST_SIM_KEY_OFFSET = 1 << 63
 
-# Trials simulated side by side in simulate_sst; bounds its memory only.
+# Lanes simulated side by side in simulate_sst, each refilled with the next
+# trial when its own finishes; bounds its memory only.
 SST_LANES = 16_384
 
 # Philox4x64-10 constants, stacked as (counter word 0, counter word 2) and
@@ -88,10 +95,11 @@ def _trial_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _philox_block(seed: int, streams: np.ndarray, block: int) -> np.ndarray:
+def _philox_block(seed: int, streams: np.ndarray, block: int | np.ndarray) -> np.ndarray:
     """Words 4 * block .. 4 * block + 3 of the Philox4x64-10 streams keyed
     (seed mod 2^64, stream), one column per stream: the counter
-    (block + 1, 0, 0, 0) through ten rounds, as numpy's Philox draws them."""
+    (block + 1, 0, 0, 0) through ten rounds, as numpy's Philox draws them.
+    block is one index for every stream or an array of one per stream."""
     lanes = len(streams)
     key = np.empty((2, lanes), dtype=np.uint64)
     key[0] = seed & _U64
@@ -205,44 +213,61 @@ def simulate_sst(
     """Run the full deck chain until the bookmark tops out, for every trial.
 
     Requires P(1) > 0.  Trial t consumes the Philox stream keyed (seed, t),
-    two doubles (u1, u2) per step.  Batches of SST_LANES trials advance in
-    lockstep: each pass draws the next block of every live stream, makes its
-    two steps, and retires the trials whose bookmark has topped out.  The
-    batch size bounds memory only; results depend only on (seed, trials).
+    two doubles (u1, u2) per step.  SST_LANES lanes advance in lockstep: each
+    pass draws the next block of every lane's stream and makes its two
+    steps, a trial that tops out on the first step sitting out the second.
+    At the end of the pass each finished lane takes the next unused stream
+    and starts it at block 0; once none is left, finished lanes are dropped.
+    The lane count bounds memory only; results depend only on (seed, trials).
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     probs = _validated(probabilities)
     cdf = np.cumsum([float(p) for p in probs])
     n = len(probs)
+    lanes = min(SST_LANES, trials)
+    streams = np.arange(lanes, dtype=np.uint64)
+    start = np.zeros(lanes, dtype=np.int64)  # the pass in which each lane's trial began
+    below = np.ones(lanes, dtype=np.int64)
+    steps = np.zeros(lanes, dtype=np.int64)
+    identity = np.arange(1, n + 1)
+    decks = np.tile(identity, (lanes, 1)) if record_final else None
+    unused = lanes  # the next stream no lane has taken
     taus: Counter = Counter()
     finals: list[np.ndarray] = []
-    for first in range(0, trials, SST_LANES):
-        streams = np.arange(first, min(first + SST_LANES, trials), dtype=np.uint64)
-        below = np.ones(len(streams), dtype=np.int64)
-        decks = np.tile(np.arange(1, n + 1), (len(streams), 1)) if record_final else None
-        for steps in count():
-            done = below == n
+    for tick in count():  # one pass, one block per lane
+        done = below == n
+        if done.any():
+            taus.update(steps[done].tolist())
+            if decks is not None:
+                finals.append(decks[done])
+            refill = np.flatnonzero(done)[: trials - unused]
+            done[refill] = False
+            streams[refill] = np.arange(unused, unused + len(refill), dtype=np.uint64)
+            unused += len(refill)
+            start[refill] = tick
+            below[refill] = 1
+            steps[refill] = 0
+            if decks is not None:
+                decks[refill] = identity
             if done.any():
-                taus[steps] += int(np.count_nonzero(done))
                 live = ~done
-                streams, below = streams[live], below[live]
-                if steps % 2:  # the block's second step is still to come
-                    uniforms = uniforms[:, live]
+                streams, start, below, steps = streams[live], start[live], below[live], steps[live]
                 if decks is not None:
-                    finals.append(decks[done])
                     decks = decks[live]
                 if not len(streams):
                     break
-            if steps % 2 == 0:
-                words = _philox_block(seed, streams, steps // 2)
-                uniforms = (words >> np.uint64(11)) * 2.0**-53
-            half = 2 * (steps % 2)
+        words = _philox_block(seed, streams, tick - start)
+        uniforms = (words >> np.uint64(11)) * 2.0**-53
+        for half in (0, 2):
             i, j = _sample_move(uniforms[half], uniforms[half + 1], cdf, n)
+            live = below < n
+            steps += live
+            # a finished lane has gap 0, which no card can cross
             gap = n - below
             below += (i <= gap) & (gap <= j)
             if decks is not None:
-                decks = _move_rows(decks, i, j)
+                decks = _move_rows(decks, i, np.where(live, j, i))
     final_counts = None
     if record_final:
         final_counts = Counter(map(tuple, np.concatenate(finals).tolist()))
@@ -275,6 +300,19 @@ def stage_probabilities(probabilities: Sequence[Scalar]) -> tuple[Fraction, ...]
     return tuple((b + 1) * prefix[n - b - 1] for b in range(1, n))
 
 
+def _geometric(rng: np.random.Generator, p: float, out: np.ndarray) -> np.ndarray:
+    """The draws of rng.geometric(p, size=len(out)), draw for draw.  For
+    0 < p < 1/3 numpy inverts one Exp(1) variate per draw,
+    ceil(E / -log1p(-p)); this takes the variates in one call and inverts
+    them in bulk, in the float64 buffer out.  Other p, where numpy
+    searches, go to numpy itself."""
+    if 0 < p < 1 / 3:
+        rng.standard_exponential(out=out)
+        out /= -math.log1p(-p)
+        return np.ceil(out, out=out)
+    return rng.geometric(p, size=len(out))
+
+
 def fast_bookmark_sim(probabilities: Sequence[Scalar], trials: int, seed: int) -> SimulationResult:
     """Bookmark-only simulation of the shuffle with position distribution P.
 
@@ -283,18 +321,26 @@ def fast_bookmark_sim(probabilities: Sequence[Scalar], trials: int, seed: int) -
     independent; tau is their sum over b = 1..n-1 and has the law of
     simulate_sst's tau for the same P.  Requires P(1) > 0.  Stage draws
     use Philox streams keyed off the high key half so they never collide
-    with simulate_sst's per-trial streams.
+    with simulate_sst's per-trial streams.  The times are summed in float64,
+    which counts them exactly below 2^53; a run in which some tau reaches
+    2^53 is refused.
     """
     n = len(probabilities)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     probs = _validated(probabilities)
-    totals = np.zeros(trials, dtype=np.int64)
+    totals = np.zeros(trials)
+    draws = np.empty(trials)
     for below, p in enumerate(stage_probabilities(probs), start=1):
         rng = _trial_rng(seed, _FAST_SIM_KEY_OFFSET + below)
-        totals += rng.geometric(float(p), size=trials)
+        totals += _geometric(rng, float(p), draws)
+    if totals.max() >= 2.0**53:
+        raise ValueError(
+            "a simulated tau reached 2^53 steps, beyond exact counting; "
+            "the stage probabilities are too small to simulate"
+        )
     values, counts = np.unique(totals, return_counts=True)
-    taus = Counter(dict(zip(values.tolist(), counts.tolist())))
+    taus = Counter(dict(zip(map(int, values.tolist()), counts.tolist())))
     return _summarize(n, trials, seed, taus, probs, final_counts=None)
 
 

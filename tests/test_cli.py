@@ -194,6 +194,36 @@ def test_simulate_fast_accepts_non_uniform_dist(capsys):
     assert "top card" in err
 
 
+def test_simulate_fast_refuses_a_tau_beyond_exact_counting(capsys):
+    tiny = "1/" + "1" + "0" * 30
+    big = "9" * 30 + "/1" + "0" * 30
+    code, out, err = invoke(
+        capsys, "simulate", "--n", "3", "--trials", "5", "--seed", "1", "--fast",
+        "--dist", f"{tiny},{big},0", "--format", "text",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "2^53" in err
+
+
+@pytest.mark.parametrize(
+    "message", ["Unable to allocate 7.28 TiB", ""], ids=["numpy-message", "no-message"]
+)
+def test_out_of_memory_is_an_input_error(message, monkeypatch, capsys):
+    import numpy as np
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    code, out, err = invoke(
+        capsys, "simulate", "--n", "3", "--trials", "5", "--seed", "1", "--fast"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message or 'out of memory'}\n"
+
+
 def test_simulate_p1_zero_is_usage_error(capsys):
     code, _, err = invoke(
         capsys, "simulate", "--n", "3", "--trials", "10", "--seed", "1",

@@ -412,6 +412,59 @@ def test_philox_kernel_matches_numpy_philox():
             key = np.array([seed & ((1 << 64) - 1), stream], dtype=np.uint64)
             assert np.array_equal(words[t], np.random.Philox(key=key).random_raw(4 * blocks))
             assert np.array_equal(doubles[t], _trial_rng(seed, stream).random(4 * blocks))
+    # one block index per lane, as simulate_sst passes them; Philox(counter=b)
+    # starts numpy's stream at block b
+    key = np.array([3, 4], dtype=np.uint64)
+    head = np.random.Philox(key=key).random_raw(12).reshape(3, 4)
+    for b in range(3):
+        assert np.array_equal(np.random.Philox(counter=b, key=key).random_raw(4), head[b])
+    lane_blocks = [0, 1, 2, 1 << 32, (1 << 32) - 1, (1 << 62) + 5, (1 << 64) - 2]
+    lane_blocks += [int(b) for b in draws.integers(0, 1 << 63, len(streams) - len(lane_blocks))]
+    for seed in seeds:
+        for index in (lane_blocks, lane_blocks[::-1]):
+            index = np.array(index, dtype=np.uint64)
+            words = _philox_block(seed, streams, index)
+            for t, stream in enumerate(streams.tolist()):
+                key = np.array([seed & ((1 << 64) - 1), stream], dtype=np.uint64)
+                expected = np.random.Philox(counter=int(index[t]), key=key).random_raw(4)
+                assert np.array_equal(words[:, t], expected)
+    # a small int64 index array is read as the same counters
+    small = np.arange(len(streams), dtype=np.int64) % 3
+    assert np.array_equal(
+        _philox_block(5, streams, small), _philox_block(5, streams, small.astype(np.uint64))
+    )
+
+
+def test_bulk_stage_sampler_equals_numpy_geometric():
+    draws = np.random.default_rng(20261018)
+    grid = [1.0, 0.5, 1 / 3, float(np.nextafter(1 / 3, 0)), 0.2, 1e-3, 1e-9]
+    grid += draws.uniform(0, 1, 6).tolist() + (10.0 ** -draws.uniform(0, 12, 6)).tolist()
+    size = 4099
+    for key in ([0, 0], [7, 1 << 63], [(1 << 64) - 1, 12345]):
+        key = np.array(key, dtype=np.uint64)
+        for p in grid:
+            expected = np.random.Generator(np.random.Philox(key=key)).geometric(p, size=size)
+            rng = np.random.Generator(np.random.Philox(key=key))
+            bulk = simulate._geometric(rng, p, np.full(size, -1.0))
+            assert np.array_equal(bulk, expected), (key, p)
+            # the stream is left where numpy's own draws leave it
+            after = np.random.Generator(np.random.Philox(key=key))
+            after.geometric(p, size=size)
+            assert rng.random() == after.random()
+
+
+def test_fast_sim_refuses_a_tau_beyond_exact_counting():
+    # the last stage probability is P(1); numpy clamped its draw to 2^63 - 1
+    # and the int64 sum wrapped; 2^-56 gives taus of about 2^56, past 2^53
+    # but far below the clamp
+    for tiny in (Fraction(1, 10**30), Fraction(1, 2**56)):
+        with pytest.raises(ValueError, match="2\\^53"):
+            fast_bookmark_sim([tiny, 1 - tiny, Fraction(0)], trials=5, seed=1)
+    # the same P with a stage probability of 2^-40: every tau stays countable
+    small = Fraction(1, 2**40)
+    result = fast_bookmark_sim([small, 1 - small, Fraction(0)], trials=5, seed=1)
+    assert all(0 < tau < 2**53 and isinstance(tau, int) for tau, _ in result.histogram)
+    assert sum(c for _, c in result.histogram) == 5
 
 
 def test_move_rows_equals_apply_move_row_by_row():
