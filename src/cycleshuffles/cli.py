@@ -16,14 +16,16 @@ import io
 import itertools
 import json
 import os
+import re
 import stat
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import MAX_N_ENV_VAR
 from .basis import rmul_matrix
 from .checks import SUITES, run_suite
-from .lacunar import enumerate_lacunar, format_subset, non_shadow
+from .lacunar import enumerate_lacunar, format_subset, gap_table, mask_members, walk_gaps
 from .perms import format_permutation
 from .shuffles import (
     build_osc,
@@ -33,7 +35,7 @@ from .shuffles import (
     uniform_distribution,
     unweighted_weights,
 )
-from .spectrum import delta, full_spectrum
+from .spectrum import full_spectrum
 
 
 def _fraction(text: str) -> Fraction:
@@ -173,8 +175,74 @@ def _emit(text: str, output: str | None) -> None:
         raise OSError(exc.errno, exc.strerror, output) from None
 
 
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@lru_cache(maxsize=None)
+def _json_level(depth: int) -> tuple[json.JSONEncoder, re.Pattern]:
+    """The C encoder of the containers at this depth, and the split between them."""
+    separator = ",\n" + "  " * (depth + 1)
+    boundary = re.compile(separator + "(?<=[\\]}]" + separator + ")")
+    return json.JSONEncoder(separators=(separator, ": ")), boundary
+
+
+def _json_texts(containers: list, depth: int) -> list[str]:
+    """json.dumps(c, indent=2) of each container, as it reads at this depth.
+
+    With an indent the stdlib falls back to its pure-Python encoder, so here
+    the C encoder writes all the containers of one depth in a single call,
+    with the line break and indent of depth + 1 as the item separator.  A
+    child container stands in as null and is written with the next depth.
+    A raw line break never occurs inside an encoded key or scalar, and only
+    a container's text ends in a bracket, so a bracket and the separator
+    split the containers, and the separator alone splits their items.
+    """
+    encoder, boundary = _json_level(depth)
+    separator = encoder.item_separator
+    shallow, stand_ins, children = [], [], []
+    for container in containers:
+        values = container.values() if isinstance(container, dict) else container
+        held: list[int] | tuple = ()  # the places of the child containers
+        if not _SCALARS.issuperset(map(type, values)):  # plain scalars skip the search
+            held = [i for i, value in enumerate(values) if isinstance(value, _CONTAINERS)]
+        if held:
+            values = list(values)
+            children += (values[i] for i in held)
+            for i in held:
+                values[i] = None
+            container = dict(zip(container, values)) if isinstance(container, dict) else values
+        shallow.append(container)
+        stand_ins.append(held)
+    texts = boundary.split(encoder.encode(shallow))
+    texts[0] = texts[0][1:]  # the brackets of the list of them all
+    texts[-1] = texts[-1][:-1]
+    del shallow  # the copies with stand-ins are done with before the next depth
+    # popped from the end, so that each child's text is freed once it is copied in
+    child_texts = _json_texts(children, depth + 1)[::-1] if children else []
+    close = "\n" + "  " * depth
+    for k, held in enumerate(stand_ins):
+        text = texts[k]
+        if len(text) == 2:  # an empty container stays "[]" or "{}"
+            continue
+        items = text[1:-1].split(separator) if held else [text[1:-1]]
+        for i in held:
+            items[i] = items[i][: -len("null")] + child_texts.pop()
+        items[0] = text[0] + separator[1:] + items[0]
+        items[-1] += close + text[-1]
+        texts[k] = separator.join(items)
+    return texts
+
+
+def _json_text(value) -> str:
+    """Exactly json.dumps(value, indent=2)."""
+    if isinstance(value, _CONTAINERS):
+        return _json_texts([value], 0)[0]
+    return json.dumps(value)
+
+
 def _emit_json(payload, output: str | None) -> None:
-    _emit(json.dumps(payload, indent=2) + "\n", output)
+    _emit(_json_text(payload) + "\n", output)
 
 
 def _csv_text(rows) -> str:
@@ -226,20 +294,23 @@ def cmd_spectrum(args) -> int:
 def cmd_filtration(args) -> int:
     n = args.n
     catalog = enumerate_lacunar(n)
-    deltas = [delta(i, catalog) for i in range(1, len(catalog) + 1)]
-    entries = zip(itertools.count(1), catalog.sets, itertools.accumulate(deltas), deltas)
+    table = gap_table(n)
+    deltas = [walk_gaps(members, table)[2] for members in catalog.members]
+    non_shadows = map(mask_members, catalog.non_shadow_masks)
+    dims = itertools.accumulate(deltas)
+    entries = zip(itertools.count(1), catalog.members, non_shadows, dims, deltas)
     if args.format == "json":
         rows = [
-            {"i": i, "set": sorted(s), "non_shadow": sorted(non_shadow(s, n)), "dim": dim, "delta": d}
-            for i, s, dim, d in entries
+            {"i": i, "set": list(s), "non_shadow": list(q), "dim": dim, "delta": d}
+            for i, s, q, dim, d in entries
         ]
         _emit_json({"n": n, "rows": rows}, args.output)
         return 0
     cells = [
         ["i", "Q_i", "Q_i'", "dim F_i", "delta_i"],
         *(
-            [str(i), format_subset(s), format_subset(non_shadow(s, n)), str(dim), str(d)]
-            for i, s, dim, d in entries
+            [str(i), format_subset(s), format_subset(q), str(dim), str(d)]
+            for i, s, q, dim, d in entries
         ),
     ]
     if args.format == "csv":

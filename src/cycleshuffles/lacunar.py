@@ -1,19 +1,29 @@
-"""Lacunar subsets of [n-1], their catalog order, and the m statistics.
+"""Lacunar subsets of [n-1], their catalog order, and the per-gap row
+statistics.
 
 A set of integers is lacunar when it contains no two consecutive integers;
 there are exactly fibonacci(n+1) lacunar subsets of [n-1].  The catalog
 lists them with weakly increasing element sums, which is the order in which
 they index the eigenvalue rows and the filtration.  Subsets are exposed as
-frozensets; internally enumeration works on bitmasks (bit i = element i), so
-these combinatorial routines scale far beyond the group-algebra degree cap.
+frozensets and ascending tuples; internally enumeration works on bitmasks
+(bit i = element i), so these combinatorial routines scale far beyond the
+group-algebra degree cap.
+
+The m vector, the eigenvalue sum and the multiplicity of a row all split
+over the gaps between consecutive members, so one table per degree holds
+each gap's share and one walk over a row's members gives all three.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterable
+import math
+from functools import cached_property, lru_cache
+from operator import mul
+from typing import Iterable, Sequence
 
 Subset = frozenset[int]
+Gap = tuple[tuple[int, ...], int, int]  # (m segment, weighted sum, delta factor)
+GapTable = tuple[tuple[Gap | None, ...], ...]
 
 
 def fibonacci(m: int) -> int:
@@ -56,15 +66,27 @@ def lacunar_masks(n: int) -> list[int]:
     return prev
 
 
-def _mask_to_set(mask: int) -> Subset:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+# _BYTE_MEMBERS[k][b]: the set bits of a mask whose byte k reads b
+_BYTE_MEMBERS: list[tuple[tuple[int, ...], ...]] = []
+
+
+def mask_members(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, ascending, read a byte at a time.
+
+    >>> mask_members(0b1010_0000_0110)
+    (1, 2, 9, 11)
+    """
+    while len(_BYTE_MEMBERS) * 8 < mask.bit_length():
+        base = 8 * len(_BYTE_MEMBERS)
+        table = tuple(tuple(base + i for i in range(8) if b >> i & 1) for b in range(256))
+        _BYTE_MEMBERS.append(table)
+    out: tuple[int, ...] = ()
+    for table in _BYTE_MEMBERS:
+        if not mask:
+            break
+        out += table[mask & 255]
+        mask >>= 8
+    return out
 
 
 def set_to_mask(members: Iterable[int]) -> int:
@@ -86,19 +108,28 @@ class LacunarCatalog:
 
     def __init__(self, n: int):
         self.n = n
-        sets = {m: _mask_to_set(m) for m in lacunar_masks(n)}
-        self.masks: tuple[int, ...] = tuple(sorted(sets, key=lambda m: (sum(sets[m]), -m)))
-        self.sets: tuple[Subset, ...] = tuple(sets[m] for m in self.masks)
+        masks = lacunar_masks(n)
+        rows = sorted(zip(masks, map(mask_members, masks)), key=lambda row: (sum(row[1]), -row[0]))
+        self.masks: tuple[int, ...] = tuple(mask for mask, _ in rows)
+        self.members: tuple[tuple[int, ...], ...] = tuple(members for _, members in rows)
         self.non_shadow_masks: tuple[int, ...] = tuple(_non_shadow_mask(m, n) for m in self.masks)
 
+    @cached_property
+    def sets(self) -> tuple[Subset, ...]:
+        return tuple(map(frozenset, self.members))
+
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.members)
+
+    def row(self, i: int) -> tuple[int, ...]:
+        """The ascending members of the i-th catalog entry, 1-indexed."""
+        if not 1 <= i <= len(self.members):
+            raise IndexError(f"catalog index {i} outside [1, {len(self.members)}]")
+        return self.members[i - 1]
 
     def __getitem__(self, i: int) -> Subset:
         """The i-th catalog entry, 1-indexed."""
-        if not 1 <= i <= len(self.sets):
-            raise IndexError(f"catalog index {i} outside [1, {len(self.sets)}]")
-        return self.sets[i - 1]
+        return frozenset(self.row(i))
 
 
 @lru_cache(maxsize=None)
@@ -111,6 +142,50 @@ def enumerate_lacunar(n: int) -> LacunarCatalog:
     return LacunarCatalog(n)
 
 
+@lru_cache(maxsize=64)
+def gap_table(n: int, numerators: tuple[int, ...] = ()) -> GapTable:
+    """table[a][b] for 0 <= a < b <= n + 1 (None for b <= a): the share of
+    the gap (a, b] of the enclosure {0} | I | {n+1} in each row statistic
+    of I.
+
+    - The m segment: b - ell for a < ell <= min(b, n), counting down to 0
+      (to 1 when b = n + 1).
+    - The weighted sum of numerators[ell-1] * (b - ell) over that segment;
+      missing numerators weigh 0.
+    - The delta factor.  The fenceposts {1} | I | {n+1} have the same gaps
+      except the first, which starts at 1; a gap of j = b - f after the
+      fencepost f = max(a, 1) contributes binomial(n + 1 - f, j), times
+      j - 1 unless it is the first.  The binomials multiply up to the
+      multinomial n! / prod j!.
+    """
+    table = []
+    for a in range(n + 1):
+        f = max(a, 1)
+        gaps: list[Gap | None] = [None] * (a + 1)
+        for b in range(a + 1, n + 2):
+            segment = tuple(range(b - a - 1, b - min(b, n) - 1, -1))
+            weighted = sum(map(mul, numerators[a:], segment))
+            gaps.append((segment, weighted, math.comb(n + 1 - f, b - f) * (b - f - 1 if a else 1)))
+        table.append(tuple(gaps))
+    return tuple(table)
+
+
+def walk_gaps(members: Sequence[int], table: GapTable) -> Gap:
+    """(m, sum, delta) of the set with these distinct ascending members in
+    [1, n], from the gap_table of degree n: the m segments joined, the
+    weighted sums added and the delta factors multiplied over the gaps."""
+    m: tuple[int, ...] = ()
+    total, count, a = 0, 1, 0
+    for b in members:
+        segment, weighted, factor = table[a][b]
+        m += segment
+        total += weighted
+        count *= factor
+        a = b
+    segment, weighted, factor = table[a][-1]  # the last gap ends at n + 1
+    return m + segment, total + weighted, count * factor
+
+
 def m_vector(members: Iterable[int], n: int) -> tuple[int, ...]:
     """(m_1, ..., m_n): the distance from each ell up to the next element of
     the enclosure {0} | I | {n+1}, zero exactly when ell lies in I.  Members
@@ -119,12 +194,7 @@ def m_vector(members: Iterable[int], n: int) -> tuple[int, ...]:
     >>> m_vector({2, 3}, 5)
     (1, 0, 0, 2, 1)
     """
-    m: list[int] = []
-    low = 0
-    for high in sorted({i for i in members if 1 <= i <= n}) + [n + 1]:
-        m.extend(range(high - low - 1, -1, -1))  # the gap (low, high] counts down to 0
-        low = high
-    return tuple(m[:n])  # drop position n + 1
+    return walk_gaps(sorted({i for i in members if 1 <= i <= n}), gap_table(n))[0]
 
 
 def _non_shadow_mask(mask: int, n: int) -> int:
@@ -140,7 +210,8 @@ def non_shadow(members: Iterable[int], n: int) -> Subset:
     >>> sorted(non_shadow({1}, 4))
     [2, 3]
     """
-    return _mask_to_set(_non_shadow_mask(set_to_mask(i for i in members if 1 <= i <= n), n))
+    mask = set_to_mask(i for i in members if 1 <= i <= n)
+    return frozenset(mask_members(_non_shadow_mask(mask, n)))
 
 
 def locate_interval(members: Iterable[int], n: int) -> Subset:
@@ -163,7 +234,7 @@ def locate_interval(members: Iterable[int], n: int) -> Subset:
             found = q_mask
     if found is None:
         raise RuntimeError(f"no lacunar interval located for {s}; catalog broken")
-    return _mask_to_set(found)
+    return frozenset(mask_members(found))
 
 
 def format_subset(members: Iterable[int]) -> str:

@@ -3,9 +3,11 @@
 Right multiplication by sum of weights[ell] * t_ell has eigenvalue
 sum of weights[ell] * m_{I,ell} for each lacunar subset I of [n-1], with
 algebraic multiplicity delta_i = #{w : Qind w = i} given in closed form by a
-multinomial product.  The whole spectrum therefore scales with the Fibonacci
-catalog, not with n!.  Exact dense-matrix routines (characteristic and
-minimal polynomials) provide independent oracles at small n.
+multinomial product.  Both split over the gaps of I, so each row is one
+walk over its members (lacunar.walk_gaps), and the whole spectrum scales
+with the Fibonacci catalog, not with n!.  Exact dense-matrix routines
+(characteristic and minimal polynomials) provide independent oracles at
+small n.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .algebra import AlgebraElement, Scalar, rank_factors, rank_product, require_within_cap
-from .lacunar import LacunarCatalog, Subset, is_lacunar, m_vector
+from .lacunar import LacunarCatalog, gap_table, is_lacunar, walk_gaps
 from .polys import Polynomial
 from .shuffles import WeightVector, combine
 
@@ -37,12 +39,6 @@ def _exact_weights(
     return exact, den, tuple(c.numerator * (den // c.denominator) for c in exact)
 
 
-def _eigenvalue(numerators: tuple[int, ...], m: tuple[int, ...]) -> int:
-    """d * g_I = sum of numerators[ell-1] * m_{I,ell}, where numerators are
-    the integers d * weight of _exact_weights; g_I itself is this over d."""
-    return sum(c * mv for c, mv in zip(numerators, m))
-
-
 def eigenvalue_for_set(weights: WeightVector, members: Iterable[int], n: int) -> Fraction:
     """The eigenvalue of one lacunar subset I of [n-1]; eigenvalue rows are
     indexed by lacunar subsets only."""
@@ -50,7 +46,7 @@ def eigenvalue_for_set(weights: WeightVector, members: Iterable[int], n: int) ->
     if not is_lacunar(s) or any(not 1 <= i <= n - 1 for i in s):
         raise ValueError(f"{s} is not a lacunar subset of [{n - 1}]")
     _, den, numerators = _exact_weights(weights, n)
-    return Fraction(_eigenvalue(numerators, m_vector(s, n)), den)
+    return Fraction(walk_gaps(sorted(s), gap_table(n, numerators))[1], den)
 
 
 def delta(i: int, catalog: LacunarCatalog) -> int:
@@ -58,27 +54,19 @@ def delta(i: int, catalog: LacunarCatalog) -> int:
 
     With Q_i = {i_1 < ... < i_p}, i_0 = 1 and i_{p+1} = n+1, the gaps
     j_k = i_k - i_{k-1} give delta = multinomial(n; j_1..j_{p+1}) times the
-    product of (j_k - 1) for k >= 2.  Works far beyond the algebra cap.
+    product of (j_k - 1) for k >= 2, one factor per gap (see gap_table).
+    Works far beyond the algebra cap.
 
     >>> from cycleshuffles.lacunar import enumerate_lacunar
     >>> [delta(i, enumerate_lacunar(4)) for i in range(1, 6)]
     [1, 3, 8, 6, 6]
     """
-    n = catalog.n
-    elems = sorted(catalog[i])
-    fenceposts = [1] + elems + [n + 1]
-    gaps = [b - a for a, b in zip(fenceposts, fenceposts[1:])]
-    count = math.factorial(n)
-    for g in gaps:
-        count //= math.factorial(g)
-    for g in gaps[1:]:
-        count *= g - 1
-    return count
+    return walk_gaps(catalog.row(i), gap_table(catalog.n))[2]
 
 
 @dataclass(frozen=True)
 class SpectrumRow:
-    members: Subset
+    members: tuple[int, ...]  # ascending
     m: tuple[int, ...]
     eigenvalue: Fraction
     multiplicity: int
@@ -97,7 +85,7 @@ class SpectrumReport:
             "weights": [str(c) for c in self.weights],
             "rows": [
                 {
-                    "set": sorted(row.members),
+                    "set": list(row.members),
                     "m": list(row.m),
                     "eigenvalue": str(row.eigenvalue),
                     "multiplicity": str(row.multiplicity),
@@ -118,15 +106,15 @@ def full_spectrum(weights: WeightVector, catalog: LacunarCatalog) -> SpectrumRep
     """
     n = catalog.n
     weights, den, numerators = _exact_weights(weights, n)
+    table = gap_table(n, numerators)
     rows = []
     # den * g_I -> [g_I, multiplicity]; den > 0 keeps the order
     totals: dict[int, list] = {}
-    for i, members in enumerate(catalog.sets, start=1):
-        m = m_vector(members, n)
-        g = _eigenvalue(numerators, m)
-        row = SpectrumRow(members, m, Fraction(g, den), delta(i, catalog))
+    for members in catalog.members:
+        m, g, multiplicity = walk_gaps(members, table)
+        row = SpectrumRow(members, m, Fraction(g, den), multiplicity)
         rows.append(row)
-        totals.setdefault(g, [row.eigenvalue, 0])[1] += row.multiplicity
+        totals.setdefault(g, [row.eigenvalue, 0])[1] += multiplicity
     aggregate = tuple((value, mult) for _, (value, mult) in sorted(totals.items(), reverse=True))
     return SpectrumReport(n, weights, tuple(rows), aggregate)
 

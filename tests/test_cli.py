@@ -8,9 +8,11 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cycleshuffles.basis import basis_order, rmul_matrix
-from cycleshuffles.cli import run
+from cycleshuffles.cli import _json_text, run
+from cycleshuffles.lacunar import enumerate_lacunar, non_shadow
 from cycleshuffles.perms import format_permutation
 from cycleshuffles.shuffles import build_osc, build_t, transition_matrix
 
@@ -38,6 +40,44 @@ def test_filtration_json_beyond_algebra_cap(capsys):
     data = json.loads(out)
     assert len(data["rows"]) == 233
     assert data["rows"][-1]["dim"] == 479001600
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 13])
+def test_filtration_non_shadow_sets_are_non_shadow(n, capsys):
+    code, out, _ = invoke(capsys, "filtration", "--n", str(n), "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["set"] for row in rows] == [sorted(s) for s in enumerate_lacunar(n).sets]
+    assert [row["non_shadow"] for row in rows] == [sorted(non_shadow(row["set"], n)) for row in rows]
+
+
+# separators, brackets and the stand-in text inside strings must not move a line break
+_TRICKY_STRINGS = ["", "]", "[", "{}", "null", ",\n  ", "],\n    [", "\x00\x1f\u2028", "\u00e9\u4e2d\U0001f600"]
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**40, -(10**40), 2**63])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+    | st.sampled_from(_TRICKY_STRINGS)
+)
+_json_keys = st.text() | st.sampled_from(_TRICKY_STRINGS) | st.integers() | st.floats() | st.booleans() | st.none()
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(_json_keys, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@given(_json_values)
+@example({"rows": [{"set": [], "m": [3, 2, 1]}, {"set": [1], "m": [0, 1]}], "n": 2})
+@example([[], {}, [[]], {"]": {"[": []}}, ("null", None, [None])])
+@example(float("nan"))
+def test_json_text_is_json_dumps_with_indent_2(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
 
 
 def test_spectrum_text_aggregate(capsys):

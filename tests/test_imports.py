@@ -15,8 +15,11 @@ SRC = Path(cycleshuffles.__file__).resolve().parent.parent
 STEPS = [
     ["spectrum", "--n", "5", "--r2b", "--format", "json"],
     ["filtration", "--n", "5"],
+    ["filtration", "--n", "5", "--format", "json"],
     ["matrix", "--n", "4", "--osc", "1/4,1/4,1/4,1/4", "--basis", "a", "--order", "qindex"],
+    ["matrix", "--n", "4", "--t", "2", "--format", "json"],
     ["verify", "--n", "4", "--suite", "all"],
+    ["verify", "--n", "4", "--suite", "all", "--format", "json"],
     "minimal_polynomial",
     ["simulate", "--n", "3", "--trials", "10", "--seed", "1"],
 ]

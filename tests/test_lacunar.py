@@ -1,6 +1,7 @@
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cycleshuffles.lacunar import (
     enumerate_lacunar,
@@ -10,9 +11,20 @@ from cycleshuffles.lacunar import (
     lacunar_masks,
     locate_interval,
     m_vector,
+    mask_members,
     non_shadow,
     set_to_mask,
 )
+
+
+def _bits(mask):
+    """Reference members of a mask, one bit at a time."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@given(st.integers(min_value=0, max_value=1 << 80))
+def test_mask_members_reads_every_bit(mask):
+    assert mask_members(mask) == _bits(mask)
 
 
 def test_fibonacci_convention():
@@ -50,6 +62,16 @@ def test_catalog_order_small_n():
         [], [1], [2], [3], [4], [1, 3], [5], [1, 4], [1, 5], [2, 4], [2, 5], [3, 5], [1, 3, 5]]
 
 
+def test_catalog_order_is_sum_then_descending_mask():
+    for n in range(1, 15):
+        masks = sorted(lacunar_masks(n), key=lambda m: (sum(_bits(m)), -m))
+        catalog = enumerate_lacunar(n)
+        assert catalog.masks == tuple(masks)
+        assert catalog.members == tuple(map(_bits, masks))
+        assert catalog.sets == tuple(frozenset(_bits(m)) for m in masks)
+        assert [catalog.row(i) for i in range(1, len(catalog) + 1)] == list(catalog.members)
+
+
 def test_catalog_sums_weakly_increase():
     for n in range(1, 15):
         sums = [sum(s) for s in enumerate_lacunar(n).sets]
@@ -64,6 +86,10 @@ def test_catalog_index_lookup():
         catalog[9]
     with pytest.raises(IndexError):
         catalog[0]
+    assert catalog.row(6) == (1, 3)
+    for i in (0, 9, -1):
+        with pytest.raises(IndexError, match=re.escape(f"catalog index {i} outside [1, 8]")):
+            catalog.row(i)
 
 
 def _m_by_scan(members, n):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,12 +7,13 @@ import pytest
 from cycleshuffles.algebra import AlgebraElement
 from cycleshuffles.basis import QIndexTable, filtration_dimensions, rmul_matrix
 from cycleshuffles.checks import pseudo_random_weights
-from cycleshuffles.lacunar import enumerate_lacunar, m_vector
+from cycleshuffles.lacunar import enumerate_lacunar, gap_table, m_vector, walk_gaps
 from cycleshuffles.polys import Polynomial
 from cycleshuffles.shuffles import build_t, combine, r2b_weights, t2r_weights, unweighted_weights
 from cycleshuffles.spectrum import (
     CERTIFIED_DIAGONALIZABLE,
     INCONCLUSIVE,
+    _exact_weights,
     annihilator_check,
     char_poly_oracle,
     delta,
@@ -77,14 +79,73 @@ def test_delta_single_set_example():
     assert delta(catalog.sets.index(frozenset({2})) + 1, catalog) == 8
 
 
+def _m_by_enclosure(members, n):
+    """Reference m vector, one row at a time: each gap (low, high] of the
+    enclosure {0} | I | {n+1} counts down to 0, and position n + 1 is dropped."""
+    m = []
+    low = 0
+    for high in sorted({i for i in members if 1 <= i <= n}) + [n + 1]:
+        m.extend(range(high - low - 1, -1, -1))
+        low = high
+    return tuple(m[:n])
+
+
+def _eigenvalue_by_sum(numerators, m):
+    """Reference d * g_I: the numerators d * weight dotted with the m vector."""
+    return sum(c * mv for c, mv in zip(numerators, m))
+
+
+def _delta_by_multinomial(members, n):
+    """Reference delta: multinomial(n; j_1..j_{p+1}) times the product of
+    (j_k - 1) for k >= 2, over the gaps j of the fenceposts {1} | I | {n+1}."""
+    fenceposts = [1] + sorted(members) + [n + 1]
+    gaps = [b - a for a, b in zip(fenceposts, fenceposts[1:])]
+    count = math.factorial(n)
+    for g in gaps:
+        count //= math.factorial(g)
+    for g in gaps[1:]:
+        count *= g - 1
+    return count
+
+
+def signed_weights(n, seed):
+    rng = random.Random(seed)
+    return tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n))
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_the_gap_walk_matches_the_per_row_oracles(n):
+    catalog = enumerate_lacunar(n)
+    weight_vectors = (
+        r2b_weights(n),
+        t2r_weights(n),
+        unweighted_weights(n),
+        pseudo_random_weights(n),
+        signed_weights(n, 201),
+    )
+    deltas = [_delta_by_multinomial(members, n) for members in catalog.sets]
+    assert [delta(i, catalog) for i in range(1, len(catalog) + 1)] == deltas
+    for weights in weight_vectors:
+        _, den, numerators = _exact_weights(weights, n)
+        table = gap_table(n, numerators)
+        report = full_spectrum(weights, catalog)
+        for members, subset, d, row in zip(catalog.members, catalog.sets, deltas, report.rows):
+            m = _m_by_enclosure(subset, n)
+            g = _eigenvalue_by_sum(numerators, m)
+            assert walk_gaps(members, table) == (m, g, d), (weights, subset)
+            assert m_vector(subset, n) == m
+            assert (row.members, row.m, row.eigenvalue, row.multiplicity) == (
+                members, m, Fraction(g, den), d)
+
+
 def _reference_spectrum(weights, catalog):
     """Rows (eigenvalue, multiplicity) and the aggregate, summed in Fractions
     and keyed by Fraction, sorted by eigenvalue descending."""
     n = catalog.n
     rows, totals = [], {}
-    for i in range(1, len(catalog) + 1):
-        g = sum(Fraction(c) * m for c, m in zip(weights, m_vector(catalog[i], n)))
-        d = delta(i, catalog)
+    for members in catalog.sets:
+        g = sum(Fraction(c) * m for c, m in zip(weights, _m_by_enclosure(members, n)))
+        d = _delta_by_multinomial(members, n)
         rows.append((g, d))
         totals[g] = totals.get(g, 0) + d
     return rows, sorted(totals.items(), key=lambda item: item[0], reverse=True)
