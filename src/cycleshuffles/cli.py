@@ -1,6 +1,12 @@
 """Command-line front end: spectra, filtration tables, matrix exports,
 verification suites and strong-stationary-time simulation.
 
+spectrum and filtration stream their rows from lacunar.catalog_rows, each
+printed by concatenating the cached per-gap texts of lacunar.gap_texts, and
+write them in chunks; they hold no catalog, report or output beyond one
+chunk and the aggregate of equal eigenvalues.  Their input is checked
+before the first byte is written.
+
 Exit codes: 0 on success (and all checks passing), 1 on a verification
 failure, 2 on a usage, I/O or memory error (malformed rationals, degree
 over cap, P(1) = 0 for simulate, an unwritable --output, more trials than
@@ -15,17 +21,19 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import re
 import stat
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable, Iterator
 
 from .algebra import MAX_N_ENV_VAR
 from .basis import rmul_matrix
 from .checks import SUITES, run_suite
-from .lacunar import enumerate_lacunar, format_subset, gap_table, mask_members, walk_gaps
+from .lacunar import catalog_rows, fibonacci, format_subset, gap_table, gap_texts
 from .perms import format_permutation
 from .shuffles import (
     build_osc,
@@ -35,7 +43,7 @@ from .shuffles import (
     uniform_distribution,
     unweighted_weights,
 )
-from .spectrum import full_spectrum
+from .spectrum import _exact_weights
 
 
 def _fraction(text: str) -> Fraction:
@@ -128,18 +136,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: str | None) -> None:
-    """Write text to stdout, or to the file at output.
+def _emit(text: str | Iterable[str], output: str | None) -> None:
+    """Write text, or the texts of an iterable in turn, to stdout or to the
+    file at output.
 
     A new file, or an existing regular file of ours with a single link, is
     written to a temporary file beside it first and renamed over it, so it
     is either left as it was or replaced whole, with its permission bits
-    kept.  A symbolic link is followed, so the file it points to is the one
-    replaced.  Anything else (a FIFO, a device, a read-only, shared or
-    hard-linked file) is written in place, as plain open() does.
+    kept, however many texts were written before a failure.  A symbolic
+    link is followed, so the file it points to is the one replaced.
+    Anything else (a FIFO, a device, a read-only, shared or hard-linked
+    file) is written in place, as plain open() does.
     """
+    chunks = (text,) if isinstance(text, str) else text
     if not output:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return
     try:
         st = os.stat(output)
@@ -152,7 +164,8 @@ def _emit(text: str, output: str | None) -> None:
         and os.access(output, os.W_OK)
     ):
         with open(output, "w") as handle:
-            handle.write(text)
+            for chunk in chunks:
+                handle.write(chunk)
         return
     target = os.path.realpath(output)
     tmp = f"{target}.{os.getpid()}.tmp"
@@ -160,7 +173,8 @@ def _emit(text: str, output: str | None) -> None:
         handle = open(tmp, "x")
         try:
             with handle:
-                handle.write(text)
+                for chunk in chunks:
+                    handle.write(chunk)
             if st is not None:
                 os.chmod(tmp, stat.S_IMODE(st.st_mode))
             os.replace(tmp, target)
@@ -262,65 +276,191 @@ def _resolve_weights(args) -> tuple[Fraction, ...]:
     return args.weights
 
 
-def _spectrum_text(report) -> str:
-    lines = [f"n = {report.n}, weights = {', '.join(str(c) for c in report.weights)}"]
-    lines.append(f"{'i':>4} {'Q_i':>12} {'eigenvalue':>14} {'multiplicity':>14}  m-vector")
-    for i, row in enumerate(report.rows, start=1):
-        lines.append(
-            f"{i:>4} {format_subset(row.members):>12} {str(row.eigenvalue):>14} "
-            f"{row.multiplicity:>14}  ({', '.join(map(str, row.m))})"
-        )
-    lines.append("aggregate:")
-    for g, mult in report.aggregate:
-        lines.append(f"  eigenvalue {g}: multiplicity {mult}")
-    return "\n".join(lines) + "\n"
+_CHUNK_ROWS = 2048
+# the list forms of gap_texts: subsets, m vectors and JSON lists at depth 3
+_BRACES = ("{", ",", "}")
+_PARENS = ("(", ", ", ")")
+_SPACED = ("", " ", "")
+
+
+def _chunks(items: Iterator[str], separator: str = "") -> Iterator[str]:
+    """The items joined by separator, _CHUNK_ROWS of them to a text."""
+    batch = list(itertools.islice(items, _CHUNK_ROWS))
+    while batch:
+        yield separator.join(batch)
+        batch = list(itertools.islice(items, _CHUNK_ROWS))
+        if batch:
+            yield separator
+
+
+def _csv_field(text: str) -> str:
+    """The csv module's minimal quoting of a text with no quote or line break."""
+    return f'"{text}"' if "," in text else text
+
+
+def _json_forms() -> tuple[str, str, str, str, tuple[str, str, str]]:
+    """The item separators of the depths 1 and 2, the opening and closing of
+    an object at depth 2, and the gap_texts list form of depth 3, as
+    json.dumps(..., indent=2) writes them: a container opens with its
+    bracket and the separator of its items, less the comma, and closes with
+    the separator of its own depth, less the comma."""
+    sep1, sep2, sep3 = (_json_level(depth)[0].item_separator for depth in (1, 2, 3))
+    return sep1, sep2, "{" + sep2[1:], sep1[1:] + "}", ("[" + sep3[1:], sep3, sep2[1:] + "]")
+
+
+def _json_frame(payload: dict) -> list[str]:
+    """The text of the payload around each of its null values, in order."""
+    return _json_text(payload).split("null")
+
+
+def _spectrum_rows(
+    n: int, numerators, den: int, totals: dict, members_form, m_form
+) -> Iterator[tuple[int, str, str, str, str]]:
+    """(i, Q_i, m, g_I, delta_i) of each catalog row, all but i as text, the
+    lists in the forms (opening, joiner, closing) of gap_texts, while totals
+    gathers den * g_I -> [g_I as text, total multiplicity]."""
+    members_texts, m_texts = gap_texts(n, *members_form), gap_texts(n, *m_form)
+    cells = [
+        [cell and (members_texts[a][b][0], m_texts[a][b][1], *cell[1:]) for b, cell in enumerate(gaps)]
+        for a, gaps in enumerate(gap_table(n, numerators))
+    ]
+    for i, (members, m, g, multiplicity) in enumerate(catalog_rows(n, cells), start=1):
+        total = totals.get(g)
+        if total is None:
+            common = math.gcd(g, den)  # the text of Fraction(g, den), den > 0
+            text = str(g // common) if common == den else f"{g // common}/{den // common}"
+            total = totals[g] = [text, 0]
+        total[1] += multiplicity
+        yield i, members, m, total[0], str(multiplicity)
+
+
+def _aggregate(totals: dict) -> Iterator[list]:
+    """[g_I, total multiplicity], g_I descending; den > 0 keeps the order."""
+    return (totals[g] for g in sorted(totals, reverse=True))
+
+
+def _spectrum_text(n, weights, numerators, den) -> Iterator[str]:
+    totals: dict[int, list] = {}
+    yield f"n = {n}, weights = {', '.join(str(c) for c in weights)}\n"
+    yield f"{'i':>4} {'Q_i':>12} {'eigenvalue':>14} {'multiplicity':>14}  m-vector\n"
+    rows = _spectrum_rows(n, numerators, den, totals, _BRACES, _PARENS)
+    yield from _chunks(f"{i:>4} {s:>12} {g:>14} {d:>14}  {m}\n" for i, s, m, g, d in rows)
+    yield "aggregate:\n"
+    yield from _chunks(f"  eigenvalue {g}: multiplicity {d}\n" for g, d in _aggregate(totals))
+
+
+def _spectrum_csv(n, weights, numerators, den) -> Iterator[str]:
+    totals: dict[int, list] = {}
+    yield "i,set,m,eigenvalue,multiplicity\r\n"
+    rows = _spectrum_rows(n, numerators, den, totals, _BRACES, _SPACED)
+    yield from _chunks(f"{i},{_csv_field(s)},{m},{g},{d}\r\n" for i, s, m, g, d in rows)
+
+
+def _spectrum_json(n, weights, numerators, den) -> Iterator[str]:
+    sep1, sep2, opening, close, form = _json_forms()
+    frame = {"n": n, "weights": [str(c) for c in weights], "rows": [None], "aggregate": [None]}
+    head, middle, tail = _json_frame(frame)
+    totals: dict[int, list] = {}
+    yield head
+    rows = _spectrum_rows(n, numerators, den, totals, form, form)
+    yield from _chunks(
+        (
+            f'{opening}"set": {s}{sep2}"m": {m}{sep2}'
+            f'"eigenvalue": "{g}"{sep2}"multiplicity": "{d}"{close}'
+            for _, s, m, g, d in rows
+        ),
+        sep1,
+    )
+    yield middle
+    yield from _chunks(
+        (f'{opening}"eigenvalue": "{g}"{sep2}"multiplicity": "{d}"{close}' for g, d in _aggregate(totals)),
+        sep1,
+    )
+    yield tail + "\n"
+
+
+_SPECTRUM_FORMATS = {"text": _spectrum_text, "csv": _spectrum_csv, "json": _spectrum_json}
 
 
 def cmd_spectrum(args) -> int:
-    report = full_spectrum(_resolve_weights(args), enumerate_lacunar(args.n))
-    if args.format == "json":
-        _emit_json(report.to_json(), args.output)
-    elif args.format == "csv":
-        rows = [
-            [i, format_subset(row.members), " ".join(map(str, row.m)), row.eigenvalue, row.multiplicity]
-            for i, row in enumerate(report.rows, start=1)
-        ]
-        _emit(_csv_text([["i", "set", "m", "eigenvalue", "multiplicity"], *rows]), args.output)
-    else:
-        _emit(_spectrum_text(report), args.output)
+    n = args.n
+    weights, den, numerators = _exact_weights(_resolve_weights(args), n)  # refused before any byte
+    _emit(_SPECTRUM_FORMATS[args.format](n, weights, numerators, den), args.output)
     return 0
 
 
-def cmd_filtration(args) -> int:
-    n = args.n
-    catalog = enumerate_lacunar(n)
-    table = gap_table(n)
-    deltas = [walk_gaps(members, table)[2] for members in catalog.members]
-    non_shadows = map(mask_members, catalog.non_shadow_masks)
-    dims = itertools.accumulate(deltas)
-    entries = zip(itertools.count(1), catalog.members, non_shadows, dims, deltas)
-    if args.format == "json":
-        rows = [
-            {"i": i, "set": list(s), "non_shadow": list(q), "dim": dim, "delta": d}
-            for i, s, q, dim, d in entries
-        ]
-        _emit_json({"n": n, "rows": rows}, args.output)
-        return 0
+def _filtration_rows(n: int, form) -> Iterator[tuple[int, str, str, int, int]]:
+    """(i, Q_i, Q_i', dim F_i, delta_i) of each catalog row, the sets as
+    text in the list form (opening, joiner, closing) of gap_texts."""
+    texts = gap_texts(n, *form)
     cells = [
-        ["i", "Q_i", "Q_i'", "dim F_i", "delta_i"],
-        *(
-            [str(i), format_subset(s), format_subset(q), str(dim), str(d)]
-            for i, s, q, dim, d in entries
-        ),
+        [cell and (texts[a][b][0], texts[a][b][2], *cell[1:]) for b, cell in enumerate(gaps)]
+        for a, gaps in enumerate(gap_table(n))
     ]
-    if args.format == "csv":
-        _emit(_csv_text(cells), args.output)
-        return 0
-    widths = [max(map(len, column)) for column in zip(*cells)]
-    _emit(
-        "".join(" | ".join(e.rjust(w) for e, w in zip(row, widths)) + "\n" for row in cells),
-        args.output,
+    opening, joiner, closing = form
+    empty, skip = opening.strip() + closing.strip(), len(joiner)
+    dim = 0
+    for i, (members, non_shadow, _, d) in enumerate(catalog_rows(n, cells), start=1):
+        dim += d
+        yield i, members, opening + non_shadow[skip:] + closing if non_shadow else empty, dim, d
+
+
+def _largest_delta(n: int) -> int:
+    """The largest delta_i: a max-product walk over the gap factors, with
+    best[b] the largest product over the gaps up to the member b."""
+    table = gap_table(n)
+    best = [1] + [0] * (n + 1)
+    for b in (*range(1, n), n + 1):
+        best[b] = max(best[a] * table[a][b][2] for a in range(max(b - 1, 1)))
+    return best[n + 1]
+
+
+def _filtration_text(n: int) -> Iterator[str]:
+    # the widest cell of each column in closed form: the last index, the
+    # most members (n - 1, n - 3, ...), the non-shadow of the empty set, n!
+    header = ("i", "Q_i", "Q_i'", "dim F_i", "delta_i")
+    widest = (
+        str(fibonacci(n + 1)),
+        format_subset(range(n - 1, 0, -2)),
+        format_subset(range(1, n)),
+        str(math.factorial(n)),
+        str(_largest_delta(n)),
     )
+    w = [max(len(h), len(c)) for h, c in zip(header, widest)]
+    yield " | ".join(h.rjust(k) for h, k in zip(header, w)) + "\n"
+    rows = _filtration_rows(n, _BRACES)
+    yield from _chunks(
+        f"{i:>{w[0]}} | {s:>{w[1]}} | {q:>{w[2]}} | {dim:>{w[3]}} | {d:>{w[4]}}\n" for i, s, q, dim, d in rows
+    )
+
+
+def _filtration_csv(n: int) -> Iterator[str]:
+    yield "i,Q_i,Q_i',dim F_i,delta_i\r\n"
+    rows = _filtration_rows(n, _BRACES)
+    yield from _chunks(f"{i},{_csv_field(s)},{_csv_field(q)},{dim},{d}\r\n" for i, s, q, dim, d in rows)
+
+
+def _filtration_json(n: int) -> Iterator[str]:
+    sep1, sep2, opening, close, form = _json_forms()
+    head, tail = _json_frame({"n": n, "rows": [None]})
+    yield head
+    rows = _filtration_rows(n, form)
+    yield from _chunks(
+        (
+            f'{opening}"i": {i}{sep2}"set": {s}{sep2}"non_shadow": {q}{sep2}'
+            f'"dim": {dim}{sep2}"delta": {d}{close}'
+            for i, s, q, dim, d in rows
+        ),
+        sep1,
+    )
+    yield tail + "\n"
+
+
+_FILTRATION_FORMATS = {"text": _filtration_text, "csv": _filtration_csv, "json": _filtration_json}
+
+
+def cmd_filtration(args) -> int:
+    _emit(_FILTRATION_FORMATS[args.format](args.n), args.output)
     return 0
 
 

@@ -290,6 +290,7 @@ def stage_probabilities(probabilities: Sequence[Scalar]) -> tuple[Fraction, ...]
     whatever the deck order, since the card at i crosses iff i <= n - b <= j.
     One running sum of P(i) / (n + 1 - i) gives every stage in O(n)
     rational operations; for the uniform P, p_b = climb_probability(n, b).
+    Also p_b = 1 - g_{n-b}, the eigenvalue of {n - b} under osc_weights(P).
 
     >>> stage_probabilities([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
     (Fraction(7, 12), Fraction(1, 2))

@@ -4,8 +4,9 @@ Right multiplication by sum of weights[ell] * t_ell has eigenvalue
 sum of weights[ell] * m_{I,ell} for each lacunar subset I of [n-1], with
 algebraic multiplicity delta_i = #{w : Qind w = i} given in closed form by a
 multinomial product.  Both split over the gaps of I, so each row is one
-walk over its members (lacunar.walk_gaps), and the whole spectrum scales
-with the Fibonacci catalog, not with n!.  Exact dense-matrix routines
+walk over its members (lacunar.walk_gaps, carried down the catalog's
+recursion by lacunar.catalog_rows), and the whole spectrum scales with the
+Fibonacci catalog, not with n!.  Exact dense-matrix routines
 (characteristic and minimal polynomials) provide independent oracles at
 small n.
 """
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .algebra import AlgebraElement, Scalar, rank_factors, rank_product, require_within_cap
-from .lacunar import LacunarCatalog, gap_table, is_lacunar, walk_gaps
+from .lacunar import LacunarCatalog, catalog_rows, gap_table, is_lacunar, walk_gaps
 from .polys import Polynomial
 from .shuffles import WeightVector, combine
 
@@ -102,16 +103,20 @@ class SpectrumReport:
 def full_spectrum(weights: WeightVector, catalog: LacunarCatalog) -> SpectrumReport:
     """One row per catalog entry plus total multiplicities of equal eigenvalues.
 
-    Always sums to n! because every permutation has exactly one Q-index.
+    The rows come from lacunar.catalog_rows in catalog order; the catalog
+    gives the degree.  Always sums to n! because every permutation has
+    exactly one Q-index.
     """
     n = catalog.n
     weights, den, numerators = _exact_weights(weights, n)
-    table = gap_table(n, numerators)
+    cells = [
+        [cell and ((a,) if a else (), *cell) for cell in gaps]
+        for a, gaps in enumerate(gap_table(n, numerators))
+    ]
     rows = []
     # den * g_I -> [g_I, multiplicity]; den > 0 keeps the order
     totals: dict[int, list] = {}
-    for members in catalog.members:
-        m, g, multiplicity = walk_gaps(members, table)
+    for members, m, g, multiplicity in catalog_rows(n, cells):
         row = SpectrumRow(members, m, Fraction(g, den), multiplicity)
         rows.append(row)
         totals.setdefault(g, [row.eigenvalue, 0])[1] += multiplicity

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import random
 import stat
 import threading
 from fractions import Fraction
@@ -12,9 +13,17 @@ from hypothesis import example, given, strategies as st
 
 from cycleshuffles.basis import basis_order, rmul_matrix
 from cycleshuffles.cli import _json_text, run
-from cycleshuffles.lacunar import enumerate_lacunar, non_shadow
+from cycleshuffles.lacunar import enumerate_lacunar, format_subset, gap_table, non_shadow, walk_gaps
 from cycleshuffles.perms import format_permutation
-from cycleshuffles.shuffles import build_osc, build_t, transition_matrix
+from cycleshuffles.shuffles import (
+    build_osc,
+    build_t,
+    r2b_weights,
+    t2r_weights,
+    transition_matrix,
+    unweighted_weights,
+)
+from cycleshuffles.spectrum import full_spectrum
 
 
 def invoke(capsys, *argv):
@@ -80,6 +89,89 @@ def test_json_text_is_json_dumps_with_indent_2(value):
     assert _json_text(value) == json.dumps(value, indent=2)
 
 
+def _csv_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _reference_spectrum(weights, n, fmt):
+    """The spectrum as the CLI printed it from the whole full_spectrum report."""
+    report = full_spectrum(weights, enumerate_lacunar(n))
+    if fmt == "json":
+        return json.dumps(report.to_json(), indent=2) + "\n"
+    if fmt == "csv":
+        rows = [
+            [i, format_subset(row.members), " ".join(map(str, row.m)), row.eigenvalue, row.multiplicity]
+            for i, row in enumerate(report.rows, start=1)
+        ]
+        return _csv_text([["i", "set", "m", "eigenvalue", "multiplicity"], *rows])
+    lines = [f"n = {report.n}, weights = {', '.join(str(c) for c in report.weights)}"]
+    lines.append(f"{'i':>4} {'Q_i':>12} {'eigenvalue':>14} {'multiplicity':>14}  m-vector")
+    for i, row in enumerate(report.rows, start=1):
+        lines.append(
+            f"{i:>4} {format_subset(row.members):>12} {str(row.eigenvalue):>14} "
+            f"{row.multiplicity:>14}  ({', '.join(map(str, row.m))})"
+        )
+    lines.append("aggregate:")
+    for g, mult in report.aggregate:
+        lines.append(f"  eigenvalue {g}: multiplicity {mult}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_filtration(n, fmt):
+    """The filtration as the CLI printed it from the whole catalog."""
+    catalog = enumerate_lacunar(n)
+    deltas = [walk_gaps(members, gap_table(n))[2] for members in catalog.members]
+    non_shadows = [sorted(non_shadow(members, n)) for members in catalog.members]
+    dims = itertools.accumulate(deltas)
+    entries = list(zip(itertools.count(1), catalog.members, non_shadows, dims, deltas))
+    if fmt == "json":
+        rows = [
+            {"i": i, "set": list(s), "non_shadow": q, "dim": dim, "delta": d}
+            for i, s, q, dim, d in entries
+        ]
+        return json.dumps({"n": n, "rows": rows}, indent=2) + "\n"
+    cells = [
+        ["i", "Q_i", "Q_i'", "dim F_i", "delta_i"],
+        *([str(i), format_subset(s), format_subset(q), str(dim), str(d)] for i, s, q, dim, d in entries),
+    ]
+    if fmt == "csv":
+        return _csv_text(cells)
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return "".join(" | ".join(e.rjust(w) for e, w in zip(row, widths)) + "\n" for row in cells)
+
+
+def _signed_weights(n, seed):
+    rng = random.Random(seed)
+    return tuple(Fraction(rng.choice((-1, 1)) * rng.randint(0, 9), rng.randint(1, 9)) for _ in range(n))
+
+
+_NAMED_WEIGHTS = {"--r2b": r2b_weights, "--t2r": t2r_weights, "--unweighted": unweighted_weights}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("flag", ["--r2b", "--t2r", "--unweighted", "--weights"])
+def test_streamed_spectrum_is_the_full_spectrum_rendering(flag, fmt, capsys):
+    for n in range(1, 21):
+        if flag == "--weights":
+            weights = _signed_weights(n, 1000 + n)
+            flags = ["--weights=" + ",".join(map(str, weights))]
+        else:
+            weights, flags = _NAMED_WEIGHTS[flag](n), [flag]
+        code, out, err = invoke(capsys, "spectrum", "--n", str(n), *flags, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == _reference_spectrum(weights, n, fmt), (n, flags)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_streamed_filtration_is_the_catalog_rendering(fmt, capsys):
+    for n in range(1, 21):
+        code, out, err = invoke(capsys, "filtration", "--n", str(n), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == _reference_filtration(n, fmt), n
+
+
 def test_spectrum_text_aggregate(capsys):
     code, out, _ = invoke(capsys, "spectrum", "--n", "4", "--weights", "1,1,1,1")
     assert code == 0
@@ -106,6 +198,17 @@ def test_spectrum_rejects_wrong_weight_count(capsys):
     code, _, err = invoke(capsys, "spectrum", "--n", "4", "--weights", "1,1")
     assert code == 2
     assert "expected 4 weights" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_a_wrong_weight_count_is_refused_before_the_first_byte(fmt, tmp_path, capsys):
+    code, out, err = invoke(capsys, "spectrum", "--n", "5", "--weights", "1,2", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "error: expected 5 weights, got 2\n"
+    target = tmp_path / "spectrum.txt"
+    code, out, _ = invoke(capsys, "spectrum", "--n", "5", "--weights", "1,2", "--output", str(target))
+    assert (code, out) == (2, "")
+    assert not any(tmp_path.iterdir())
 
 
 def test_malformed_rational_is_usage_error(capsys):
@@ -427,10 +530,11 @@ def test_matrix_refuses_the_degree_before_enumerating_it(flags, cap, capsys, for
 
 
 class _FailingWrite:
-    """A file handle whose write raises, as on a full disk."""
+    """A file handle whose write raises after `passes` writes, as on a full disk."""
 
-    def __init__(self, handle):
+    def __init__(self, handle, passes=0):
         self.handle = handle
+        self.passes = passes
 
     def __enter__(self):
         return self
@@ -439,7 +543,10 @@ class _FailingWrite:
         self.handle.close()
 
     def write(self, text):
-        raise OSError(28, "No space left on device")
+        if not self.passes:
+            raise OSError(28, "No space left on device")
+        self.passes -= 1
+        return self.handle.write(text)
 
 
 @pytest.mark.parametrize("fail_at", ["write", "replace"])
@@ -462,6 +569,31 @@ def test_failed_output_write_keeps_the_target(fail_at, tmp_path, monkeypatch, ca
     assert err.startswith("error: ")
     assert target.read_text() == "old contents\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spectrum.json"]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "filtration"])
+def test_a_write_that_fails_partway_through_the_rows_keeps_the_target(command, tmp_path, monkeypatch, capsys):
+    from cycleshuffles import cli
+
+    target = tmp_path / "out.json"
+    target.write_text("old contents\n")
+    handles = []
+
+    def failing_open(*args):
+        handles.append(_FailingWrite(open(*args), passes=3))
+        return handles[-1]
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    argv = [command, "--n", "20", "--format", "json", "--output", str(target)]
+    if command == "spectrum":
+        argv.append("--r2b")
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "No space left on device" in err
+    [handle] = handles
+    assert handle.passes == 0 and handle.handle.closed  # rows were written before the failure
+    assert target.read_text() == "old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
 
 
 def test_output_replaces_an_existing_file(tmp_path, capsys):

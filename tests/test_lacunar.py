@@ -1,30 +1,27 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
 
 from cycleshuffles.lacunar import (
+    catalog_rows,
     enumerate_lacunar,
     fibonacci,
     format_subset,
+    gap_table,
+    gap_texts,
     is_lacunar,
     lacunar_masks,
     locate_interval,
     m_vector,
-    mask_members,
     non_shadow,
     set_to_mask,
+    walk_gaps,
 )
 
 
 def _bits(mask):
     """Reference members of a mask, one bit at a time."""
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-@given(st.integers(min_value=0, max_value=1 << 80))
-def test_mask_members_reads_every_bit(mask):
-    assert mask_members(mask) == _bits(mask)
 
 
 def test_fibonacci_convention():
@@ -70,6 +67,61 @@ def test_catalog_order_is_sum_then_descending_mask():
         assert catalog.members == tuple(map(_bits, masks))
         assert catalog.sets == tuple(frozenset(_bits(m)) for m in masks)
         assert [catalog.row(i) for i in range(1, len(catalog) + 1)] == list(catalog.members)
+
+
+def _member_cells(n):
+    """catalog_rows cells that give each row's members and bitmask."""
+    return [[((a,) if a else (), (), 1 << a if a else 0, 1)] * (n + 2) for a in range(n + 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_catalog_rows_are_the_sorted_catalog(n):
+    masks = sorted(lacunar_masks(n), key=lambda m: (sum(_bits(m)), -m))
+    rows = list(catalog_rows(n, _member_cells(n)))
+    assert len(rows) == fibonacci(n + 1)
+    assert [members for members, _, _, _ in rows] == [_bits(m) for m in masks]
+    assert [mask for _, _, mask, _ in rows] == masks
+
+
+def test_catalog_rows_at_one_and_two_cards():
+    assert list(catalog_rows(1, _member_cells(1))) == [((), (), 0, 1)]
+    assert list(catalog_rows(2, _member_cells(2))) == [((), (), 0, 1), ((1,), (), 2, 1)]
+    assert [len(enumerate_lacunar(n)) for n in (1, 2)] == [1, 2]
+    with pytest.raises(ValueError, match="degree must be at least 1"):
+        enumerate_lacunar(0)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_catalog_rows_carry_the_gap_walk(n):
+    # the walk folded down the recursion equals walk_gaps on each row
+    numerators = tuple(range(3, 3 + n))
+    cells = [
+        [cell and ((a,) if a else (), *cell) for cell in gaps]
+        for a, gaps in enumerate(gap_table(n, numerators))
+    ]
+    table = gap_table(n, numerators)
+    for members, m, g, d in catalog_rows(n, cells):
+        assert walk_gaps(members, table) == (m, g, d)
+
+
+@pytest.mark.parametrize(
+    "form", [("{", ",", "}"), ("(", ", ", ")"), ("", " ", ""), ("[\n  ", ",\n  ", "\n]")]
+)
+def test_gap_texts_print_each_row(form):
+    opening, joiner, closing = form
+    empty = opening.strip() + closing.strip()
+
+    def printed(items):
+        return opening + joiner.join(map(str, items)) + closing if items else empty
+
+    for n in range(1, 11):
+        texts = gap_texts(n, *form)
+        for members in enumerate_lacunar(n).members:
+            pieces = [texts[a][b] for a, b in zip((0, *members), (*members, n + 1))]
+            assert "".join(p[0] for p in pieces) == printed(members)
+            assert "".join(p[1] for p in pieces) == printed(m_vector(members, n))
+            assert "".join(p[2] for p in pieces) == "".join(
+                joiner + str(i) for i in sorted(non_shadow(members, n)))
 
 
 def test_catalog_sums_weakly_increase():

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -30,7 +31,9 @@ from cycleshuffles.simulate import (
     simulate_sst,
     stage_probabilities,
 )
-from cycleshuffles.shuffles import uniform_distribution
+from cycleshuffles.lacunar import enumerate_lacunar
+from cycleshuffles.shuffles import osc_weights, uniform_distribution
+from cycleshuffles.spectrum import eigenvalue_for_set, full_spectrum
 
 
 def uniform(n):
@@ -346,6 +349,28 @@ def test_uniform_stage_probabilities_equal_climb_probability():
         stages = stage_probabilities(uniform_distribution(n))
         assert stages == tuple(climb_probability(n, b) for b in range(1, n))
         assert exact_expected_tau(uniform_distribution(n)) == sum(1 / p for p in stages)
+
+
+def _seeded_distribution(n, rng):
+    """A random P with P(1) > 0; about a third of the other positions are 0."""
+    raw = [rng.randint(1, 9)] + [rng.choice((0, 0, 0, *range(1, 9))) for _ in range(n - 1)]
+    return [Fraction(r, sum(raw)) for r in raw]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_each_stage_probability_is_one_minus_a_singleton_eigenvalue(seed):
+    # p_b = 1 - g_{n-b} under osc_weights(P): g_{k} = 1 - (n + 1 - k) * sum_{ell <= k} lambda_ell
+    rng = random.Random(seed)
+    for n in range(2, 31):
+        probs = _seeded_distribution(n, rng)
+        weights = osc_weights(probs)
+        stages = stage_probabilities(probs)
+        assert stages == tuple(1 - eigenvalue_for_set(weights, {n - b}, n) for b in range(1, n)), probs
+        if n <= 14:
+            # the largest g_I over nonempty I sits at a singleton, so lambda_2 = 1 - min p_b
+            rows = full_spectrum(weights, enumerate_lacunar(n)).rows
+            assert rows[0].members == () and rows[0].eigenvalue == 1
+            assert max(row.eigenvalue for row in rows[1:]) == 1 - min(stages), probs
 
 
 def test_stage_probabilities_and_exact_tau_need_p1_positive():

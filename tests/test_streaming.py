@@ -1,0 +1,64 @@
+"""spectrum and filtration stream their rows: each guard runs in a fresh
+interpreter, so that no catalog or report built by another test is counted."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import cycleshuffles
+
+SRC = Path(cycleshuffles.__file__).resolve().parent.parent
+
+# the peak at n = 22 (28,657 rows) against n = 16 (1,597 rows); a path that
+# held every row or every output line would grow with the row count, 18-fold
+PEAK_GROWTH = 2.0
+
+
+def _fresh(script: str, *args: str) -> list:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+CATALOG_SCRIPT = """
+import json, sys
+from cycleshuffles import cli, lacunar
+
+codes = []
+for command in (["spectrum", "--r2b"], ["spectrum", "--unweighted"], ["filtration"]):
+    for fmt in ("text", "csv", "json"):
+        codes.append(cli.run([*command, "--n", "20", "--format", fmt, "--output", sys.argv[1]]))
+print(json.dumps([codes, lacunar.enumerate_lacunar.cache_info().currsize]))
+"""
+
+
+def test_the_streamed_commands_build_no_catalog(tmp_path):
+    codes, cached = _fresh(CATALOG_SCRIPT, str(tmp_path / "out"))
+    assert codes == [0] * 9
+    assert cached == 0
+
+
+PEAK_SCRIPT = """
+import json, sys, tracemalloc
+from cycleshuffles import cli
+
+peaks = {}
+for n in (16, 22):
+    tracemalloc.start()
+    code = cli.run(["spectrum", "--n", str(n), "--unweighted", "--format", "text", "--output", sys.argv[1]])
+    peaks[n] = (code, tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+print(json.dumps(peaks))
+"""
+
+
+def test_streamed_spectrum_memory_is_flat_in_n(tmp_path):
+    peaks = _fresh(PEAK_SCRIPT, str(tmp_path / "out.txt"))
+    (code16, peak16), (code22, peak22) = peaks["16"], peaks["22"]
+    assert code16 == code22 == 0
+    assert peak22 < PEAK_GROWTH * peak16, (peak16, peak22)
