@@ -23,50 +23,20 @@ denominator of the element cleared once, and no permutation tuples.
 Operations that enumerate all of S_n refuse to run above a degree cap
 (default 8, i.e. 40320 basis permutations) to guard against accidental
 factorial blowup; the cap can be lifted per call or through the
-CYCLESHUFFLES_MAX_N environment variable.
+CYCLESHUFFLES_MAX_N environment variable.  The cap and the Scalar type are
+defined in inputs and imported here from there.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence
 
+from .inputs import DEFAULT_MAX_N, MAX_N_ENV_VAR, Scalar, algebra_cap, require_within_cap
 from .perms import Perm, all_permutations, format_permutation, identity, inverse
-
-Scalar = Union[int, Fraction]
-
-DEFAULT_MAX_N = 8
-MAX_N_ENV_VAR = "CYCLESHUFFLES_MAX_N"
-
-
-def algebra_cap(override: int | None = None) -> int:
-    """Effective degree cap for full-S_n computations."""
-    if override is not None:
-        return override
-    env = os.environ.get(MAX_N_ENV_VAR)
-    if env is None:
-        return DEFAULT_MAX_N
-    message = f"{MAX_N_ENV_VAR} must be a positive integer, got {env!r}"
-    try:
-        cap = int(env)
-    except ValueError:
-        raise ValueError(message) from None
-    if cap < 1:
-        raise ValueError(message)
-    return cap
-
-
-def require_within_cap(n: int, override: int | None = None) -> None:
-    cap = algebra_cap(override)
-    if n > cap:
-        raise ValueError(
-            f"degree {n} exceeds the full-algebra cap {cap}; raise it explicitly "
-            f"or via {MAX_N_ENV_VAR} if {n}! = that many terms is intended"
-        )
 
 
 class AlgebraElement:

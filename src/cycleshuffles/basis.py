@@ -41,16 +41,8 @@ import math
 from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
-from .algebra import (
-    AlgebraElement,
-    Scalar,
-    divide_terms,
-    integer_terms,
-    rank_factors,
-    rank_product,
-    require_within_cap,
-    sn_index,
-)
+from .algebra import AlgebraElement, divide_terms, integer_terms, rank_factors, rank_product, sn_index
+from .inputs import Scalar, require_within_cap
 from .lacunar import LacunarCatalog, enumerate_lacunar, set_to_mask
 from .perms import Perm, descent_set
 

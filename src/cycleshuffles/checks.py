@@ -11,12 +11,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraElement, linear_combine, require_within_cap
+from .algebra import AlgebraElement, linear_combine
 from .basis import BasisFamily, QIndexTable, build_a_family, dual_basis, rmul_columns
 from .identities import _nilpotency_reports, identity_suite
+from .inputs import SUITE_NAMES, r2b_weights, require_within_cap
 from .lacunar import enumerate_lacunar, locate_interval, m_vector
 from .perms import inverse
-from .shuffles import build_t, build_t_prime, combine, r2b_weights
+from .shuffles import build_t, build_t_prime, combine
 from .spectrum import annihilator_check
 
 
@@ -192,13 +193,20 @@ def check_boolean_partition(n: int) -> list[CheckResult]:
     ]
 
 
-SUITES = {
-    "triangularity": lambda n, max_n: check_triangularity(n, max_n),
-    "annihilator": lambda n, max_n: check_annihilator(n, max_n),
-    "duality": lambda n, max_n: check_duality(n, max_n),
-    "identities": lambda n, max_n: check_identities(n, max_n),
-    "boolean-partition": lambda n, max_n: check_boolean_partition(n),
-}
+# named by inputs.SUITE_NAMES, in its order, so the CLI lists them without importing this module
+SUITES = dict(
+    zip(
+        SUITE_NAMES,
+        (
+            lambda n, max_n: check_triangularity(n, max_n),
+            lambda n, max_n: check_annihilator(n, max_n),
+            lambda n, max_n: check_duality(n, max_n),
+            lambda n, max_n: check_identities(n, max_n),
+            lambda n, max_n: check_boolean_partition(n),
+        ),
+        strict=True,
+    )
+)
 
 
 def run_suite(name: str, n: int, max_n: int | None = None) -> list[CheckResult]:

@@ -7,6 +7,12 @@ write them in chunks; they hold no catalog, report or output beyond one
 chunk and the aggregate of equal eigenvalues.  Their input is checked
 before the first byte is written.
 
+Each subcommand loads only the modules it runs: at module level this
+imports the standard library, lacunar and inputs, which is all that
+spectrum and filtration need; matrix imports basis, perms and shuffles,
+verify imports checks, and simulate imports simulate (and with it numpy)
+when they run.
+
 Exit codes: 0 on success (and all checks passing), 1 on a verification
 failure, 2 on a usage, I/O or memory error (malformed rationals, degree
 over cap, P(1) = 0 for simulate, an unwritable --output, more trials than
@@ -30,20 +36,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .algebra import MAX_N_ENV_VAR
-from .basis import rmul_matrix
-from .checks import SUITES, run_suite
-from .lacunar import catalog_rows, fibonacci, format_subset, gap_table, gap_texts
-from .perms import format_permutation
-from .shuffles import (
-    build_osc,
-    build_t,
+from .inputs import (
+    MAX_N_ENV_VAR,
+    SUITE_NAMES,
+    _exact_weights,
     r2b_weights,
     t2r_weights,
     uniform_distribution,
     unweighted_weights,
 )
-from .spectrum import _exact_weights
+from .lacunar import catalog_rows, fibonacci, format_subset, gap_table, gap_texts
 
 
 def _fraction(text: str) -> Fraction:
@@ -120,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     common(p, formats=("text", "json"))
     max_n(p)
-    p.add_argument("--suite", choices=sorted(SUITES) + ["all"], required=True)
+    p.add_argument("--suite", choices=sorted(SUITE_NAMES) + ["all"], required=True)
 
     p = sub.add_parser("simulate", help="simulate the bookmark strong stationary time")
     common(p, formats=("text", "json"))
@@ -465,6 +467,10 @@ def cmd_filtration(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    from .basis import rmul_matrix
+    from .perms import format_permutation
+    from .shuffles import build_osc, build_t
+
     n = args.n
     if args.osc is not None:
         if len(args.osc) != n:
@@ -488,6 +494,8 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .checks import run_suite
+
     results = run_suite(args.suite, args.n, args.max_n)
     if args.format == "json":
         payload = [
@@ -501,7 +509,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    # Imported here so that only this subcommand pays for loading numpy.
     from .simulate import fast_bookmark_sim, simulate_sst
 
     n = args.n

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .algebra import AlgebraElement, require_within_cap
+from .algebra import AlgebraElement
+from .inputs import require_within_cap
 from .perms import Perm, transposition
 from .shuffles import build_t
 

@@ -4,20 +4,30 @@ build_t(n, ell) is the sum of the cycles that pick up the card at position
 ell and drop it weakly lower; build_t_prime is its antipode image (the
 below-to-somewhere shuffle).  A position distribution P yields the one-sided
 cycle shuffle osc(P) = sum of P(ell)/(n+1-ell) * t_ell, whose transition
-matrix on deck orders is row-stochastic.
+matrix on deck orders is row-stochastic.  The weights themselves (osc_weights,
+t2r_weights, r2b_weights, unweighted_weights) are plain Fractions and live in
+inputs; they are imported here from there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .algebra import AlgebraElement, Scalar, linear_combine, require_within_cap
+from .algebra import AlgebraElement, linear_combine
 from .basis import rmul_matrix
+from .inputs import (
+    Scalar,
+    WeightVector,
+    osc_weights,
+    r2b_weights,
+    require_within_cap,
+    t2r_weights,
+    uniform_distribution,
+    unweighted_weights,
+    validate_distribution,
+)
 from .perms import Perm, cycle
-
-WeightVector = Sequence[Scalar]
 
 
 def build_t(n: int, ell: int) -> AlgebraElement:
@@ -50,22 +60,6 @@ def combine(weights: WeightVector) -> AlgebraElement:
     return linear_combine((c, build_t(n, ell)) for ell, c in enumerate(weights, start=1))
 
 
-def validate_distribution(probabilities: Sequence[Scalar]) -> tuple[Fraction, ...]:
-    probs = tuple(Fraction(p) for p in probabilities)
-    if any(p < 0 for p in probs):
-        raise ValueError(f"negative probability in {probs}")
-    if sum(probs) != 1:
-        raise ValueError(f"probabilities sum to {sum(probs)}, expected 1")
-    return probs
-
-
-def osc_weights(probabilities: Sequence[Scalar]) -> tuple[Fraction, ...]:
-    """Weights P(ell)/(n+1-ell) turning a position distribution into t-weights."""
-    probs = validate_distribution(probabilities)
-    n = len(probs)
-    return tuple(p / (n + 1 - ell) for ell, p in enumerate(probs, start=1))
-
-
 def build_osc(probabilities: Sequence[Scalar]) -> AlgebraElement:
     """The shuffle governed by a position distribution; coefficients sum to 1.
 
@@ -73,29 +67,6 @@ def build_osc(probabilities: Sequence[Scalar]) -> AlgebraElement:
     distribution gives random-to-below.
     """
     return combine(osc_weights(probabilities))
-
-
-def uniform_distribution(n: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1, n) for _ in range(n))
-
-
-def t2r_weights(n: int) -> tuple[Fraction, ...]:
-    """t-weights of the top-to-random shuffle (point mass at position 1)."""
-    return osc_weights([1] + [0] * (n - 1))
-
-
-def r2b_weights(n: int) -> tuple[Fraction, ...]:
-    """t-weights of the random-to-below shuffle (uniform position choice)."""
-    return osc_weights(uniform_distribution(n))
-
-
-def unweighted_weights(n: int) -> tuple[Fraction, ...]:
-    """t-weights of the unweighted shuffle: every somewhere-to-below move equally likely.
-
-    The position distribution is P(i) = 2(n-i+1)/(n(n+1)), which makes all n
-    t-weights equal to 2/(n(n+1)).
-    """
-    return osc_weights([Fraction(2 * (n - i + 1), n * (n + 1)) for i in range(1, n + 1)])
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import Scalar
+from .inputs import Scalar, uniform_distribution, validate_distribution
 from .perms import Perm
-from .shuffles import uniform_distribution, validate_distribution
 
 RNG_ID = "philox4x64"
 
@@ -155,7 +154,7 @@ class SimulationResult:
     seed: int
     rng: str
     mean: float
-    stderr: float
+    stderr: float  # NaN for a single trial; to_json writes it as null
     histogram: tuple[tuple[int, int], ...]
     exact: Fraction | None
     upper_bound: float | None
@@ -169,7 +168,7 @@ class SimulationResult:
             "seed": self.seed,
             "rng": self.rng,
             "mean": self.mean,
-            "stderr": self.stderr,
+            "stderr": self.stderr if math.isfinite(self.stderr) else None,
             "exact": str(self.exact) if self.exact is not None else None,
             "upper_bound": self.upper_bound,
             "conjectured_lower": self.conjectured_lower,

@@ -18,26 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebra import AlgebraElement, Scalar, rank_factors, rank_product, require_within_cap
+from .algebra import AlgebraElement, rank_factors, rank_product
+from .inputs import Scalar, WeightVector, _exact_weights, require_within_cap
 from .lacunar import LacunarCatalog, catalog_rows, gap_table, is_lacunar, walk_gaps
 from .polys import Polynomial
-from .shuffles import WeightVector, combine
+from .shuffles import combine
 
 CERTIFIED_DIAGONALIZABLE = "certified_diagonalizable"
 INCONCLUSIVE = "inconclusive"
 CHAR_POLY_MAX_DIM = 120  # 5! = 120: the oracle's dense Fraction elimination stops at n = 5
-
-
-def _exact_weights(
-    weights: WeightVector, n: int
-) -> tuple[tuple[Fraction, ...], int, tuple[int, ...]]:
-    """The n weights as Fractions, a common denominator d of them and the
-    integers d * weight; any other count is refused."""
-    if len(weights) != n:
-        raise ValueError(f"expected {n} weights, got {len(weights)}")
-    exact = tuple(Fraction(c) for c in weights)
-    den = math.lcm(*(c.denominator for c in exact))
-    return exact, den, tuple(c.numerator * (den // c.denominator) for c in exact)
 
 
 def eigenvalue_for_set(weights: WeightVector, members: Iterable[int], n: int) -> Fraction:

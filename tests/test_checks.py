@@ -5,6 +5,11 @@ import pytest
 
 from cycleshuffles import checks, lacunar
 from cycleshuffles.basis import BasisFamily, build_a_family, dual_basis
+from cycleshuffles.inputs import SUITE_NAMES
+
+
+def test_the_suites_are_the_named_ones_in_their_order():
+    assert tuple(checks.SUITES) == SUITE_NAMES
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

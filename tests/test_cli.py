@@ -318,6 +318,20 @@ def test_simulate_fast_flag(capsys):
     assert json.loads(out)["trials"] == 500
 
 
+@pytest.mark.parametrize("fast", [(), ("--fast",)], ids=["full", "fast"])
+def test_simulate_one_trial_writes_strict_json(fast, capsys):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    code, out, _ = invoke(
+        capsys, "simulate", "--n", "3", "--trials", "1", "--seed", "1", *fast, "--format", "json"
+    )
+    assert code == 0
+    data = json.loads(out, parse_constant=refuse)
+    assert data["stderr"] is None  # undefined for one trial
+    assert data["trials"] == 1
+
+
 def test_simulate_fast_accepts_non_uniform_dist(capsys):
     # p = (7/12, 1/2), so E[tau] = 12/7 + 2 with or without --fast
     for fast in (("--fast",), ()):

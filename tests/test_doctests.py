@@ -4,6 +4,7 @@ import pytest
 
 import cycleshuffles.algebra
 import cycleshuffles.basis
+import cycleshuffles.inputs
 import cycleshuffles.lacunar
 import cycleshuffles.perms
 import cycleshuffles.polys
@@ -12,6 +13,7 @@ import cycleshuffles.simulate
 import cycleshuffles.spectrum
 
 MODULES = [
+    cycleshuffles.inputs,
     cycleshuffles.perms,
     cycleshuffles.lacunar,
     cycleshuffles.algebra,

@@ -1,63 +1,135 @@
-"""Only the simulator needs numpy.  Importing the package, running any other
-subcommand, or calling the exact library paths must not load it, so a fresh
-interpreter is checked after each step."""
+"""Each subcommand loads only the modules it runs.  A fresh interpreter
+imports the package root, then cycleshuffles.cli alone, then runs the
+subcommands one after another; after each step the cycleshuffles modules in
+sys.modules and whether numpy is loaded are recorded.  Only the simulator
+needs numpy, and spectrum and filtration need no group algebra."""
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cycleshuffles
 
 SRC = Path(cycleshuffles.__file__).resolve().parent.parent
 
+ROOT, CLI = "import cycleshuffles", "import cycleshuffles.cli"
+LIGHT = {"cli", "inputs", "lacunar"}
+
+SPECTRUM_STEPS = [
+    ["spectrum", "--n", "5", kind, "--format", fmt]
+    for kind in ("--r2b", "--t2r", "--unweighted", "--weights=1,-2,1/3,0,5")
+    for fmt in ("text", "csv", "json")
+] + [["filtration", "--n", "5", "--format", fmt] for fmt in ("text", "csv", "json")]
+
+SIMULATE = ["simulate", "--n", "3", "--trials", "10", "--seed", "1"]
+
 STEPS = [
-    ["spectrum", "--n", "5", "--r2b", "--format", "json"],
-    ["filtration", "--n", "5"],
-    ["filtration", "--n", "5", "--format", "json"],
+    ROOT,
+    CLI,
+    *SPECTRUM_STEPS,
     ["matrix", "--n", "4", "--osc", "1/4,1/4,1/4,1/4", "--basis", "a", "--order", "qindex"],
     ["matrix", "--n", "4", "--t", "2", "--format", "json"],
     ["verify", "--n", "4", "--suite", "all"],
     ["verify", "--n", "4", "--suite", "all", "--format", "json"],
     "minimal_polynomial",
-    ["simulate", "--n", "3", "--trials", "10", "--seed", "1"],
+    SIMULATE,
 ]
 
 SCRIPT = """
 import contextlib, json, sys
 from fractions import Fraction
 
-import cycleshuffles
-from cycleshuffles import cli, shuffles, spectrum
+def loaded():
+    return sorted(key.split(".", 1)[1] for key in sys.modules if key.startswith("cycleshuffles."))
 
 steps, output = json.loads(sys.argv[1]), sys.argv[2]
-report = [["import cycleshuffles", 0, "numpy" in sys.modules]]
+report = []
 for step in steps:
-    if step == "minimal_polynomial":
+    code = 0
+    if step == "import cycleshuffles":
+        import cycleshuffles
+    elif step == "import cycleshuffles.cli":
+        import cycleshuffles.cli
+    elif step == "minimal_polynomial":
+        from cycleshuffles import shuffles, spectrum
+
         weights = [Fraction(1, 3), Fraction(1, 2), Fraction(1)]
         spectrum.minimal_polynomial(shuffles.combine(weights), max_n=3)
-        code = 0
     else:
         with open(output, "w") as handle, contextlib.redirect_stdout(handle):
-            code = cli.run(step)
+            code = cycleshuffles.cli.run(step)
         step = " ".join(step)
-    report.append([step, code, "numpy" in sys.modules])
+    report.append([step, code, loaded(), "numpy" in sys.modules])
 print(json.dumps(report))
 """
 
 
-def test_numpy_is_loaded_by_simulate_only(tmp_path):
+def run_steps(steps, tmp_path) -> list[tuple[str, int, set[str], bool]]:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(STEPS), str(tmp_path / "out.txt")],
+        [sys.executable, "-c", SCRIPT, json.dumps(steps), str(tmp_path / "out.txt")],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout)
-    assert [code for _, code, _ in report] == [0] * len(report)
-    loaded = {step: numpy for step, _, numpy in report}
+    report = [(step, code, set(modules), numpy) for step, code, modules, numpy in json.loads(done.stdout)]
+    assert [code for _, code, _, _ in report] == [0] * len(steps)
+    return report
+
+
+def test_numpy_is_loaded_by_simulate_only(tmp_path):
+    report = run_steps(STEPS, tmp_path)
+    loaded = {step: numpy for step, _, _, numpy in report}
     assert loaded == {step: step.startswith("simulate") for step in loaded}
+
+
+@pytest.fixture(scope="module")
+def light_then_simulate(tmp_path_factory):
+    return run_steps([ROOT, CLI, *SPECTRUM_STEPS, SIMULATE], tmp_path_factory.mktemp("light"))
+
+
+def test_the_package_root_loads_no_submodule(light_then_simulate):
+    step, _, modules, numpy = light_then_simulate[0]
+    assert step == ROOT
+    assert modules == set()
+    assert not numpy
+
+
+def test_spectrum_and_filtration_load_only_cli_lacunar_and_inputs(light_then_simulate):
+    *light, _ = light_then_simulate[1:]
+    assert [step for step, _, _, _ in light] == [CLI] + [" ".join(step) for step in SPECTRUM_STEPS]
+    assert {step: modules for step, _, modules, _ in light} == {step: LIGHT for step, _, _, _ in light}
+
+
+def test_simulate_adds_only_simulate_and_perms(light_then_simulate):
+    (_, _, before, _), (_, _, after, numpy) = light_then_simulate[-2:]
+    assert after - before == {"simulate", "perms"}
+    assert before <= after
+    assert numpy
+
+
+@pytest.mark.parametrize("name", sorted(cycleshuffles._EXPORTS))
+def test_every_public_name_resolves_from_the_root(name):
+    namespace: dict = {}
+    exec(f"from cycleshuffles import {name}", namespace)
+    defining = importlib.import_module(f"cycleshuffles.{cycleshuffles._EXPORTS[name]}")
+    assert namespace[name] is getattr(defining, name)
+
+
+def test_the_root_lists_its_names_and_refuses_others():
+    listed = dir(cycleshuffles)
+    assert set(cycleshuffles._EXPORTS) <= set(listed)
+    assert cycleshuffles._SUBMODULES <= set(listed)
+    for module in cycleshuffles._SUBMODULES:
+        assert getattr(cycleshuffles, module) is importlib.import_module(f"cycleshuffles.{module}")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cycleshuffles.no_such_name
+    with pytest.raises(ImportError):
+        exec("from cycleshuffles import no_such_name", {})
