@@ -50,6 +50,13 @@ def _cases() -> list[tuple[str, ...]]:
             for basis in ("std", "a", "b"):
                 for order in ("lex", "qindex", "qindex-desc"):
                     cases.append(("matrix", "--n", str(n), *flags, "--basis", basis, "--order", order))
+    for n in range(1, 5):
+        for flags in (("--t", "1"), ("--osc", ",".join([f"1/{n}"] * n))):
+            for basis in ("std", "a", "b"):
+                for order in ("lex", "qindex", "qindex-desc"):
+                    cases.append(
+                        ("matrix", "--n", str(n), *flags, "--basis", basis, "--order", order, "--format", "json")
+                    )
     uniform5 = ",".join(["1/5"] * 5)
     for basis in ("a", "b"):
         for fmt in ("csv", "json"):
@@ -66,6 +73,7 @@ def _cases() -> list[tuple[str, ...]]:
                 cases.append(
                     ("simulate", "--n", str(n), "--trials", "400", "--seed", "11", *flags, "--format", fmt)
                 )
+    cases.append(("simulate", "--n", "30", "--trials", "2000", "--seed", "11", "--fast", "--format", "json"))
     cases += [
         ("spectrum", "--n", "4", "--weights", "1,1"),
         ("spectrum", "--n", "4", "--weights", "1,1,1,1,1,1"),
