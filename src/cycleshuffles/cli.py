@@ -1,11 +1,15 @@
 """Command-line front end: spectra, filtration tables, matrix exports,
 verification suites and strong-stationary-time simulation.
 
-spectrum and filtration stream their rows from lacunar.catalog_rows, each
-printed by concatenating the cached per-gap texts of lacunar.gap_texts, and
-write them in chunks; they hold no catalog, report or output beyond one
-chunk and the aggregate of equal eigenvalues.  Their input is checked
-before the first byte is written.
+Every table is written in chunks of _CHUNK_ROWS rows; only the matrix CSV
+is written whole, by csv.writer.  spectrum and filtration stream their rows
+from lacunar.catalog_rows, each printed by concatenating the cached per-gap
+texts of lacunar.gap_texts; they hold no catalog, report or output beyond
+one chunk and the aggregate of equal eigenvalues.  matrix --format json
+renders the rows of the basis.rmul_matrix result one by one.  Input is
+checked before the first byte is written.  Every JSON text is what
+json.dumps(..., indent=2) writes: the small payloads are written by it, and
+the streamed tables splice their rows into the frame it writes around them.
 
 Each subcommand loads only the modules it runs: at module level this
 imports the standard library, lacunar and inputs, which is all that
@@ -29,11 +33,9 @@ import itertools
 import json
 import math
 import os
-import re
 import stat
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .inputs import (
@@ -191,76 +193,6 @@ def _emit(text: str | Iterable[str], output: str | None) -> None:
         raise OSError(exc.errno, exc.strerror, output) from None
 
 
-_CONTAINERS = (dict, list, tuple)
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-@lru_cache(maxsize=None)
-def _json_level(depth: int) -> tuple[json.JSONEncoder, re.Pattern]:
-    """The C encoder of the containers at this depth, and the split between them."""
-    separator = ",\n" + "  " * (depth + 1)
-    boundary = re.compile(separator + "(?<=[\\]}]" + separator + ")")
-    return json.JSONEncoder(separators=(separator, ": ")), boundary
-
-
-def _json_texts(containers: list, depth: int) -> list[str]:
-    """json.dumps(c, indent=2) of each container, as it reads at this depth.
-
-    With an indent the stdlib falls back to its pure-Python encoder, so here
-    the C encoder writes all the containers of one depth in a single call,
-    with the line break and indent of depth + 1 as the item separator.  A
-    child container stands in as null and is written with the next depth.
-    A raw line break never occurs inside an encoded key or scalar, and only
-    a container's text ends in a bracket, so a bracket and the separator
-    split the containers, and the separator alone splits their items.
-    """
-    encoder, boundary = _json_level(depth)
-    separator = encoder.item_separator
-    shallow, stand_ins, children = [], [], []
-    for container in containers:
-        values = container.values() if isinstance(container, dict) else container
-        held: list[int] | tuple = ()  # the places of the child containers
-        if not _SCALARS.issuperset(map(type, values)):  # plain scalars skip the search
-            held = [i for i, value in enumerate(values) if isinstance(value, _CONTAINERS)]
-        if held:
-            values = list(values)
-            children += (values[i] for i in held)
-            for i in held:
-                values[i] = None
-            container = dict(zip(container, values)) if isinstance(container, dict) else values
-        shallow.append(container)
-        stand_ins.append(held)
-    texts = boundary.split(encoder.encode(shallow))
-    texts[0] = texts[0][1:]  # the brackets of the list of them all
-    texts[-1] = texts[-1][:-1]
-    del shallow  # the copies with stand-ins are done with before the next depth
-    # popped from the end, so that each child's text is freed once it is copied in
-    child_texts = _json_texts(children, depth + 1)[::-1] if children else []
-    close = "\n" + "  " * depth
-    for k, held in enumerate(stand_ins):
-        text = texts[k]
-        if len(text) == 2:  # an empty container stays "[]" or "{}"
-            continue
-        items = text[1:-1].split(separator) if held else [text[1:-1]]
-        for i in held:
-            items[i] = items[i][: -len("null")] + child_texts.pop()
-        items[0] = text[0] + separator[1:] + items[0]
-        items[-1] += close + text[-1]
-        texts[k] = separator.join(items)
-    return texts
-
-
-def _json_text(value) -> str:
-    """Exactly json.dumps(value, indent=2)."""
-    if isinstance(value, _CONTAINERS):
-        return _json_texts([value], 0)[0]
-    return json.dumps(value)
-
-
-def _emit_json(payload, output: str | None) -> None:
-    _emit(_json_text(payload) + "\n", output)
-
-
 def _csv_text(rows) -> str:
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
@@ -286,10 +218,12 @@ _SPACED = ("", " ", "")
 
 
 def _chunks(items: Iterator[str], separator: str = "") -> Iterator[str]:
-    """The items joined by separator, _CHUNK_ROWS of them to a text."""
+    """The items joined by separator, _CHUNK_ROWS of them to a text; the
+    items of a text are let go before it is written."""
     batch = list(itertools.islice(items, _CHUNK_ROWS))
     while batch:
-        yield separator.join(batch)
+        text, batch = separator.join(batch), None
+        yield text
         batch = list(itertools.islice(items, _CHUNK_ROWS))
         if batch:
             yield separator
@@ -306,13 +240,14 @@ def _json_forms() -> tuple[str, str, str, str, tuple[str, str, str]]:
     json.dumps(..., indent=2) writes them: a container opens with its
     bracket and the separator of its items, less the comma, and closes with
     the separator of its own depth, less the comma."""
-    sep1, sep2, sep3 = (_json_level(depth)[0].item_separator for depth in (1, 2, 3))
+    sep1, sep2, sep3 = (",\n" + "  " * (depth + 1) for depth in (1, 2, 3))
     return sep1, sep2, "{" + sep2[1:], sep1[1:] + "}", ("[" + sep3[1:], sep3, sep2[1:] + "]")
 
 
 def _json_frame(payload: dict) -> list[str]:
-    """The text of the payload around each of its null values, in order."""
-    return _json_text(payload).split("null")
+    """The json.dumps(..., indent=2) text of the payload around each of its
+    null values, in order; no string in the payload may contain null."""
+    return json.dumps(payload, indent=2).split("null")
 
 
 def _spectrum_rows(
@@ -485,8 +420,11 @@ def cmd_matrix(args) -> int:
         rows = zip(*rows)  # the transition matrix: row tau holds tau * osc(P)
     names = [format_permutation(w) for w in labels]
     if args.format == "json":
-        payload = {"n": n, "order": names, "rows": [[str(v) for v in row] for row in rows]}
-        _emit_json(payload, args.output)
+        sep1, sep2, *_ = _json_forms()
+        head, tail = _json_frame({"n": n, "order": names, "rows": [None]})
+        opening, joiner, closing = "[" + sep2[1:] + '"', '"' + sep2 + '"', '"' + sep1[1:] + "]"
+        texts = (opening + joiner.join(map(str, row)) + closing for row in rows)
+        _emit(itertools.chain([head], _chunks(texts, sep1), [tail + "\n"]), args.output)
     else:
         body = ([name, *row] for name, row in zip(names, rows))
         _emit(_csv_text(itertools.chain([["", *names]], body)), args.output)
@@ -502,7 +440,7 @@ def cmd_verify(args) -> int:
             {"suite": r.suite, "name": r.name, "passed": r.passed, "detail": r.detail}
             for r in results
         ]
-        _emit_json(payload, args.output)
+        _emit(json.dumps(payload, indent=2) + "\n", args.output)
     else:
         _emit("".join(r.line() + "\n" for r in results), args.output)
     return 0 if all(r.passed for r in results) else 1
@@ -518,7 +456,7 @@ def cmd_simulate(args) -> int:
     simulator = fast_bookmark_sim if args.fast else simulate_sst
     result = simulator(dist, args.trials, args.seed)
     if args.format == "json":
-        _emit_json(result.to_json(), args.output)
+        _emit(json.dumps(result.to_json(), indent=2) + "\n", args.output)
     else:
         lines = [
             f"n = {result.n}, trials = {result.trials}, seed = {result.seed}, rng = {result.rng}",

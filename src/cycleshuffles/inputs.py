@@ -52,8 +52,9 @@ def require_within_cap(n: int, override: int | None = None) -> None:
 
 def validate_distribution(probabilities: Sequence[Scalar]) -> tuple[Fraction, ...]:
     probs = tuple(Fraction(p) for p in probabilities)
-    if any(p < 0 for p in probs):
-        raise ValueError(f"negative probability in {probs}")
+    for position, p in enumerate(probs, start=1):
+        if p < 0:
+            raise ValueError(f"negative probability {p} at position {position}")
     if sum(probs) != 1:
         raise ValueError(f"probabilities sum to {sum(probs)}, expected 1")
     return probs

@@ -9,10 +9,10 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
 
+from cycleshuffles import cli
 from cycleshuffles.basis import basis_order, rmul_matrix
-from cycleshuffles.cli import _json_text, run
+from cycleshuffles.cli import run
 from cycleshuffles.lacunar import enumerate_lacunar, format_subset, gap_table, non_shadow, walk_gaps
 from cycleshuffles.perms import format_permutation
 from cycleshuffles.shuffles import (
@@ -58,35 +58,6 @@ def test_filtration_non_shadow_sets_are_non_shadow(n, capsys):
     rows = json.loads(out)["rows"]
     assert [row["set"] for row in rows] == [sorted(s) for s in enumerate_lacunar(n).sets]
     assert [row["non_shadow"] for row in rows] == [sorted(non_shadow(row["set"], n)) for row in rows]
-
-
-# separators, brackets and the stand-in text inside strings must not move a line break
-_TRICKY_STRINGS = ["", "]", "[", "{}", "null", ",\n  ", "],\n    [", "\x00\x1f\u2028", "\u00e9\u4e2d\U0001f600"]
-_json_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.sampled_from([10**40, -(10**40), 2**63])
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | st.text()
-    | st.sampled_from(_TRICKY_STRINGS)
-)
-_json_keys = st.text() | st.sampled_from(_TRICKY_STRINGS) | st.integers() | st.floats() | st.booleans() | st.none()
-_json_values = st.recursive(
-    _json_scalars,
-    lambda inner: st.lists(inner, max_size=5)
-    | st.lists(inner, max_size=5).map(tuple)
-    | st.dictionaries(_json_keys, inner, max_size=5),
-    max_leaves=40,
-)
-
-
-@given(_json_values)
-@example({"rows": [{"set": [], "m": [3, 2, 1]}, {"set": [1], "m": [0, 1]}], "n": 2})
-@example([[], {}, [[]], {"]": {"[": []}}, ("null", None, [None])])
-@example(float("nan"))
-def test_json_text_is_json_dumps_with_indent_2(value):
-    assert _json_text(value) == json.dumps(value, indent=2)
 
 
 def _csv_text(rows):
@@ -474,6 +445,48 @@ def test_matrix_rendering_is_byte_identical_to_fraction_rendering(fmt, capsys):
         code, out, _ = invoke(capsys, "matrix", "--n", "3", *flags, "--format", fmt)
         assert code == 0
         assert out == _reference_matrix_text(labels, rows, fmt)
+
+
+def _reference_matrices(n):
+    """(flags, labels, rows) of every basis and order, for --t 1 and for
+    --osc uniform; --osc std is the transition matrix, in the named order."""
+    dist = [Fraction(1, n)] * n
+    osc, t1 = build_osc(dist), build_t(n, 1)
+    tm = transition_matrix(osc)
+    lex_rank = {w: k for k, w in enumerate(tm.perms)}
+    for order in ("lex", "qindex", "qindex-desc"):
+        picks = [lex_rank[w] for w in basis_order(n, order)]
+        rows = [[tm.rows[i][j] for j in picks] for i in picks]
+        osc_flags = ("--osc", ",".join(map(str, dist)), "--order", order)
+        yield (*osc_flags, "--basis", "std"), [tm.perms[k] for k in picks], rows
+        for basis in ("std", "a", "b"):
+            yield ("--t", "1", "--order", order, "--basis", basis), *rmul_matrix(t1, basis, order)
+            if basis != "std":
+                yield (*osc_flags, "--basis", basis), *rmul_matrix(osc, basis, order)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_matrix_json_across_chunk_boundaries_is_the_whole_rendering(n, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
+    for flags, labels, rows in _reference_matrices(n):
+        code, out, err = invoke(capsys, "matrix", "--n", str(n), *flags, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == _reference_matrix_text(labels, rows, "json"), flags
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--n", "3", "--trials", "2", "--seed", "1", "--dist", "1,1,-1"),
+        ("simulate", "--n", "3", "--trials", "2", "--seed", "1", "--dist", "1,1,-1", "--fast"),
+        ("matrix", "--n", "3", "--osc", "1,1,-1"),
+    ],
+)
+def test_a_negative_probability_is_named_as_a_rational(argv, capsys):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: negative probability -1 at position 3\n"
+    assert "Fraction(" not in err
 
 
 @pytest.mark.parametrize(

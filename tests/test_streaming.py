@@ -1,5 +1,6 @@
-"""spectrum and filtration stream their rows: each guard runs in a fresh
-interpreter, so that no catalog or report built by another test is counted."""
+"""spectrum, filtration and the matrix JSON export stream their rows: each
+guard runs in a fresh interpreter, so that no catalog, report or matrix
+built by another test is counted."""
 
 import json
 import os
@@ -62,3 +63,28 @@ def test_streamed_spectrum_memory_is_flat_in_n(tmp_path):
     (code16, peak16), (code22, peak22) = peaks["16"], peaks["22"]
     assert code16 == code22 == 0
     assert peak22 < PEAK_GROWTH * peak16, (peak16, peak22)
+
+
+MATRIX_SCRIPT = """
+import json, sys, tracemalloc
+from cycleshuffles import cli
+
+argv = ["matrix", "--n", "6", "--t", "2", "--basis", "a", "--order", "qindex", "--format", "json"]
+tracemalloc.start()
+code = cli.run([*argv, "--output", sys.argv[1]])
+print(json.dumps([code, tracemalloc.get_traced_memory()[1]]))
+"""
+
+# the 720 x 720 matrix and its 5.7 MB of JSON peak at about 17.5 MB when the
+# rows stream, and at about 47.8 MB when the whole payload of row lists is
+# built and encoded in one text
+MATRIX_PEAK_BYTES = 30_000_000
+
+
+def test_streamed_matrix_json_holds_no_whole_payload(tmp_path):
+    target = tmp_path / "matrix.json"
+    code, peak = _fresh(MATRIX_SCRIPT, str(target))
+    assert code == 0
+    assert peak < MATRIX_PEAK_BYTES, peak
+    data = json.loads(target.read_text())
+    assert len(data["order"]) == len(data["rows"]) == 720
