@@ -74,6 +74,9 @@ def _cases() -> list[tuple[str, ...]]:
                     ("simulate", "--n", str(n), "--trials", "400", "--seed", "11", *flags, "--format", fmt)
                 )
     cases.append(("simulate", "--n", "30", "--trials", "2000", "--seed", "11", "--fast", "--format", "json"))
+    # the nulls of the simulate JSON: exact above n = 200, stderr at one trial
+    cases.append(("simulate", "--n", "201", "--trials", "50", "--seed", "11", "--fast", "--format", "json"))
+    cases.append(("simulate", "--n", "5", "--trials", "1", "--seed", "11", "--format", "json"))
     cases += [
         ("spectrum", "--n", "4", "--weights", "1,1"),
         ("spectrum", "--n", "4", "--weights", "1,1,1,1,1,1"),
