@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraElement, linear_combine
+from .algebra import AlgebraElement, _composer, integer_terms, linear_combine, sn_index
 from .basis import BasisFamily, QIndexTable, build_a_family, dual_basis, rmul_columns
 from .identities import _nilpotency_reports, identity_suite
 from .inputs import SUITE_NAMES, r2b_weights, require_within_cap
@@ -120,17 +120,23 @@ def check_duality(n: int, max_n: int | None = None) -> list[CheckResult]:
 
 def check_antipode_conjugation(n: int, max_n: int | None = None) -> CheckResult:
     """Matrix identity R(sum of c t') = S L(sum of c t) S^{-1} over the
-    standard basis: entry (v, w) of the left side must equal entry
-    (v^{-1}, w^{-1}) of L, since S is the permutation matrix of inversion."""
+    standard basis: column w of R, w x', must be column w^{-1} of L, x w^{-1},
+    with each permutation inverted; integer columns, denominators cleared once."""
+    require_within_cap(n, max_n)
     weights = pseudo_random_weights(n)
     x = combine(weights)
-    x_prime = linear_combine(
-        (c, build_t_prime(n, ell)) for ell, c in enumerate(weights, start=1)
-    )
+    x_prime = linear_combine((c, build_t_prime(n, ell)) for ell, c in enumerate(weights, start=1))
+    perms, rank = sn_index(n)
+    den, x_terms = integer_terms(x.terms)
+    prime_den, prime_terms = integer_terms(x_prime.terms)
+    times_prime = [(_composer(v), b) for v, b in prime_terms]
+    inverted = [rank[inverse(v)] for v in perms]
     bad = None
-    for w, lhs_col in rmul_columns(x_prime, "std", max_n=max_n):
-        rhs_col = (x * AlgebraElement.from_perm(inverse(w))).terms
-        if {inverse(v): c for v, c in rhs_col.items()} != lhs_col:
+    for w in perms:
+        times_w_inverse = _composer(inverse(w))
+        lhs = {rank[times_v(w)]: b for times_v, b in times_prime}
+        rhs = {inverted[rank[times_w_inverse(u)]]: a for u, a in x_terms}
+        if prime_den != den or lhs != rhs:
             bad = f"columns differ at w={w}"
             break
     return CheckResult("duality", "R(t') = S L(t) S^-1 as matrices", bad is None, bad or "")

@@ -1,15 +1,16 @@
 """Command-line front end: spectra, filtration tables, matrix exports,
 verification suites and strong-stationary-time simulation.
 
-Every table is written in chunks of _CHUNK_ROWS rows; only the matrix CSV
-is written whole, by csv.writer.  spectrum and filtration stream their rows
-from lacunar.catalog_rows, each printed by concatenating the cached per-gap
-texts of lacunar.gap_texts; they hold no catalog, report or output beyond
-one chunk and the aggregate of equal eigenvalues.  matrix --format json
-renders the rows of the basis.rmul_matrix result one by one.  Input is
-checked before the first byte is written.  Every JSON text is what
-json.dumps(..., indent=2) writes: the small payloads are written by it, and
-the streamed tables splice their rows into the frame it writes around them.
+Every table goes through one renderer, _table, _CHUNK_ROWS rows at a time:
+a table declares its labels, its text row template and which JSON values
+are strings; only the renderer writes headers, CSV quoting and line ends
+and JSON items.  A document is a frame with a slot per table (_render): a
+text, or a payload written by json.dumps(..., indent=2), which every JSON
+text therefore matches byte for byte.  spectrum and filtration stream
+their rows from lacunar.catalog_rows, concatenated from the cached per-gap
+texts of lacunar.gap_texts, and hold no more than one chunk and the
+aggregate of equal eigenvalues.  Input is checked before the first byte
+is written.
 
 Each subcommand loads only the modules it runs: at module level this
 imports the standard library, lacunar and inputs, which is all that
@@ -193,12 +194,6 @@ def _emit(text: str | Iterable[str], output: str | None) -> None:
         raise OSError(exc.errno, exc.strerror, output) from None
 
 
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue()
-
-
 def _resolve_weights(args) -> tuple[Fraction, ...]:
     n = args.n
     if args.t2r:
@@ -211,20 +206,55 @@ def _resolve_weights(args) -> tuple[Fraction, ...]:
 
 
 _CHUNK_ROWS = 2048
-# the list forms of gap_texts: subsets, m vectors and JSON lists at depth 3
+# A frame's place for a table, a JSON row pattern's for a cell: json.dumps writes
+# it \u0000, and no payload (numerals, rationals, permutations, RNG name) has one.
+_SLOT = "\0"
+# the item separators at depths 1, 2 and 3 that json.dumps(..., indent=2) writes
+_SEP1, _SEP2, _SEP3 = (",\n" + "  " * (depth + 1) for depth in (1, 2, 3))
+# the list forms of gap_texts for subsets and JSON lists at depth 3
 _BRACES = ("{", ",", "}")
-_PARENS = ("(", ", ", ")")
-_SPACED = ("", " ", "")
+_JSON_LIST = ("[" + _SEP3[1:], _SEP3, _SEP2[1:] + "]")
 
 
-def _chunks(items: Iterator[str], separator: str = "") -> Iterator[str]:
-    """The items joined by separator, _CHUNK_ROWS of them to a text; the
-    items of a text are let go before it is written."""
-    batch = list(itertools.islice(items, _CHUNK_ROWS))
+def _render(fmt: str, frame, tables: Iterable[tuple]) -> Iterator[str]:
+    """The texts of frame, a JSON payload in json and a text otherwise, with
+    the next table in place of each _SLOT (in JSON, each list [_SLOT]); tables
+    yields each table's _table arguments when it is due, after the rows before."""
+    if fmt == "json":
+        frame = json.dumps(frame, indent=2).replace(json.dumps(_SLOT), _SLOT) + "\n"
+    head, *pieces = frame.split(_SLOT)
+    yield head
+    for piece, table in zip(pieces, tables):
+        yield from _table(fmt, *table)
+        yield piece
+
+
+def _table(fmt: str, rows: Iterable, labels=None, template: str = "", strings=()) -> Iterator[str]:
+    """The texts of a table of texts and numbers, _CHUNK_ROWS rows to a text,
+    each batch of rows let go before its text is written.
+    - text: the header template.format(*labels), if labels, and each row by template.
+    - csv: the labels and rows as csv.writer writes them (commas, a cell holding
+      one quoted, \\r\\n); the long texts of a text table (one with a template),
+      which csv.writer scans char by char, are joined column by column instead.
+    - json: the items of a list at depth 1, each row an object of the labels to
+      its cells (without labels, a list), cells labelled None left out and those
+      at the indices in strings written as strings."""
+    separator = ""
+    if fmt == "json":
+        render, separator = (lambda batch: _json_items(labels, strings, batch)), _SEP1
+    elif fmt == "text":
+        if labels:
+            yield template.format(*labels)
+        render = lambda batch: "".join(itertools.starmap(template.format, batch))
+    else:
+        yield ",".join(map(_csv_field, labels)) + "\r\n"
+        render = _csv_lines if template else _csv_writer_lines
+    rows = iter(rows)
+    batch = list(itertools.islice(rows, _CHUNK_ROWS))
     while batch:
-        text, batch = separator.join(batch), None
+        text, batch = render(batch), None
         yield text
-        batch = list(itertools.islice(items, _CHUNK_ROWS))
+        batch = list(itertools.islice(rows, _CHUNK_ROWS))
         if batch:
             yield separator
 
@@ -234,20 +264,32 @@ def _csv_field(text: str) -> str:
     return f'"{text}"' if "," in text else text
 
 
-def _json_forms() -> tuple[str, str, str, str, tuple[str, str, str]]:
-    """The item separators of the depths 1 and 2, the opening and closing of
-    an object at depth 2, and the gap_texts list form of depth 3, as
-    json.dumps(..., indent=2) writes them: a container opens with its
-    bracket and the separator of its items, less the comma, and closes with
-    the separator of its own depth, less the comma."""
-    sep1, sep2, sep3 = (",\n" + "  " * (depth + 1) for depth in (1, 2, 3))
-    return sep1, sep2, "{" + sep2[1:], sep1[1:] + "}", ("[" + sep3[1:], sep3, sep2[1:] + "]")
+def _csv_lines(batch: list) -> str:
+    columns = [c if isinstance(c[0], str) else list(map(str, c)) for c in zip(*batch)]  # one type each
+    quoted = (map(_csv_field, column) if "," in "".join(column) else column for column in columns)
+    return "\r\n".join(map(",".join, zip(*quoted))) + "\r\n"
 
 
-def _json_frame(payload: dict) -> list[str]:
-    """The json.dumps(..., indent=2) text of the payload around each of its
-    null values, in order; no string in the payload may contain null."""
-    return json.dumps(payload, indent=2).split("null")
+def _csv_writer_lines(batch: list) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(batch)
+    return buf.getvalue()
+
+
+def _json_items(labels, strings, batch: list) -> str:
+    kept = [k for k in range(len(batch[0])) if not labels or labels[k] is not None]
+    pattern = _SEP2.join(
+        (f'"{labels[k]}": ' if labels else "") + (f'"{_SLOT}"' if k in strings else _SLOT) for k in kept
+    )
+    opening, closing = "{}" if labels else "[]"
+    pieces = (opening + _SEP2[1:] + pattern + _SEP1[1:] + closing).split(_SLOT)
+    if not labels:  # list rows, n! cells wide in a matrix: str.format beats a transposed chunk
+        return _SEP1.join(itertools.starmap("{}".join(pieces).format, batch))
+    columns = (column for column, label in zip(zip(*batch), labels) if label is not None)
+    parts = [itertools.repeat(pieces[0])]
+    for column, piece in zip(columns, pieces[1:]):  # each column holds cells of one type
+        parts += (column if isinstance(column[0], str) else map(str, column), itertools.repeat(piece))
+    return _SEP1.join(map("".join, zip(*parts)))
 
 
 def _spectrum_rows(
@@ -271,58 +313,43 @@ def _spectrum_rows(
         yield i, members, m, total[0], str(multiplicity)
 
 
-def _aggregate(totals: dict) -> Iterator[list]:
-    """[g_I, total multiplicity], g_I descending; den > 0 keeps the order."""
-    return (totals[g] for g in sorted(totals, reverse=True))
-
-
-def _spectrum_text(n, weights, numerators, den) -> Iterator[str]:
-    totals: dict[int, list] = {}
-    yield f"n = {n}, weights = {', '.join(str(c) for c in weights)}\n"
-    yield f"{'i':>4} {'Q_i':>12} {'eigenvalue':>14} {'multiplicity':>14}  m-vector\n"
-    rows = _spectrum_rows(n, numerators, den, totals, _BRACES, _PARENS)
-    yield from _chunks(f"{i:>4} {s:>12} {g:>14} {d:>14}  {m}\n" for i, s, m, g, d in rows)
-    yield "aggregate:\n"
-    yield from _chunks(f"  eigenvalue {g}: multiplicity {d}\n" for g, d in _aggregate(totals))
-
-
-def _spectrum_csv(n, weights, numerators, den) -> Iterator[str]:
-    totals: dict[int, list] = {}
-    yield "i,set,m,eigenvalue,multiplicity\r\n"
-    rows = _spectrum_rows(n, numerators, den, totals, _BRACES, _SPACED)
-    yield from _chunks(f"{i},{_csv_field(s)},{m},{g},{d}\r\n" for i, s, m, g, d in rows)
-
-
-def _spectrum_json(n, weights, numerators, den) -> Iterator[str]:
-    sep1, sep2, opening, close, form = _json_forms()
-    frame = {"n": n, "weights": [str(c) for c in weights], "rows": [None], "aggregate": [None]}
-    head, middle, tail = _json_frame(frame)
-    totals: dict[int, list] = {}
-    yield head
-    rows = _spectrum_rows(n, numerators, den, totals, form, form)
-    yield from _chunks(
-        (
-            f'{opening}"set": {s}{sep2}"m": {m}{sep2}'
-            f'"eigenvalue": "{g}"{sep2}"multiplicity": "{d}"{close}'
-            for _, s, m, g, d in rows
-        ),
-        sep1,
-    )
-    yield middle
-    yield from _chunks(
-        (f'{opening}"eigenvalue": "{g}"{sep2}"multiplicity": "{d}"{close}' for g, d in _aggregate(totals)),
-        sep1,
-    )
-    yield tail + "\n"
-
-
-_SPECTRUM_FORMATS = {"text": _spectrum_text, "csv": _spectrum_csv, "json": _spectrum_json}
+_SPECTRUM_ROW = "{0:>4} {1:>12} {3:>14} {4:>14}  {2}\n"
+# per format: the gap_texts forms of the sets and m vectors, and the tables of
+# the rows (i, Q_i, m, g_I, delta_i) and of the aggregate [g_I, multiplicity]
+_SPECTRUM = {
+    "text": (
+        (_BRACES, ("(", ", ", ")")),
+        (("i", "Q_i", "m-vector", "eigenvalue", "multiplicity"), _SPECTRUM_ROW),
+        (None, "  eigenvalue {}: multiplicity {}\n"),
+    ),
+    "csv": ((_BRACES, ("", " ", "")), (("i", "set", "m", "eigenvalue", "multiplicity"), _SPECTRUM_ROW)),
+    "json": (
+        (_JSON_LIST, _JSON_LIST),
+        ((None, "set", "m", "eigenvalue", "multiplicity"), "", (3, 4)),
+        (("eigenvalue", "multiplicity"), "", (0, 1)),
+    ),
+}
 
 
 def cmd_spectrum(args) -> int:
-    n = args.n
+    n, fmt = args.n, args.format
     weights, den, numerators = _exact_weights(_resolve_weights(args), n)  # refused before any byte
-    _emit(_SPECTRUM_FORMATS[args.format](n, weights, numerators, den), args.output)
+    texts = [str(c) for c in weights]
+    frame = {
+        "text": f"n = {n}, weights = {', '.join(texts)}\n{_SLOT}aggregate:\n{_SLOT}",
+        "csv": _SLOT,
+        "json": {"n": n, "weights": texts, "rows": [_SLOT], "aggregate": [_SLOT]},
+    }[fmt]
+    forms, *tables = _SPECTRUM[fmt]
+    totals: dict[int, list] = {}
+
+    def spectrum() -> Iterator[tuple]:
+        yield _spectrum_rows(n, numerators, den, totals, *forms), *tables[0]
+        # g_I descending (den > 0 keeps the order), once the rows are written;
+        # the CSV frame has no slot for it
+        yield (totals[g] for g in sorted(totals, reverse=True)), *tables[1]
+
+    _emit(_render(fmt, frame, spectrum()), args.output)
     return 0
 
 
@@ -352,52 +379,21 @@ def _largest_delta(n: int) -> int:
     return best[n + 1]
 
 
-def _filtration_text(n: int) -> Iterator[str]:
-    # the widest cell of each column in closed form: the last index, the
-    # most members (n - 1, n - 3, ...), the non-shadow of the empty set, n!
-    header = ("i", "Q_i", "Q_i'", "dim F_i", "delta_i")
-    widest = (
-        str(fibonacci(n + 1)),
-        format_subset(range(n - 1, 0, -2)),
-        format_subset(range(1, n)),
-        str(math.factorial(n)),
-        str(_largest_delta(n)),
-    )
-    w = [max(len(h), len(c)) for h, c in zip(header, widest)]
-    yield " | ".join(h.rjust(k) for h, k in zip(header, w)) + "\n"
-    rows = _filtration_rows(n, _BRACES)
-    yield from _chunks(
-        f"{i:>{w[0]}} | {s:>{w[1]}} | {q:>{w[2]}} | {dim:>{w[3]}} | {d:>{w[4]}}\n" for i, s, q, dim, d in rows
-    )
-
-
-def _filtration_csv(n: int) -> Iterator[str]:
-    yield "i,Q_i,Q_i',dim F_i,delta_i\r\n"
-    rows = _filtration_rows(n, _BRACES)
-    yield from _chunks(f"{i},{_csv_field(s)},{_csv_field(q)},{dim},{d}\r\n" for i, s, q, dim, d in rows)
-
-
-def _filtration_json(n: int) -> Iterator[str]:
-    sep1, sep2, opening, close, form = _json_forms()
-    head, tail = _json_frame({"n": n, "rows": [None]})
-    yield head
-    rows = _filtration_rows(n, form)
-    yield from _chunks(
-        (
-            f'{opening}"i": {i}{sep2}"set": {s}{sep2}"non_shadow": {q}{sep2}'
-            f'"dim": {dim}{sep2}"delta": {d}{close}'
-            for i, s, q, dim, d in rows
-        ),
-        sep1,
-    )
-    yield tail + "\n"
-
-
-_FILTRATION_FORMATS = {"text": _filtration_text, "csv": _filtration_csv, "json": _filtration_json}
-
-
 def cmd_filtration(args) -> int:
-    _emit(_FILTRATION_FORMATS[args.format](args.n), args.output)
+    n, fmt = args.n, args.format
+    if fmt == "json":
+        table = [("i", "set", "non_shadow", "dim", "delta")]
+        frame, form = {"n": n, "rows": [_SLOT]}, _JSON_LIST
+    else:
+        # the widest cell of each column in closed form: the last index, the
+        # most members (n - 1, n - 3, ...), the non-shadow of the empty set, n!
+        labels = ("i", "Q_i", "Q_i'", "dim F_i", "delta_i")
+        widest = (fibonacci(n + 1), format_subset(range(n - 1, 0, -2)), format_subset(range(1, n)))
+        widest += (math.factorial(n), _largest_delta(n))
+        widths = (max(len(label), len(str(cell))) for label, cell in zip(labels, widest))
+        template = " | ".join(f"{{{k}:>{w}}}" for k, w in enumerate(widths)) + "\n"
+        frame, form, table = _SLOT, _BRACES, [labels, template]
+    _emit(_render(fmt, frame, [(_filtration_rows(n, form), *table)]), args.output)
     return 0
 
 
@@ -420,14 +416,10 @@ def cmd_matrix(args) -> int:
         rows = zip(*rows)  # the transition matrix: row tau holds tau * osc(P)
     names = [format_permutation(w) for w in labels]
     if args.format == "json":
-        sep1, sep2, *_ = _json_forms()
-        head, tail = _json_frame({"n": n, "order": names, "rows": [None]})
-        opening, joiner, closing = "[" + sep2[1:] + '"', '"' + sep2 + '"', '"' + sep1[1:] + "]"
-        texts = (opening + joiner.join(map(str, row)) + closing for row in rows)
-        _emit(itertools.chain([head], _chunks(texts, sep1), [tail + "\n"]), args.output)
+        frame, table = {"n": n, "order": names, "rows": [_SLOT]}, (rows, None, "", range(len(names)))
     else:
-        body = ([name, *row] for name, row in zip(names, rows))
-        _emit(_csv_text(itertools.chain([["", *names]], body)), args.output)
+        frame, table = _SLOT, (([name, *row] for name, row in zip(names, rows)), ("", *names))
+    _emit(_render(args.format, frame, [table]), args.output)
     return 0
 
 
@@ -456,7 +448,8 @@ def cmd_simulate(args) -> int:
     simulator = fast_bookmark_sim if args.fast else simulate_sst
     result = simulator(dist, args.trials, args.seed)
     if args.format == "json":
-        _emit(json.dumps(result.to_json(), indent=2) + "\n", args.output)
+        frame = {**result.to_json(), "histogram": [_SLOT]}
+        _emit(_render("json", frame, [(result.histogram,)]), args.output)
     else:
         lines = [
             f"n = {result.n}, trials = {result.trials}, seed = {result.seed}, rng = {result.rng}",

@@ -1,11 +1,13 @@
 import copy
 import re
+from fractions import Fraction
 
 import pytest
 
 from cycleshuffles import checks, lacunar
 from cycleshuffles.basis import BasisFamily, build_a_family, dual_basis
 from cycleshuffles.inputs import SUITE_NAMES
+from cycleshuffles.shuffles import build_t, build_t_prime
 
 
 def test_the_suites_are_the_named_ones_in_their_order():
@@ -102,6 +104,19 @@ def test_antipode_conjugation_checks_the_cap_it_is_given():
     with pytest.raises(ValueError, match="cap 6"):
         checks.check_antipode_conjugation(7, max_n=6)
     assert checks.check_antipode_conjugation(4, max_n=4).passed
+
+
+@pytest.mark.parametrize(
+    "primed",
+    [
+        build_t,  # x' = x, same denominators
+        lambda n, ell: build_t_prime(n, ell) * Fraction(1, 7 if ell == 2 else 1),  # other denominators
+    ],
+)
+def test_antipode_conjugation_fails_on_a_wrong_primed_shuffle(primed, monkeypatch):
+    monkeypatch.setattr(checks, "build_t_prime", primed)
+    result = checks.check_antipode_conjugation(4)
+    assert (result.passed, result.detail) == (False, "columns differ at w=(1, 2, 3, 4)")
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ import pytest
 from cycleshuffles import cli
 from cycleshuffles.basis import basis_order, rmul_matrix
 from cycleshuffles.cli import run
+from cycleshuffles.inputs import uniform_distribution
 from cycleshuffles.lacunar import enumerate_lacunar, format_subset, gap_table, non_shadow, walk_gaps
 from cycleshuffles.perms import format_permutation
 from cycleshuffles.shuffles import (
@@ -23,6 +24,7 @@ from cycleshuffles.shuffles import (
     transition_matrix,
     unweighted_weights,
 )
+from cycleshuffles.simulate import fast_bookmark_sim, simulate_sst
 from cycleshuffles.spectrum import full_spectrum
 
 
@@ -465,13 +467,42 @@ def _reference_matrices(n):
                 yield (*osc_flags, "--basis", basis), *rmul_matrix(osc, basis, order)
 
 
-@pytest.mark.parametrize("n", [1, 3])
-def test_matrix_json_across_chunk_boundaries_is_the_whole_rendering(n, monkeypatch, capsys):
+def _reference_tables(command, n):
+    """(argv, whole rendering) of each streamed table of the command at n:
+    the r2b spectrum and the filtration in every format, every matrix of
+    _reference_matrices in csv and json, and simulate json with nulls for
+    stderr (one trial) and exact (n above 200)."""
+    if command == "spectrum":
+        for fmt in ("text", "csv", "json"):
+            yield ("--n", str(n), "--r2b", "--format", fmt), _reference_spectrum(r2b_weights(n), n, fmt)
+    elif command == "filtration":
+        for fmt in ("text", "csv", "json"):
+            yield ("--n", str(n), "--format", fmt), _reference_filtration(n, fmt)
+    elif command == "matrix":
+        for flags, labels, rows in _reference_matrices(n):
+            for fmt in ("csv", "json"):
+                yield ("--n", str(n), *flags, "--format", fmt), _reference_matrix_text(labels, rows, fmt)
+    else:
+        runs = ((1, simulate_sst, ()), (50, simulate_sst, ()), (50, fast_bookmark_sim, ("--fast",)))
+        for trials, simulator, flags in runs:
+            result = simulator(uniform_distribution(n), trials, 11)
+            argv = ("--n", str(n), "--trials", str(trials), "--seed", "11", *flags, "--format", "json")
+            yield argv, json.dumps(result.to_json(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "command, n",
+    [("matrix", 1), ("matrix", 3), ("spectrum", 1), ("spectrum", 6), ("filtration", 1), ("filtration", 6)]
+    + [("simulate", 5), ("simulate", 201)],
+)
+def test_tables_across_chunk_boundaries_are_the_whole_rendering(command, n, monkeypatch, capsys):
+    # every streamed table, two rows to a chunk: the r2b aggregate and the
+    # histograms span chunks too
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
-    for flags, labels, rows in _reference_matrices(n):
-        code, out, err = invoke(capsys, "matrix", "--n", str(n), *flags, "--format", "json")
+    for argv, expected in _reference_tables(command, n):
+        code, out, err = invoke(capsys, command, *argv)
         assert (code, err) == (0, "")
-        assert out == _reference_matrix_text(labels, rows, "json"), flags
+        assert out == expected, argv
 
 
 @pytest.mark.parametrize(
