@@ -19,18 +19,16 @@ off the transposed incidence of the a-family, "which a_p contain w", built
 once per family: each w in the support of y adds y[w] to the few p with w
 in a_p, instead of one bilinear form per basis element.
 
-rmul_columns is the one builder of the columns of right multiplication, in
-the permutation basis, the a-basis or the b-basis: rmul_matrix, the
-transition matrices, and the triangularity, Gram and antipode checks all
-draw their columns from it, one at a time, in lexicographic order.  The
-three bases share one integer kernel over lexicographic ranks.  Each
-family keeps its elements as rows of (rank, integer) pairs; the row of w
-is multiplied by the integer numerators of x through the gather tables of
-the algebra module; the product is expanded by the back-substitution (a)
-or the incidence (b) on rank-keyed integers; and the common denominator
-of x is divided out once per column.  expand_in_a, expand_in_b,
-dual_basis and the Gram check run the same back-substitution and
-incidence.
+Each family -- the permutation basis, the a-basis or the b-basis -- keeps
+its elements as rows of (rank, integer) pairs, and the expansion of an
+integer vector over ranks back into the family, fixed where the family is
+built: none, the back-substitution over its own rows, or the incidence of
+its a-family.  rmul_columns draws the columns of right multiplication in a
+family, one at a time in lexicographic order, for rmul_matrix, the
+transition matrices and the triangularity checks: the row of w times the
+integer numerators of x through the gather tables of the algebra module,
+expanded by the family, divided by the common denominator of x once per
+column.  rmul_matrix alone reads a basis by name.
 """
 
 from __future__ import annotations
@@ -47,6 +45,7 @@ from .lacunar import LacunarCatalog, enumerate_lacunar, set_to_mask
 from .perms import Perm, descent_set
 
 Row = list[tuple[int, int]]
+Expand = Callable[[dict[int, int]], dict[int, int]]
 
 
 def _young_words(w: Perm) -> Iterator[Perm]:
@@ -103,19 +102,22 @@ class QIndexTable:
 
 
 class BasisFamily:
-    """The a-basis of Q[S_n] (or its dual) as integer rows over lexicographic
-    ranks: rows[r] lists (rank(v), [v] element) for the element indexed by
-    the r-th permutation.
+    """A basis of Q[S_n] -- the permutations ("std"), the a-basis ("a") or
+    its dual ("b") -- as integer rows over lexicographic ranks: rows[r]
+    lists (rank(v), [v] element) for the element indexed by the r-th
+    permutation.  ``expand`` maps an integer vector over ranks to its
+    coefficients in the family (None for the permutation basis).
 
     ``perms`` holds the lexicographic order, the order in which the change
     of basis to the permutation basis is unitriangular.
     """
 
-    def __init__(self, n: int, rows: Sequence[Row], kind: str):
+    def __init__(self, n: int, rows: Sequence[Row], kind: str, expand: Expand | None):
         self.n = n
         self.perms: tuple[Perm, ...] = sn_index(n)[0]
         self.rows: tuple[Row, ...] = tuple(rows)
         self.kind = kind
+        self.expand = expand
 
     def __getitem__(self, w: Perm) -> AlgebraElement:
         perms, rank = sn_index(self.n)
@@ -134,10 +136,18 @@ class BasisFamily:
         return incidence
 
 
+def build_std_family(n: int, max_n: int | None = None) -> BasisFamily:
+    """The permutation basis: one unit row per permutation, no expansion."""
+    require_within_cap(n, max_n)
+    return BasisFamily(n, [[(r, 1)] for r in range(math.factorial(n))], kind="std", expand=None)
+
+
 def build_a_family(n: int, max_n: int | None = None) -> BasisFamily:
+    """The a-basis, expanded by back-substitution over its own rows."""
     require_within_cap(n, max_n)
     perms, rank = sn_index(n)
-    return BasisFamily(n, [[(rank[v], 1) for v in _young_words(w)] for w in perms], kind="a")
+    rows = tuple([(rank[v], 1) for v in _young_words(w)] for w in perms)
+    return BasisFamily(n, rows, kind="a", expand=partial(_back_substitute, rows))
 
 
 def _back_substitute(a_rows: Sequence[Row], work: dict[int, int]) -> dict[int, int]:
@@ -204,7 +214,7 @@ def expand_in_a(x: AlgebraElement, family: BasisFamily) -> dict[Perm, Scalar]:
         raise ValueError("expansion by back-substitution needs the a-family")
     _require_degree(family, x.n)
     den, work = _rank_terms(x)
-    return _perm_terms(_back_substitute(family.rows, work), den, x.n)
+    return _perm_terms(family.expand(work), den, x.n)
 
 
 def dual_basis(family: BasisFamily) -> BasisFamily:
@@ -218,9 +228,9 @@ def dual_basis(family: BasisFamily) -> BasisFamily:
         raise ValueError("dual_basis expects the a-family")
     rows: list[Row] = [[] for _ in family.perms]
     for v in range(len(family.perms)):
-        for q, c in _back_substitute(family.rows, {v: 1}).items():
+        for q, c in family.expand({v: 1}).items():
             rows[q].append((v, c))
-    return BasisFamily(family.n, rows, kind="b")
+    return BasisFamily(family.n, rows, kind="b", expand=partial(_pair, family.containing))
 
 
 def expand_in_b(y: AlgebraElement, a_family: BasisFamily) -> dict[Perm, Scalar]:
@@ -252,41 +262,20 @@ def basis_order(n: int, order: str, max_n: int | None = None) -> tuple[Perm, ...
     raise ValueError(f"unknown order {order!r}; expected lex, qindex or qindex-desc")
 
 
-def rmul_columns(
-    x: AlgebraElement,
-    basis: BasisName = "a",
-    a_family: BasisFamily | None = None,
-    b_family: BasisFamily | None = None,
-    max_n: int | None = None,
-) -> Iterator[tuple[Perm, dict[Perm, Scalar]]]:
-    """Sparse columns of the right-multiplication map y -> y x, as (w, column)
-    pairs in lexicographic order of w, each computed when it is drawn.
+def rmul_columns(x: AlgebraElement, family: BasisFamily) -> Iterator[tuple[Perm, dict[Perm, Scalar]]]:
+    """Sparse columns of y -> y x in the family, as (w, column) pairs in
+    lexicographic order of w, each computed when it is drawn.
 
     Column w maps each row index v to the coefficient of the v-th basis
-    vector in (basis vector w) * x.  The cap, the basis name and the degree
-    of any given family are checked, and the families built, when this is
-    called.
+    vector in (basis vector w) * x.  The degree is checked on the call; the
+    family passed the cap when it was built.
     """
-    n = x.n
-    require_within_cap(n, max_n)
-    if basis == "std":
-        return _columns(x, ([(r, 1)] for r in range(math.factorial(n))), None)
-    if basis not in ("a", "b"):
-        raise ValueError(f"unknown basis {basis!r}; expected std, a or b")
-    for family in (a_family, b_family):
-        if family is not None:
-            _require_degree(family, n)
-    a_family = a_family or build_a_family(n, max_n)
-    if basis == "a":
-        return _columns(x, a_family.rows, partial(_back_substitute, a_family.rows))
-    b_family = b_family or dual_basis(a_family)
-    return _columns(x, b_family.rows, partial(_pair, a_family.containing))
+    _require_degree(family, x.n)
+    return _columns(x, family.rows, family.expand)
 
 
 def _columns(
-    x: AlgebraElement,
-    rows: Iterable[Row],
-    expand: Callable[[dict[int, int]], dict[int, int]] | None,
+    x: AlgebraElement, rows: Iterable[Row], expand: Expand | None
 ) -> Iterator[tuple[Perm, dict[Perm, Scalar]]]:
     """The integer kernel of rmul_columns: the row of each basis vector, in
     lexicographic order, times the integer numerators d * x through the
@@ -303,7 +292,12 @@ def rmul_matrix(
 ) -> tuple[tuple[Perm, ...], list[list[Scalar]]]:
     """Dense matrix of y -> y x in the chosen basis, rows and columns in the
     named order (see basis_order)."""
-    columns = rmul_columns(x, basis, max_n=max_n)
+    if basis not in ("std", "a", "b"):
+        raise ValueError(f"unknown basis {basis!r}; expected std, a or b")
+    family = (build_std_family if basis == "std" else build_a_family)(x.n, max_n)
+    if basis == "b":
+        family = dual_basis(family)
+    columns = rmul_columns(x, family)
     ordered = basis_order(x.n, order, max_n)
     position = {w: k for k, w in enumerate(ordered)}
     size = len(ordered)

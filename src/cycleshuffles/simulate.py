@@ -172,7 +172,7 @@ class SimulationResult:
             "exact": str(self.exact) if self.exact is not None else None,
             "upper_bound": self.upper_bound,
             "conjectured_lower": self.conjectured_lower,
-            "histogram": [[tau, count] for tau, count in self.histogram],
+            "histogram": self.histogram,
         }
 
 

@@ -172,7 +172,7 @@ def _krylov_annihilator(x: AlgebraElement) -> Polynomial:
         current = [following.get(r, 0) for r in range(size)]
 
 
-def minimal_polynomial(x: AlgebraElement, max_n: int = 5) -> Polynomial:
+def minimal_polynomial(x: AlgebraElement, max_n: int | None = None) -> Polynomial:
     """Monic minimal polynomial of right multiplication by x.
 
     Krylov iteration seeded at the identity yields the minimal polynomial of
@@ -180,8 +180,7 @@ def minimal_polynomial(x: AlgebraElement, max_n: int = 5) -> Polynomial:
     w * P(x) = 0 for every permutation w once P(x) = 0.  The evaluation
     P(x) = 0 is verified after the fact.
     """
-    if x.n > max_n:
-        raise ValueError(f"degree {x.n} exceeds the minimal-polynomial cap {max_n}")
+    require_within_cap(x.n, max_n)
     poly = _krylov_annihilator(x)
     if not poly(x).is_zero():
         raise RuntimeError(f"Krylov relation {poly} does not annihilate x; elimination broken")

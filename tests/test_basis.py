@@ -12,6 +12,7 @@ from cycleshuffles.basis import (
     a_element,
     basis_order,
     build_a_family,
+    build_std_family,
     dual_basis,
     expand_in_a,
     expand_in_b,
@@ -349,6 +350,12 @@ def test_rmul_matrix_checks_the_cap_it_is_given(basis, order):
 ORDERS = ("lex", "qindex", "qindex-desc")
 
 
+def families(n):
+    """The three families of degree n by basis name, the b-family built on the a-family."""
+    a_family = build_a_family(n)
+    return {"std": build_std_family(n), "a": a_family, "b": dual_basis(a_family)}
+
+
 @pytest.mark.parametrize("basis_name", ["std", "a", "b"])
 def test_the_cap_is_checked_before_s_n_is_enumerated(basis_name, forbid_enumeration_above):
     forbid_enumeration_above(4)
@@ -357,11 +364,10 @@ def test_the_cap_is_checked_before_s_n_is_enumerated(basis_name, forbid_enumerat
             rmul_matrix(build_t(5, 1), basis_name, order, max_n=4)
         with pytest.raises(ValueError, match="cap 4"):
             basis_order(5, order, max_n=4)
-    with pytest.raises(ValueError, match="cap 4"):
-        rmul_columns(build_t(5, 1), basis_name, max_n=4)  # on the call, no column drawn
     for build in (
         lambda: transition_matrix(build_osc(uniform_distribution(5)), max_n=4),
         lambda: QIndexTable(5, max_n=4),
+        lambda: build_std_family(5, max_n=4),
         lambda: build_a_family(5, max_n=4),
         lambda: checks.check_antipode_conjugation(5, max_n=4),
     ):
@@ -373,53 +379,52 @@ def test_the_cap_is_checked_before_s_n_is_enumerated(basis_name, forbid_enumerat
         rmul_matrix(build_t(9, 1), basis_name, "lex")
 
 
-@pytest.mark.parametrize("basis_name", ["a", "b"])
+@pytest.mark.parametrize("basis_name", ["std", "a", "b"])
 def test_a_family_of_another_degree_is_refused(basis_name):
-    family = build_a_family(3)
-    b_family = dual_basis(family)
+    of_degree_3 = families(3)
     x = build_t(4, 1)
     with pytest.raises(ValueError, match="degree mismatch"):
-        rmul_columns(x, basis_name, family, b_family)
-    with pytest.raises(ValueError, match="degree mismatch"):
-        rmul_columns(x, basis_name, build_a_family(4), b_family)
-    expand = {"a": expand_in_a, "b": expand_in_b}[basis_name]
-    with pytest.raises(ValueError, match="degree mismatch"):
-        expand(x, family)
+        rmul_columns(x, of_degree_3[basis_name])  # on the call, no column drawn
+    if basis_name != "std":
+        expand = {"a": expand_in_a, "b": expand_in_b}[basis_name]
+        with pytest.raises(ValueError, match="degree mismatch"):
+            expand(x, of_degree_3["a"])
 
 
-def test_rmul_columns_checks_its_basis_on_the_call():
-    with pytest.raises(ValueError, match="unknown basis"):
-        rmul_columns(build_t(3, 1), "c")
+def test_rmul_matrix_checks_its_basis_on_the_call(forbid_enumeration_above):
+    x = build_t(3, 1)
+    forbid_enumeration_above(0)  # refused before any family is built
+    with pytest.raises(ValueError, match="unknown basis 'c'"):
+        rmul_matrix(x, "c")
 
 
 @pytest.mark.parametrize("basis_name", ["std", "a", "b"])
 def test_rmul_columns_draws_lex_columns_one_at_a_time(basis_name, monkeypatch):
-    expansion = {"std": None, "a": "_back_substitute", "b": "_pair"}[basis_name]
-    family = build_a_family(4)
-    b_family = dual_basis(family)
+    family = families(4)[basis_name]
     x = build_t(4, 2)
     # the first column, w = identity, is x itself times the identity's basis vector
-    first = {"std": x, "a": a_element(identity(4)) * x, "b": b_family[identity(4)] * x}[basis_name]
+    first = {"std": x, "a": a_element(identity(4)) * x, "b": family[identity(4)] * x}[basis_name]
     made = []
-    for name in ("rank_factors", "_perm_terms", expansion):
-        if name is None:
-            continue
-        real = getattr(basis, name)
 
-        def counted(*args, _real=real, _name=name):
-            made.append(_name)
-            return _real(*args)
+    def counted(name, real):
+        def count(*args):
+            made.append(name)
+            return real(*args)
 
-        monkeypatch.setattr(basis, name, counted)
-    columns = rmul_columns(x, basis_name, family, b_family)
+        return count
+
+    for name in ("rank_factors", "_perm_terms"):
+        monkeypatch.setattr(basis, name, counted(name, getattr(basis, name)))
+    if family.expand is not None:
+        family.expand = counted("expand", family.expand)
+    columns = rmul_columns(x, family)
     assert made == []  # nothing is computed before the first draw
     drawn = []
     for k, (w, column) in enumerate(columns, start=1):
         # the factors of x once, then one column (and one expansion) per draw
         assert made.count("rank_factors") == 1
         assert made.count("_perm_terms") == k
-        if expansion is not None:
-            assert made.count(expansion) == k
+        assert made.count("expand") == (0 if basis_name == "std" else k)
         drawn.append((w, column))
     assert [w for w, _ in drawn] == list(all_permutations(4))
     w, column = drawn[0]
@@ -428,7 +433,7 @@ def test_rmul_columns_draws_lex_columns_one_at_a_time(basis_name, monkeypatch):
     elif basis_name == "a":
         assert _rebuild(column, a_element, 4) == first
     else:
-        assert column == expand_in_b_oracle(first, family)
+        assert column == expand_in_b_oracle(first, build_a_family(4))
 
 
 def _rebuild(column, vector, n):
@@ -453,17 +458,16 @@ def test_every_column_rebuilds_its_product(basis_name, n):
     sum of c_v a_v = a_w x (sum of c_p b_p = b_w x); both sides are built
     with AlgebraElement arithmetic, a_v from its definition and b_p checked
     against it by the bilinear form."""
-    family = build_a_family(n)
-    b_family = dual_basis(family)
+    family = families(n)[basis_name]
     if basis_name == "a":
         vector = a_element
     else:
-        vector = b_family.__getitem__
+        vector = family.__getitem__
         for p in family.perms:
             for q in family.perms:
-                assert bilinear_form(a_element(p), b_family[q]) == (p == q)
+                assert bilinear_form(a_element(p), family[q]) == (p == q)
     for label, x in _shuffles_to_rebuild(n):
-        for w, column in rmul_columns(x, basis_name, family, b_family):
+        for w, column in rmul_columns(x, family):
             assert _rebuild(column, vector, n) == vector(w) * x, (label, w)
 
 
@@ -478,9 +482,8 @@ def test_a_factor_with_more_terms_than_gather_tables_is_composed(basis_name, mon
         n, {w: Fraction(k % 7 - 3, 1 + k % 4) for k, w in enumerate(all_permutations(n)) if k % 5}
     )
     assert len(x) > algebra._GATHER_TABLES
-    family = build_a_family(n)
-    b_family = dual_basis(family)
-    vector = {"std": lambda w: AlgebraElement.from_perm(w), "a": a_element, "b": b_family.__getitem__}
+    family = families(n)[basis_name]
+    vector = {"std": AlgebraElement.from_perm, "a": a_element, "b": family.__getitem__}[basis_name]
     monkeypatch.setattr(algebra, "_gather_table", None)  # no n!-sized table may be built
-    for w, column in rmul_columns(x, basis_name, family, b_family):
-        assert _rebuild(column, vector[basis_name], n) == vector[basis_name](w) * x
+    for w, column in rmul_columns(x, family):
+        assert _rebuild(column, vector, n) == vector(w) * x

@@ -2,7 +2,8 @@
 imports the package root, then cycleshuffles.cli alone, then runs the
 subcommands one after another; after each step the cycleshuffles modules in
 sys.modules and whether numpy is loaded are recorded.  Only the simulator
-needs numpy, and spectrum and filtration need no group algebra."""
+needs numpy, spectrum and filtration need no group algebra, and matrix and
+verify load exactly the modules the README names."""
 
 import importlib
 import json
@@ -26,19 +27,25 @@ SPECTRUM_STEPS = [
     for fmt in ("text", "csv", "json")
 ] + [["filtration", "--n", "5", "--format", fmt] for fmt in ("text", "csv", "json")]
 
-SIMULATE = ["simulate", "--n", "3", "--trials", "10", "--seed", "1"]
-
-STEPS = [
-    ROOT,
-    CLI,
-    *SPECTRUM_STEPS,
+MATRIX_STEPS = [
     ["matrix", "--n", "4", "--osc", "1/4,1/4,1/4,1/4", "--basis", "a", "--order", "qindex"],
     ["matrix", "--n", "4", "--t", "2", "--format", "json"],
+]
+VERIFY_STEPS = [
     ["verify", "--n", "4", "--suite", "all"],
     ["verify", "--n", "4", "--suite", "all", "--format", "json"],
-    "minimal_polynomial",
-    SIMULATE,
 ]
+SIMULATE = ["simulate", "--n", "3", "--trials", "10", "--seed", "1"]
+
+STEPS = [ROOT, CLI, *SPECTRUM_STEPS, *MATRIX_STEPS, *VERIFY_STEPS, "minimal_polynomial", SIMULATE]
+
+MODULES = {path.stem for path in (SRC / "cycleshuffles").glob("*.py")} - {"__init__"}
+# the steps of each subcommand, run after importing the CLI, and the modules each step leaves loaded
+LOADS = {
+    "spectrum-filtration": (SPECTRUM_STEPS, LIGHT),
+    "matrix": (MATRIX_STEPS, LIGHT | {"algebra", "basis", "perms", "shuffles"}),
+    "verify": (VERIFY_STEPS, MODULES - {"simulate"}),
+}
 
 SCRIPT = """
 import contextlib, json, sys
@@ -102,10 +109,12 @@ def test_the_package_root_loads_no_submodule(light_then_simulate):
     assert not numpy
 
 
-def test_spectrum_and_filtration_load_only_cli_lacunar_and_inputs(light_then_simulate):
-    *light, _ = light_then_simulate[1:]
-    assert [step for step, _, _, _ in light] == [CLI] + [" ".join(step) for step in SPECTRUM_STEPS]
-    assert {step: modules for step, _, modules, _ in light} == {step: LIGHT for step, _, _, _ in light}
+@pytest.mark.parametrize("command", LOADS)
+def test_each_subcommand_loads_exactly_its_modules(command, tmp_path):
+    steps, modules = LOADS[command]
+    report = run_steps([CLI, *steps], tmp_path)
+    assert [step for step, _, _, _ in report] == [CLI] + [" ".join(step) for step in steps]
+    assert [loaded for _, _, loaded, _ in report] == [LIGHT] + [modules] * len(steps)
 
 
 def test_simulate_adds_only_simulate_and_perms(light_then_simulate):
