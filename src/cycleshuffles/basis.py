@@ -250,6 +250,8 @@ def basis_order(n: int, order: str, max_n: int | None = None) -> tuple[Perm, ...
     "lex" is plain lexicographic; "qindex" sorts by increasing Q-index with
     lexicographic tie-break, "qindex-desc" by decreasing Q-index likewise.
     """
+    if order not in ("lex", "qindex", "qindex-desc"):
+        raise ValueError(f"unknown order {order!r}; expected lex, qindex or qindex-desc")
     require_within_cap(n, max_n)
     perms = sn_index(n)[0]
     if order == "lex":
@@ -257,9 +259,7 @@ def basis_order(n: int, order: str, max_n: int | None = None) -> tuple[Perm, ...
     table = QIndexTable(n, max_n)
     if order == "qindex":
         return tuple(sorted(perms, key=lambda w: (table[w], w)))
-    if order == "qindex-desc":
-        return tuple(sorted(perms, key=lambda w: (-table[w], w)))
-    raise ValueError(f"unknown order {order!r}; expected lex, qindex or qindex-desc")
+    return tuple(sorted(perms, key=lambda w: (-table[w], w)))
 
 
 def rmul_columns(x: AlgebraElement, family: BasisFamily) -> Iterator[tuple[Perm, dict[Perm, Scalar]]]:
@@ -294,11 +294,11 @@ def rmul_matrix(
     named order (see basis_order)."""
     if basis not in ("std", "a", "b"):
         raise ValueError(f"unknown basis {basis!r}; expected std, a or b")
+    ordered = basis_order(x.n, order, max_n)
     family = (build_std_family if basis == "std" else build_a_family)(x.n, max_n)
     if basis == "b":
         family = dual_basis(family)
     columns = rmul_columns(x, family)
-    ordered = basis_order(x.n, order, max_n)
     position = {w: k for k, w in enumerate(ordered)}
     size = len(ordered)
     matrix: list[list[Scalar]] = [[0] * size for _ in range(size)]

@@ -19,12 +19,17 @@ numpy's Philox in the tests, and advances SST_LANES lanes in lockstep, one
 block of four words (two steps) per pass, each lane at its own block index.
 A lane whose trial has finished takes the next unused stream and starts it
 at block 0, so every lane stays busy until the streams run out.  Results
-therefore depend only on (seed, trials), never on the lane count.
+therefore depend only on (seed, trials), never on the lane count.  The
+position i of each step comes from the cumulative distribution through a
+guide table (_inverse_cdf), the value searchsorted gives.
 fast_bookmark_sim draws each geometric stage as numpy's Generator.geometric
 does, draw for draw: below p = 1/3 that is inversion of one Exp(1) variate,
 ceil(E / -log1p(-p)) (Devroye 1986, X.2), done here over the whole stage at
-once.  Means and standard errors are derived from exact integer sums of the
-sampled times.
+once; from 1/3 up it is numpy's search over the float partial sums
+p + pq + ..., done here through the same guide table.  A draw above sums
+that have stopped growing, where numpy would search forever, raises
+ValueError.  Means and standard errors are derived from exact integer sums
+of the sampled times.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ _U64 = (1 << 64) - 1
 _FAST_SIM_KEY_OFFSET = 1 << 63
 
 # Lanes simulated side by side in simulate_sst, each refilled with the next
-# trial when its own finishes; bounds its memory only.
+# trial when its own finishes, and draws looked up at once in _geometric;
+# bounds their memory only.
 SST_LANES = 16_384
 
 # Philox4x64-10 constants, stacked as (counter word 0, counter word 2) and
@@ -56,8 +62,11 @@ SST_LANES = 16_384
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
 _PHILOX_M_LO = _PHILOX_M & np.uint64(0xFFFFFFFF)
 _PHILOX_M_HI = _PHILOX_M >> np.uint64(32)
-_PHILOX_BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
+
+# Buckets of the inverse-cdf guide table, one per value of a word's top 12 bits.
+_GUIDE_SIZE = 1 << 12
 
 # Fraction arithmetic for the exact expectation is kept to moderate n; the
 # harmonic denominators grow like lcm(1..n) and summation multiplies them up.
@@ -94,47 +103,76 @@ def _trial_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _philox_block(seed: int, streams: np.ndarray, block: int | np.ndarray) -> np.ndarray:
+def _philox_block(
+    seed: int, streams: np.ndarray, block: int | np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
     """Words 4 * block .. 4 * block + 3 of the Philox4x64-10 streams keyed
     (seed mod 2^64, stream), one column per stream: the counter
     (block + 1, 0, 0, 0) through ten rounds, as numpy's Philox draws them.
-    block is one index for every stream or an array of one per stream."""
+    block is one index for every stream or an array of one per stream.
+    The rounds run in scratch, a uint64 array of shape (6, 2, >= lanes)."""
     lanes = len(streams)
-    key = np.empty((2, lanes), dtype=np.uint64)
-    key[0] = seed & _U64
-    key[1] = streams
-    even = np.zeros((2, lanes), dtype=np.uint64)  # counter words 0 and 2
-    odd = np.zeros((2, lanes), dtype=np.uint64)  # counter words 1 and 3
+    even, odd, low, high, cross, spare = scratch[:, :, :lanes]  # even: counter words 0 and 2
+    scratch[:2, :, :lanes] = 0
     even[0] = block + 1
     for r in range(_PHILOX_ROUNDS):
-        if r:
-            key += _PHILOX_BUMP
         # 64 x 64 -> 128-bit products of the multipliers with words 0 and 2
-        low = even & np.uint64(0xFFFFFFFF)
-        high = even >> np.uint64(32)
-        low_low = low * _PHILOX_M_LO
-        cross = high * _PHILOX_M_LO
-        cross += low_low >> np.uint64(32)
-        low *= _PHILOX_M_HI
-        low += cross & np.uint64(0xFFFFFFFF)
-        high *= _PHILOX_M_HI
-        high += cross >> np.uint64(32)
-        high += low >> np.uint64(32)
+        np.bitwise_and(even, 0xFFFFFFFF, out=low)
+        np.right_shift(even, 32, out=high)
         even *= _PHILOX_M
-        # (c0, c1, c2, c3) -> (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
+        np.multiply(low, _PHILOX_M_LO, out=spare)
+        spare >>= 32
+        np.multiply(high, _PHILOX_M_LO, out=cross)
+        cross += spare
+        low *= _PHILOX_M_HI
+        np.bitwise_and(cross, 0xFFFFFFFF, out=spare)
+        low += spare
+        high *= _PHILOX_M_HI
+        cross >>= 32
+        high += cross
+        low >>= 32
+        high += low
+        # (c0, c1, c2, c3) -> (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0), the key
+        # (seed, stream) bumped once a round
         high = high[::-1]
         high ^= odd
-        high ^= key
-        even, odd = high, even[::-1]
+        high[0] ^= (seed + r * _PHILOX_BUMP[0]) & _U64
+        np.add(streams, (r * _PHILOX_BUMP[1]) & _U64, out=spare[0])
+        high[1] ^= spare[0]
+        even, odd, high = high, even[::-1], odd
     return np.stack((even[0], odd[0], even[1], odd[1]))
 
 
-def _sample_move(u1, u2, cdf: np.ndarray, n: int):
-    """The move (i, j) drawn by the uniforms (u1, u2): i from the cumulative
-    distribution cdf, j uniform on i..n.  Works elementwise on arrays."""
-    i = np.minimum(np.searchsorted(cdf, u1, side="right") + 1, n)
-    j = i + (u2 * (n + 1 - i)).astype(np.int64)
-    return i, j
+def _inverse_cdf(edges: np.ndarray, side: str):
+    """The lookup u -> 1 + np.searchsorted(edges, u, side), elementwise over
+    the doubles u = (word >> 11) * 2^-53 of raw 64-bit words, for ascending
+    edges.  A guide table (Chen and Asau 1974; Devroye 1986, III.2.4) over
+    the top 12 bits of the word, floor(u * 4096), holds the answer of each
+    bucket that no edge cuts, and 0 where one does; only the draws in cut
+    buckets are searched.  A draw above the last edge has no count (numpy's
+    geometric search, over partial sums that stop growing below it, would
+    never return), so the lookup raises ValueError for it."""
+    last = edges[-1]
+    low = np.arange(_GUIDE_SIZE) / _GUIDE_SIZE  # each bucket's first double
+    high = low + (1 / _GUIDE_SIZE - 2.0**-53)  # and its last
+    first = np.searchsorted(edges, low, side)
+    whole = (first == np.searchsorted(edges, high, side)) & (high <= last)
+    table = np.where(whole, first + 1, 0)
+
+    def lookup(u: np.ndarray) -> np.ndarray:
+        k = table[(u * _GUIDE_SIZE).astype(np.intp)]
+        cut = np.flatnonzero(k == 0)
+        if len(cut):
+            u = u[cut]
+            if u.max() > last:
+                raise ValueError(
+                    f"a draw of {float(u.max())!r} lies above the last edge {float(last)!r} "
+                    "of an inverse cdf: the search for it would never stop"
+                )
+            k[cut] = np.searchsorted(edges, u, side) + 1
+        return k
+
+    return lookup
 
 
 def _move_rows(decks: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -223,8 +261,11 @@ def simulate_sst(
         raise ValueError(f"trials must be positive, got {trials}")
     probs = _validated(probabilities)
     cdf = np.cumsum([float(p) for p in probs])
+    cdf[-1] = np.inf  # position n takes every draw above cdf[n - 2]
+    position = _inverse_cdf(cdf, "right")
     n = len(probs)
     lanes = min(SST_LANES, trials)
+    scratch = np.empty((6, 2, lanes), dtype=np.uint64)
     streams = np.arange(lanes, dtype=np.uint64)
     start = np.zeros(lanes, dtype=np.int64)  # the pass in which each lane's trial began
     below = np.ones(lanes, dtype=np.int64)
@@ -256,10 +297,12 @@ def simulate_sst(
                     decks = decks[live]
                 if not len(streams):
                     break
-        words = _philox_block(seed, streams, tick - start)
+        words = _philox_block(seed, streams, tick - start, scratch)
         uniforms = (words >> np.uint64(11)) * 2.0**-53
         for half in (0, 2):
-            i, j = _sample_move(uniforms[half], uniforms[half + 1], cdf, n)
+            # i from P, j uniform on i..n
+            i = position(uniforms[half])
+            j = i + (uniforms[half + 1] * (n + 1 - i)).astype(np.int64)
             live = below < n
             steps += live
             # a finished lane has gap 0, which no card can cross
@@ -301,16 +344,26 @@ def stage_probabilities(probabilities: Sequence[Scalar]) -> tuple[Fraction, ...]
 
 
 def _geometric(rng: np.random.Generator, p: float, out: np.ndarray) -> np.ndarray:
-    """The draws of rng.geometric(p, size=len(out)), draw for draw.  For
-    0 < p < 1/3 numpy inverts one Exp(1) variate per draw,
-    ceil(E / -log1p(-p)); this takes the variates in one call and inverts
-    them in bulk, in the float64 buffer out.  Other p, where numpy
-    searches, go to numpy itself."""
+    """The draws of rng.geometric(p, size=len(out)), draw for draw, in the
+    float64 buffer out.  For 0 < p < 1/3 numpy inverts one Exp(1) variate
+    per draw, ceil(E / -log1p(-p)); this takes the variates in one call and
+    inverts them in bulk.  Otherwise numpy draws one double U per draw and
+    searches for the first k whose partial sum p + pq + ... + pq^(k-1),
+    added in float64 in that order, reaches U; this takes the doubles in
+    one call and looks them up over the same sums, a chunk at a time.  By
+    their 128th term (q <= 2/3) the sums have stopped growing."""
     if 0 < p < 1 / 3:
         rng.standard_exponential(out=out)
         out /= -math.log1p(-p)
         return np.ceil(out, out=out)
-    return rng.geometric(p, size=len(out))
+    rng.random(out=out)
+    terms = np.full(128, 1 - p)
+    terms[0] = p
+    search = _inverse_cdf(np.cumsum(np.cumprod(terms)), "left")
+    for start in range(0, len(out), SST_LANES):
+        chunk = out[start : start + SST_LANES]
+        chunk[...] = search(chunk)
+    return out
 
 
 def fast_bookmark_sim(probabilities: Sequence[Scalar], trials: int, seed: int) -> SimulationResult:
@@ -334,6 +387,7 @@ def fast_bookmark_sim(probabilities: Sequence[Scalar], trials: int, seed: int) -
     for below, p in enumerate(stage_probabilities(probs), start=1):
         rng = _trial_rng(seed, _FAST_SIM_KEY_OFFSET + below)
         totals += _geometric(rng, float(p), draws)
+    del draws
     if totals.max() >= 2.0**53:
         raise ValueError(
             "a simulated tau reached 2^53 steps, beyond exact counting; "

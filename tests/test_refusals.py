@@ -6,7 +6,7 @@ import pytest
 
 from cycleshuffles import checks
 from cycleshuffles.algebra import AlgebraElement, bilinear_form, linear_combine
-from cycleshuffles.basis import build_a_family, dual_basis, expand_in_a, q_index
+from cycleshuffles.basis import build_a_family, dual_basis, expand_in_a, q_index, rmul_matrix
 from cycleshuffles.lacunar import enumerate_lacunar, lacunar_masks
 from cycleshuffles.perms import cycle, transposition
 from cycleshuffles.shuffles import build_t, build_t_prime, transition_matrix
@@ -46,3 +46,11 @@ def test_refused_with_a_message_naming_the_fault(case):
     with pytest.raises(ValueError) as refused:
         call()
     assert fragment in str(refused.value)
+
+
+@pytest.mark.parametrize("basis", ["std", "a", "b"])
+def test_an_unknown_order_is_refused_before_any_family_is_built(basis, forbid_enumeration_above):
+    x = build_t(7, 1)
+    forbid_enumeration_above(0)  # building a family, or the order, enumerates S_7
+    with pytest.raises(ValueError, match="unknown order 'sideways'"):
+        rmul_matrix(x, basis, "sideways")

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from cycleshuffles import simulate
 from cycleshuffles.simulate import (
@@ -16,8 +17,8 @@ from cycleshuffles.simulate import (
     RNG_ID,
     _apply_move,
     _move_rows,
+    _inverse_cdf,
     _philox_block,
-    _sample_move,
     _summarize,
     _trial_rng,
     _validated,
@@ -38,6 +39,15 @@ from cycleshuffles.spectrum import eigenvalue_for_set, full_spectrum
 
 def uniform(n):
     return [Fraction(1, n)] * n
+
+
+def _sample_move(u1, u2, cdf, n):
+    """The move (i, j) drawn by the uniforms (u1, u2): i from the cumulative
+    distribution cdf by a search, j uniform on i..n; the oracle of the
+    guide-table draw in simulate_sst.  Works elementwise on arrays."""
+    i = np.minimum(np.searchsorted(cdf, u1, side="right") + 1, n)
+    j = i + (u2 * (n + 1 - i)).astype(np.int64)
+    return i, j
 
 
 def test_apply_move_deck_semantics():
@@ -306,6 +316,12 @@ def _top_heavy(n):
     return [Fraction(2 * (n + 1 - i), n * (n + 1)) for i in range(1, n + 1)]
 
 
+def _gappy(n):
+    if n == 1:
+        return [Fraction(1)]
+    return [Fraction(1, 2)] + [Fraction(0)] * (n - 2) + [Fraction(1, 2)]
+
+
 def _bottom_heavy(n):
     return [Fraction(2 * i, n * (n + 1)) for i in range(1, n + 1)]
 
@@ -429,8 +445,9 @@ def test_philox_kernel_matches_numpy_philox():
     random_streams = [int(t) for t in draws.integers(0, 1 << 64, 6, dtype=np.uint64)]
     streams = np.array(_EDGE_STREAMS + random_streams, dtype=np.uint64)
     blocks = 4
+    scratch = np.empty((6, 2, len(streams)), dtype=np.uint64)
     for seed in seeds:
-        words = np.concatenate([_philox_block(seed, streams, b) for b in range(blocks)])
+        words = np.concatenate([_philox_block(seed, streams, b, scratch) for b in range(blocks)])
         words = words.reshape(blocks, 4, -1).transpose(2, 0, 1).reshape(len(streams), -1)
         doubles = (words >> np.uint64(11)) * 2.0**-53
         for t, stream in enumerate(streams.tolist()):
@@ -448,7 +465,7 @@ def test_philox_kernel_matches_numpy_philox():
     for seed in seeds:
         for index in (lane_blocks, lane_blocks[::-1]):
             index = np.array(index, dtype=np.uint64)
-            words = _philox_block(seed, streams, index)
+            words = _philox_block(seed, streams, index, scratch)
             for t, stream in enumerate(streams.tolist()):
                 key = np.array([seed & ((1 << 64) - 1), stream], dtype=np.uint64)
                 expected = np.random.Philox(counter=int(index[t]), key=key).random_raw(4)
@@ -456,13 +473,21 @@ def test_philox_kernel_matches_numpy_philox():
     # a small int64 index array is read as the same counters
     small = np.arange(len(streams), dtype=np.int64) % 3
     assert np.array_equal(
-        _philox_block(5, streams, small), _philox_block(5, streams, small.astype(np.uint64))
+        _philox_block(5, streams, small, scratch), _philox_block(5, streams, small.astype(np.uint64), scratch)
     )
+
+
+def test_philox_kernel_reads_nothing_its_scratch_held():
+    # simulate_sst keeps the scratch of its first lane count as lanes drop
+    streams = np.arange(5, dtype=np.uint64)
+    fresh = _philox_block(9, streams, 3, np.zeros((6, 2, 5), dtype=np.uint64))
+    dirty = np.full((6, 2, 8), (1 << 64) - 1, dtype=np.uint64)
+    assert np.array_equal(_philox_block(9, streams, 3, dirty), fresh)
 
 
 def test_bulk_stage_sampler_equals_numpy_geometric():
     draws = np.random.default_rng(20261018)
-    grid = [1.0, 0.5, 1 / 3, float(np.nextafter(1 / 3, 0)), 0.2, 1e-3, 1e-9]
+    grid = [1.0, 0.5, 1 / 3, float(np.nextafter(1 / 3, 0)), float(np.nextafter(1 / 3, 1)), 0.2, 1e-3, 1e-9]
     grid += draws.uniform(0, 1, 6).tolist() + (10.0 ** -draws.uniform(0, 12, 6)).tolist()
     size = 4099
     for key in ([0, 0], [7, 1 << 63], [(1 << 64) - 1, 12345]):
@@ -476,6 +501,106 @@ def test_bulk_stage_sampler_equals_numpy_geometric():
             after = np.random.Generator(np.random.Philox(key=key))
             after.geometric(p, size=size)
             assert rng.random() == after.random()
+
+
+def _doubles(words):
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _words_around(edges):
+    """Raw words whose doubles sit at and next to every edge and every bucket
+    boundary of the guide table, the words 0 and 2^64 - 1, and random words."""
+    steps = np.concatenate([np.floor(edges * 2.0**53), np.arange(4097) * 2.0**41])
+    near = (steps[:, None] + np.arange(-1, 2)).ravel()
+    near = near[(0 <= near) & (near < 2.0**53)].astype(np.uint64) << np.uint64(11)
+    extremes = np.array([0, (1 << 64) - 1], dtype=np.uint64)
+    random_words = np.random.default_rng(20261019).integers(0, 1 << 64, 50_000, dtype=np.uint64)
+    return np.concatenate([near, extremes, random_words])
+
+
+def _stage_sums(p):
+    terms = np.full(128, 1 - p)
+    terms[0] = p
+    return np.cumsum(np.cumprod(terms))
+
+
+LOOKUP_EDGES = {
+    # 0.5 and 0.75 are the first doubles of buckets 2048 and 3072
+    "edges on bucket boundaries": np.cumsum([0.5, 0.25, 0.25]),
+    "repeated edges of zero-probability positions": np.cumsum([float(p) for p in _gappy(7)]),
+    "a last edge that rounds below 1": np.cumsum([0.1] * 10),
+    "more edges than buckets": np.cumsum([1 / 5000] * 5000),
+    "the partial sums of the geometric search at p = 1/3": _stage_sums(1 / 3),
+}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("case", LOOKUP_EDGES)
+def test_inverse_cdf_matches_searchsorted_word_for_word(case, side):
+    edges = LOOKUP_EDGES[case]
+    u = _doubles(_words_around(edges))
+    lookup = _inverse_cdf(edges, side)
+    inside = u <= edges[-1]
+    assert np.array_equal(lookup(u[inside]), np.searchsorted(edges, u[inside], side) + 1)
+    if not inside.all():
+        with pytest.raises(ValueError, match="above the last edge"):
+            lookup(u)
+
+
+def test_inverse_cdf_refuses_a_draw_above_its_last_edge():
+    lookup = _inverse_cdf(np.array([0.25, 0.5]), "left")
+    assert lookup(np.array([0.0, 0.25, 0.3, 0.5])).tolist() == [1, 1, 2, 2]
+    with pytest.raises(ValueError, match="0.5000000000000001 lies above the last edge 0.5"):
+        lookup(np.array([0.1, np.nextafter(0.5, 1)]))
+
+
+class _TopDraws:
+    """A generator whose every double is the largest below 1."""
+
+    def random(self, out):
+        out[...] = 1 - 2.0**-53
+
+
+def test_a_stalled_geometric_search_is_refused():
+    # at p = 0.7 the float partial sums stop growing at 1 - 3 * 2^-53, so
+    # numpy's search for a draw above them would never return
+    assert _stage_sums(0.7)[-1] == 1 - 3 * 2.0**-53
+    with pytest.raises(ValueError, match="would never stop"):
+        simulate._geometric(_TopDraws(), 0.7, np.empty(5))
+    assert simulate._geometric(_TopDraws(), 0.5, np.empty(5)).tolist() == [53.0] * 5  # 1 - 2^-k reaches it at k = 53
+
+
+def _chi_square_p_value(histogram, pmf, trials):
+    """Pearson's test of the histogram against pmf[k] = P(tau = k) for k
+    below len(pmf), the rest in one tail bin; bins are merged left to right
+    until each expects at least 5 counts."""
+    expected = [float(q) * trials for q in pmf] + [float(1 - sum(pmf)) * trials]
+    observed = [0] * len(expected)
+    for tau, count in histogram:
+        observed[min(tau, len(pmf))] += count
+    bins, seen, due = [], 0, 0.0
+    for o, e in zip(observed, expected):
+        seen, due = seen + o, due + e
+        if due >= 5:
+            bins.append([seen, due])
+            seen, due = 0, 0.0
+    bins[-1][0] += seen
+    bins[-1][1] += due
+    statistic = sum((o - e) ** 2 / e for o, e in bins)
+    return chi2.sf(statistic, len(bins) - 1)
+
+
+@pytest.mark.parametrize("sim", [simulate_sst, fast_bookmark_sim])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_simulated_tau_law_passes_chi_square(sim, n):
+    trials = 20_000
+    for k, probs in enumerate([uniform(n), _top_heavy(n), _gappy(n)]):
+        stages = stage_probabilities(probs)
+        horizon = 3 * math.ceil(sum(1 / p for p in stages))
+        pmf = _geometric_sum_pmf(stages, horizon)
+        result = sim(probs, trials, seed=100 * n + k)
+        p_value = _chi_square_p_value(result.histogram, pmf, trials)
+        assert p_value > 1e-3, (probs, p_value)
 
 
 def test_fast_sim_refuses_a_tau_beyond_exact_counting():
@@ -533,12 +658,6 @@ def _per_trial_reference(probabilities, trials, seed):
         taus[steps] += 1
         final_counts[tuple(deck)] += 1
     return _summarize(n, trials, seed, taus, probs, final_counts)
-
-
-def _gappy(n):
-    if n == 1:
-        return [Fraction(1)]
-    return [Fraction(1, 2)] + [Fraction(0)] * (n - 2) + [Fraction(1, 2)]
 
 
 def _assert_same_run(result, reference, record_final):

@@ -1,6 +1,7 @@
-"""spectrum, filtration and the matrix JSON export stream their rows: each
-guard runs in a fresh interpreter, so that no catalog, report or matrix
-built by another test is counted."""
+"""spectrum, filtration and the matrix JSON export stream their rows, and
+simulate --fast holds no array per stage: each guard runs in a fresh
+interpreter, so that no catalog, report, matrix or array built by another
+test is counted."""
 
 import json
 import os
@@ -88,3 +89,28 @@ def test_streamed_matrix_json_holds_no_whole_payload(tmp_path):
     assert peak < MATRIX_PEAK_BYTES, peak
     data = json.loads(target.read_text())
     assert len(data["order"]) == len(data["rows"]) == 720
+
+
+FAST_SCRIPT = """
+import json, sys, tracemalloc
+from cycleshuffles import cli, simulate
+
+argv = ["simulate", "--n", "300", "--trials", "100000", "--seed", "7", "--fast", "--format", "json"]
+tracemalloc.start()
+code = cli.run([*argv, "--output", sys.argv[1]])
+print(json.dumps([code, tracemalloc.get_traced_memory()[1]]))
+"""
+
+# 10^5 trials make each full-size array 0.8 MB.  The stage sampler peaks at
+# about 2.97 MB.  numpy's geometric for p >= 1/3, a new array per stage,
+# reads 3.53 MB, and 3.60 MB with the stage buffer also kept through the
+# histogram; one lookup over a whole stage at once reads 4.30 MB
+FAST_PEAK_BYTES = 3_300_000
+
+
+def test_fast_simulation_holds_no_array_per_stage(tmp_path):
+    target = tmp_path / "fast.json"
+    code, peak = _fresh(FAST_SCRIPT, str(target))
+    assert code == 0
+    assert peak < FAST_PEAK_BYTES, peak
+    assert json.loads(target.read_text())["trials"] == 100_000
