@@ -23,12 +23,16 @@ Each family -- the permutation basis, the a-basis or the b-basis -- keeps
 its elements as rows of (rank, integer) pairs, and the expansion of an
 integer vector over ranks back into the family, fixed where the family is
 built: none, the back-substitution over its own rows, or the incidence of
-its a-family.  rmul_columns draws the columns of right multiplication in a
-family, one at a time in lexicographic order, for rmul_matrix, the
-transition matrices and the triangularity checks: the row of w times the
+its a-family.  One integer kernel draws the columns of right
+multiplication in a family, in lexicographic order: the row of w times the
 integer numerators of x through the gather tables of the algebra module,
-expanded by the family, divided by the common denominator of x once per
-column.  rmul_matrix alone reads a basis by name.
+expanded by the family.  rmul_columns divides each column by the common
+denominator of x, for the triangularity checks.  rmul_rows, the one place
+that reads a basis by name, keeps the integers: it gives each row of the
+matrix in the named order as the numerators of its nonzero entries, keyed
+by column position, over one denominator.  The matrix export renders these
+rows as they stand; rmul_matrix turns them into dense Fractions for the
+transition matrices and the char-poly oracle.
 """
 
 from __future__ import annotations
@@ -36,8 +40,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from fractions import Fraction
 from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator, Literal, Sequence
+from typing import Callable, Iterator, Literal, Sequence
 
 from .algebra import AlgebraElement, divide_terms, integer_terms, rank_factors, rank_product, sn_index
 from .inputs import Scalar, require_within_cap
@@ -271,41 +276,73 @@ def rmul_columns(x: AlgebraElement, family: BasisFamily) -> Iterator[tuple[Perm,
     family passed the cap when it was built.
     """
     _require_degree(family, x.n)
-    return _columns(x, family.rows, family.expand)
+    columns = _columns(x, family)
+    return ((w, _perm_terms(column, den, x.n)) for w, (den, column) in zip(family.perms, columns))
 
 
-def _columns(
-    x: AlgebraElement, rows: Iterable[Row], expand: Expand | None
-) -> Iterator[tuple[Perm, dict[Perm, Scalar]]]:
-    """The integer kernel of rmul_columns: the row of each basis vector, in
-    lexicographic order, times the integer numerators d * x through the
-    gather tables, expanded back into the basis over ranks (the std basis
-    needs no expansion) and divided by d once per column."""
+def _columns(x: AlgebraElement, family: BasisFamily) -> Iterator[tuple[int, dict[int, int]]]:
+    """The integer kernel of right multiplication: for each basis vector, in
+    lexicographic order, a common denominator d of x and the column times d
+    over ranks -- the vector's row times the integer numerators d * x
+    through the gather tables, expanded back into the family (the std basis
+    needs no expansion)."""
     den, factors = rank_factors(x.terms, x.n)
-    for w, row in zip(sn_index(x.n)[0], rows):
+    for row in family.rows:
         product = rank_product(row, factors)
-        yield w, _perm_terms(product if expand is None else expand(product), den, x.n)
+        yield den, product if family.expand is None else family.expand(product)
 
 
-def rmul_matrix(
-    x: AlgebraElement, basis: BasisName = "a", order: str = "lex", max_n: int | None = None
-) -> tuple[tuple[Perm, ...], list[list[Scalar]]]:
-    """Dense matrix of y -> y x in the chosen basis, rows and columns in the
-    named order (see basis_order)."""
+SparseRows = list[list[tuple[int, int]]]
+
+
+def rmul_rows(
+    x: AlgebraElement,
+    basis: BasisName = "a",
+    order: str = "lex",
+    max_n: int | None = None,
+    transpose: bool = False,
+) -> tuple[tuple[Perm, ...], int, SparseRows]:
+    """The matrix of y -> y x in the chosen basis, rows and columns in the
+    named order (see basis_order), as (labels, d, rows): d is a common
+    denominator of x, and each row lists the (column position, integer c)
+    pairs of its nonzero entries c / d, in increasing position.  With
+    transpose the rows are those of the transposed matrix, the columns as
+    the kernel draws them."""
     if basis not in ("std", "a", "b"):
         raise ValueError(f"unknown basis {basis!r}; expected std, a or b")
     ordered = basis_order(x.n, order, max_n)
     family = (build_std_family if basis == "std" else build_a_family)(x.n, max_n)
     if basis == "b":
         family = dual_basis(family)
-    columns = rmul_columns(x, family)
     position = {w: k for k, w in enumerate(ordered)}
-    size = len(ordered)
-    matrix: list[list[Scalar]] = [[0] * size for _ in range(size)]
-    for w, col in columns:
-        j = position[w]
-        for v, c in col.items():
-            matrix[position[v]][j] = c
+    at = [position[w] for w in family.perms]  # lexicographic rank -> position in the order
+    columns: SparseRows = [[] for _ in ordered]
+    for r, (den, column) in enumerate(_columns(x, family)):
+        columns[at[r]] = [(at[v], c) for v, c in column.items() if c]
+    if transpose:
+        for column in columns:
+            column.sort()
+        return ordered, den, columns
+    rows: SparseRows = [[] for _ in ordered]
+    for j, column in enumerate(columns):
+        for i, c in column:
+            rows[i].append((j, c))
+    return ordered, den, rows
+
+
+def rmul_matrix(
+    x: AlgebraElement, basis: BasisName = "a", order: str = "lex", max_n: int | None = None
+) -> tuple[tuple[Perm, ...], list[list[Scalar]]]:
+    """Dense matrix of y -> y x in the chosen basis, rows and columns in the
+    named order (see basis_order): the rows of rmul_rows with every entry
+    an int when d is 1 and a reduced Fraction otherwise."""
+    ordered, den, rows = rmul_rows(x, basis, order, max_n)
+    matrix: list[list[Scalar]] = []
+    for row in rows:
+        dense: list[Scalar] = [0] * len(ordered)
+        for j, c in row:
+            dense[j] = c if den == 1 else Fraction(c, den)
+        matrix.append(dense)
     return ordered, matrix
 
 

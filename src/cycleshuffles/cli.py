@@ -9,8 +9,10 @@ text, or a payload written by json.dumps(..., indent=2), which every JSON
 text therefore matches byte for byte.  spectrum and filtration stream
 their rows from lacunar.catalog_rows, concatenated from the cached per-gap
 texts of lacunar.gap_texts, and hold no more than one chunk and the
-aggregate of equal eigenvalues.  Input is checked before the first byte
-is written.
+aggregate of equal eigenvalues.  matrix renders the sparse integer rows of
+basis.rmul_rows, one row to a chunk, each spliced from cached runs of zero
+cells and the cached text of each numerator over the common denominator.
+Input is checked before the first byte is written.
 
 Each subcommand loads only the modules it runs: at module level this
 imports the standard library, lacunar and inputs, which is all that
@@ -28,8 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
+import functools
 import itertools
 import json
 import math
@@ -229,16 +230,21 @@ def _render(fmt: str, frame, tables: Iterable[tuple]) -> Iterator[str]:
         yield piece
 
 
-def _table(fmt: str, rows: Iterable, labels=None, template: str = "", strings=()) -> Iterator[str]:
-    """The texts of a table of texts and numbers, _CHUNK_ROWS rows to a text,
-    each batch of rows let go before its text is written.
+def _table(
+    fmt: str, rows: Iterable, labels=None, template: str = "", strings=(), width: int = 0
+) -> Iterator[str]:
+    """The texts of a table of texts and numbers, _CHUNK_ROWS rows to a text
+    (a sparse table one row), each batch of rows let go before its text is
+    written.
     - text: the header template.format(*labels), if labels, and each row by template.
     - csv: the labels and rows as csv.writer writes them (commas, a cell holding
-      one quoted, \\r\\n); the long texts of a text table (one with a template),
-      which csv.writer scans char by char, are joined column by column instead.
+      one quoted, \\r\\n), joined column by column.
     - json: the items of a list at depth 1, each row an object of the labels to
       its cells (without labels, a list), cells labelled None left out and those
-      at the indices in strings written as strings."""
+      at the indices in strings written as strings.
+    A sparse table (width > 0) has rows (*cells, entries): the cells, then width
+    cells that read 0 but at the (position, text) pairs of entries, in increasing
+    position; in json each row is a list of strings (see _sparse_lines)."""
     separator = ""
     if fmt == "json":
         render, separator = (lambda batch: _json_items(labels, strings, batch)), _SEP1
@@ -248,13 +254,16 @@ def _table(fmt: str, rows: Iterable, labels=None, template: str = "", strings=()
         render = lambda batch: "".join(itertools.starmap(template.format, batch))
     else:
         yield ",".join(map(_csv_field, labels)) + "\r\n"
-        render = _csv_lines if template else _csv_writer_lines
+        render = _csv_lines
+    step = _CHUNK_ROWS
+    if width:  # a sparse row, n! cells wide, is a chunk of its own
+        render, step = _sparse_lines(fmt, width), 1
     rows = iter(rows)
-    batch = list(itertools.islice(rows, _CHUNK_ROWS))
+    batch = list(itertools.islice(rows, step))
     while batch:
         text, batch = render(batch), None
         yield text
-        batch = list(itertools.islice(rows, _CHUNK_ROWS))
+        batch = list(itertools.islice(rows, step))
         if batch:
             yield separator
 
@@ -270,10 +279,28 @@ def _csv_lines(batch: list) -> str:
     return "\r\n".join(map(",".join, zip(*quoted))) + "\r\n"
 
 
-def _csv_writer_lines(batch: list) -> str:
-    buf = io.StringIO()
-    csv.writer(buf).writerows(batch)
-    return buf.getvalue()
+def _sparse_lines(fmt: str, width: int):
+    """The render of the batches of a sparse table in csv or json, each row
+    spliced from cached cells: its own, and runs of zero cells between and
+    after its entries.  Every cell is preceded by its separator, which for
+    the first cell of a row loses its comma."""
+    if fmt == "json":
+        sep, quote, opening, closing, joiner, end = _SEP2, '"{}"'.format, "[", _SEP1[1:] + "]", _SEP1, ""
+    else:
+        sep, quote, opening, closing, joiner, end = ",", _csv_field, "", "", "\r\n", "\r\n"
+    cell = functools.cache(lambda text: sep + quote(text))
+    zeros = functools.cache(cell("0").__mul__)
+
+    def line(row) -> str:
+        *head, entries = row
+        pieces, at = list(map(cell, head)), 0
+        for j, text in entries:
+            pieces += zeros(j - at), cell(text)
+            at = j + 1
+        pieces.append(zeros(width - at))
+        return opening + "".join(pieces)[1:] + closing
+
+    return lambda batch: joiner.join(map(line, batch)) + end
 
 
 def _json_items(labels, strings, batch: list) -> str:
@@ -283,13 +310,19 @@ def _json_items(labels, strings, batch: list) -> str:
     )
     opening, closing = "{}" if labels else "[]"
     pieces = (opening + _SEP2[1:] + pattern + _SEP1[1:] + closing).split(_SLOT)
-    if not labels:  # list rows, n! cells wide in a matrix: str.format beats a transposed chunk
+    if not labels:  # list rows, the simulate histogram: one str.format per row
         return _SEP1.join(itertools.starmap("{}".join(pieces).format, batch))
     columns = (column for column, label in zip(zip(*batch), labels) if label is not None)
     parts = [itertools.repeat(pieces[0])]
     for column, piece in zip(columns, pieces[1:]):  # each column holds cells of one type
         parts += (column if isinstance(column[0], str) else map(str, column), itertools.repeat(piece))
     return _SEP1.join(map("".join, zip(*parts)))
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """The text of Fraction(num, den), den > 0."""
+    common = math.gcd(num, den)
+    return str(num // common) if common == den else f"{num // common}/{den // common}"
 
 
 def _spectrum_rows(
@@ -306,9 +339,7 @@ def _spectrum_rows(
     for i, (members, m, g, multiplicity) in enumerate(catalog_rows(n, cells), start=1):
         total = totals.get(g)
         if total is None:
-            common = math.gcd(g, den)  # the text of Fraction(g, den), den > 0
-            text = str(g // common) if common == den else f"{g // common}/{den // common}"
-            total = totals[g] = [text, 0]
+            total = totals[g] = [_ratio_text(g, den), 0]
         total[1] += multiplicity
         yield i, members, m, total[0], str(multiplicity)
 
@@ -398,7 +429,7 @@ def cmd_filtration(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    from .basis import rmul_matrix
+    from .basis import rmul_rows
     from .perms import format_permutation
     from .shuffles import build_osc, build_t
 
@@ -411,15 +442,17 @@ def cmd_matrix(args) -> int:
         if args.t > n:
             raise ValueError(f"--t {args.t} exceeds n={n}")
         element = build_t(n, args.t)
-    labels, rows = rmul_matrix(element, args.basis, args.order, max_n=args.max_n)
-    if args.osc is not None and args.basis == "std":
-        rows = zip(*rows)  # the transition matrix: row tau holds tau * osc(P)
+    # std with --osc is the transition matrix: row tau holds tau * osc(P), the std column tau
+    transpose = args.osc is not None and args.basis == "std"
+    labels, den, rows = rmul_rows(element, args.basis, args.order, args.max_n, transpose)
     names = [format_permutation(w) for w in labels]
+    text = functools.cache(lambda c: _ratio_text(c, den))
+    entries = ([(j, text(c)) for j, c in row] for row in rows)
     if args.format == "json":
-        frame, table = {"n": n, "order": names, "rows": [_SLOT]}, (rows, None, "", range(len(names)))
+        frame, table = {"n": n, "order": names, "rows": [_SLOT]}, (zip(entries), None)
     else:
-        frame, table = _SLOT, (([name, *row] for name, row in zip(names, rows)), ("", *names))
-    _emit(_render(args.format, frame, [table]), args.output)
+        frame, table = _SLOT, (zip(names, entries), ("", *names))
+    _emit(_render(args.format, frame, [(*table, "", (), len(names))]), args.output)
     return 0
 
 

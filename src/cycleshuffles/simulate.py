@@ -376,17 +376,24 @@ def fast_bookmark_sim(probabilities: Sequence[Scalar], trials: int, seed: int) -
     use Philox streams keyed off the high key half so they never collide
     with simulate_sst's per-trial streams.  The times are summed in float64,
     which counts them exactly below 2^53; a run in which some tau reaches
-    2^53 is refused.
+    2^53 is refused, and so, before any draw, is a stage probability that
+    rounds to 0.0 in float64.
     """
     n = len(probabilities)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     probs = _validated(probabilities)
+    stages = [float(p) for p in stage_probabilities(probs)]
+    if 0.0 in stages:
+        raise ValueError(
+            f"the climb probability of stage b = {stages.index(0.0) + 1} rounds to 0.0 in float64; "
+            "its geometric time cannot be simulated"
+        )
     totals = np.zeros(trials)
     draws = np.empty(trials)
-    for below, p in enumerate(stage_probabilities(probs), start=1):
+    for below, p in enumerate(stages, start=1):
         rng = _trial_rng(seed, _FAST_SIM_KEY_OFFSET + below)
-        totals += _geometric(rng, float(p), draws)
+        totals += _geometric(rng, p, draws)
     del draws
     if totals.max() >= 2.0**53:
         raise ValueError(

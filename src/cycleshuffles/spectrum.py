@@ -26,7 +26,7 @@ from .shuffles import combine
 
 CERTIFIED_DIAGONALIZABLE = "certified_diagonalizable"
 INCONCLUSIVE = "inconclusive"
-CHAR_POLY_MAX_DIM = 120  # 5! = 120: the oracle's dense Fraction elimination stops at n = 5
+CHAR_POLY_MAX_DIM = 120  # 5! = 120, n = 5: the oracle reduces the matrix in Fractions, O(size^3) operations
 
 
 def eigenvalue_for_set(weights: WeightVector, members: Iterable[int], n: int) -> Fraction:
@@ -190,10 +190,14 @@ def minimal_polynomial(x: AlgebraElement, max_n: int | None = None) -> Polynomia
 def char_poly_oracle(matrix: Sequence[Sequence[Scalar]]) -> Polynomial:
     """Exact characteristic polynomial det(xI - M) of a square rational matrix.
 
-    Reduces M to upper Hessenberg form by exact similarity transformations,
-    then expands the determinant with the Hessenberg recurrence.  Serves as
-    the independent oracle for the multiplicity formula; it never consults
-    the lacunar machinery.
+    Reduces M to upper Hessenberg form H by exact similarity transformations
+    in Fractions, then expands det(xI - H) by the Hessenberg recurrence
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9)
+    without Fraction arithmetic: each p_k is an integer coefficient list
+    over one denominator, its content divided out, and each step's product
+    of subdiagonal entries is stopped at its first zero.  Serves as the
+    independent oracle for the multiplicity formula; it never consults the
+    lacunar machinery.
 
     >>> char_poly_oracle([[2, 0], [0, 2]]) == Polynomial((4, -4, 1))
     True
@@ -224,18 +228,31 @@ def char_poly_oracle(matrix: Sequence[Sequence[Scalar]]) -> Polynomial:
             for row in h:
                 row[k + 1] += factor * row[i]
 
-    # p_k = det(xI - H[:k][:k]) by expansion along the last column
-    polys = [Polynomial.one()]
+    # p_k = det(xI - H[:k][:k]) = P_k / e_k by expansion along the last column:
+    # x p_{k-1} less c p_{i-1} for each pair (c, i) of terms, P_k an integer
+    # coefficient list (constant term first) with no factor in common with e_k
+    polys = [([1], 1)]
     for k in range(1, size + 1):
-        term = Polynomial.x_minus(h[k - 1][k - 1]) * polys[k - 1]
+        terms = [(h[k - 1][k - 1], k)]
         subdiag = Fraction(1)
         for i in range(k - 1, 0, -1):
             subdiag *= h[i][i - 1]
-            coeff = h[i - 1][k - 1] * subdiag
-            if coeff:
-                term = term - coeff * polys[i - 1]
-        polys.append(term)
-    return polys[size]
+            if not subdiag:
+                break
+            terms.append((h[i - 1][k - 1] * subdiag, i))
+        terms = [(c, i) for c, i in terms if c]
+        last, e = polys[k - 1]
+        den = math.lcm(e, *(c.denominator * polys[i - 1][1] for c, i in terms))
+        out = [0] + [den // e * a for a in last]
+        for c, i in terms:
+            coeffs, e_i = polys[i - 1]
+            factor = c.numerator * (den // (c.denominator * e_i))
+            for j, a in enumerate(coeffs):
+                out[j] -= factor * a
+        common = math.gcd(den, *out)
+        polys.append(([a // common for a in out], den // common))
+    coeffs, den = polys[size]
+    return Polynomial([Fraction(a, den) for a in coeffs])
 
 
 def diagonalizable_certificate(weights: WeightVector, catalog: LacunarCatalog) -> str:

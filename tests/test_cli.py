@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import itertools
 import json
@@ -11,7 +12,14 @@ from fractions import Fraction
 import pytest
 
 from cycleshuffles import cli
-from cycleshuffles.basis import basis_order, rmul_matrix
+from cycleshuffles.basis import (
+    basis_order,
+    build_a_family,
+    build_std_family,
+    dual_basis,
+    rmul_columns,
+    rmul_matrix,
+)
 from cycleshuffles.cli import run
 from cycleshuffles.inputs import uniform_distribution
 from cycleshuffles.lacunar import enumerate_lacunar, format_subset, gap_table, non_shadow, walk_gaps
@@ -336,6 +344,18 @@ def test_simulate_fast_refuses_a_tau_beyond_exact_counting(capsys):
     assert err.startswith("error:") and "2^53" in err
 
 
+def test_simulate_fast_refuses_a_stage_probability_that_rounds_to_zero(capsys):
+    tiny = "1/1" + "0" * 400
+    big = "9" * 400 + "/1" + "0" * 400
+    code, out, err = invoke(
+        capsys, "simulate", "--n", "3", "--trials", "5", "--seed", "1", "--fast",
+        "--dist", f"{tiny},{big},0", "--format", "text",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "stage b = 2 rounds to 0.0 in float64" in err
+
+
 @pytest.mark.parametrize(
     "message", ["Unable to allocate 7.28 TiB", ""], ids=["numpy-message", "no-message"]
 )
@@ -449,22 +469,63 @@ def test_matrix_rendering_is_byte_identical_to_fraction_rendering(fmt, capsys):
         assert out == _reference_matrix_text(labels, rows, fmt)
 
 
+def _columns_matrix(x, basis, order):
+    """(labels, rows) of the matrix of y -> y x, each cell set from the
+    columns of rmul_columns, rows and columns in the named order."""
+    a_family = build_a_family(x.n)
+    family = {"std": build_std_family(x.n), "a": a_family, "b": dual_basis(a_family)}[basis]
+    labels = basis_order(x.n, order)
+    at = {w: k for k, w in enumerate(labels)}
+    rows = [[0] * len(labels) for _ in labels]
+    for w, column in rmul_columns(x, family):
+        for v, c in column.items():
+            rows[at[v]][at[w]] = c
+    return labels, rows
+
+
 def _reference_matrices(n):
-    """(flags, labels, rows) of every basis and order, for --t 1 and for
-    --osc uniform; --osc std is the transition matrix, in the named order."""
-    dist = [Fraction(1, n)] * n
-    osc, t1 = build_osc(dist), build_t(n, 1)
-    tm = transition_matrix(osc)
-    lex_rank = {w: k for k, w in enumerate(tm.perms)}
+    """(flags, labels, rows) of every basis and order, for every --t L and
+    for --osc uniform; --osc std is the transition matrix, the transpose."""
+    dist = ",".join([f"1/{n}"] * n)
+    osc = build_osc([Fraction(1, n)] * n)
     for order in ("lex", "qindex", "qindex-desc"):
-        picks = [lex_rank[w] for w in basis_order(n, order)]
-        rows = [[tm.rows[i][j] for j in picks] for i in picks]
-        osc_flags = ("--osc", ",".join(map(str, dist)), "--order", order)
-        yield (*osc_flags, "--basis", "std"), [tm.perms[k] for k in picks], rows
+        labels, rows = _columns_matrix(osc, "std", order)
+        yield ("--osc", dist, "--order", order, "--basis", "std"), labels, list(zip(*rows))
         for basis in ("std", "a", "b"):
-            yield ("--t", "1", "--order", order, "--basis", basis), *rmul_matrix(t1, basis, order)
+            for ell in range(1, n + 1):
+                flags = ("--t", str(ell), "--order", order, "--basis", basis)
+                yield flags, *_columns_matrix(build_t(n, ell), basis, order)
             if basis != "std":
-                yield (*osc_flags, "--basis", basis), *rmul_matrix(osc, basis, order)
+                yield ("--osc", dist, "--order", order, "--basis", basis), *_columns_matrix(osc, basis, order)
+
+
+@functools.cache
+def _reference_matrix_texts(n):
+    """(argv, whole rendering) of every matrix of _reference_matrices in csv
+    and json, and whether some matrix has an all-zero row, a nonzero cell in
+    its first column and one in its last."""
+    texts, zero_row, first, last = [], False, False, False
+    for flags, labels, rows in _reference_matrices(n):
+        zero_row |= any(not any(row) for row in rows)
+        first |= any(row[0] for row in rows)
+        last |= any(row[-1] for row in rows)
+        for fmt in ("csv", "json"):
+            argv = ("--n", str(n), *flags, "--format", fmt)
+            texts.append((argv, _reference_matrix_text(labels, rows, fmt)))
+    return texts, (zero_row, first, last)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_matrix_export_is_the_dense_rendering(n, capsys):
+    """Every basis, order and format for every --t L and --osc uniform, byte
+    for byte the csv.writer and json.dumps rendering of the dense matrix."""
+    texts, (zero_row, first, last) = _reference_matrix_texts(n)
+    if n >= 4:  # t_L has zero diagonal entries in the a-basis: all-zero rows
+        assert zero_row and first and last
+    for argv, expected in texts:
+        code, out, err = invoke(capsys, "matrix", *argv)
+        assert (code, err) == (0, "")
+        assert out == expected, argv
 
 
 def _reference_tables(command, n):
@@ -479,9 +540,7 @@ def _reference_tables(command, n):
         for fmt in ("text", "csv", "json"):
             yield ("--n", str(n), "--format", fmt), _reference_filtration(n, fmt)
     elif command == "matrix":
-        for flags, labels, rows in _reference_matrices(n):
-            for fmt in ("csv", "json"):
-                yield ("--n", str(n), *flags, "--format", fmt), _reference_matrix_text(labels, rows, fmt)
+        yield from _reference_matrix_texts(n)[0]
     else:
         runs = ((1, simulate_sst, ()), (50, simulate_sst, ()), (50, fast_bookmark_sim, ("--fast",)))
         for trials, simulator, flags in runs:
@@ -492,7 +551,8 @@ def _reference_tables(command, n):
 
 @pytest.mark.parametrize(
     "command, n",
-    [("matrix", 1), ("matrix", 3), ("spectrum", 1), ("spectrum", 6), ("filtration", 1), ("filtration", 6)]
+    [("matrix", 1), ("matrix", 3), ("matrix", 4), ("matrix", 5)]
+    + [("spectrum", 1), ("spectrum", 6), ("filtration", 1), ("filtration", 6)]
     + [("simulate", 5), ("simulate", 201)],
 )
 def test_tables_across_chunk_boundaries_are_the_whole_rendering(command, n, monkeypatch, capsys):

@@ -617,6 +617,22 @@ def test_fast_sim_refuses_a_tau_beyond_exact_counting():
     assert sum(c for _, c in result.histogram) == 5
 
 
+def test_fast_sim_refuses_a_stage_probability_that_rounds_to_zero(monkeypatch):
+    # the last stage probability is P(1); 10^-400 is 0.0 as a float64, where
+    # the inverse cdf of the search found no edge above a draw
+    drawn = []
+    monkeypatch.setattr(simulate, "_geometric", lambda *args: drawn.append(args))
+    tiny = Fraction(1, 10**400)
+    with pytest.raises(ValueError, match=r"stage b = 2 rounds to 0\.0 in float64"):
+        fast_bookmark_sim([tiny, 1 - tiny, Fraction(0)], trials=5, seed=1)
+    # with P(2) as small, stage 3 of 4 rounds to 0.0 too; the first such stage is named
+    with pytest.raises(ValueError, match="stage b = 2 "):
+        fast_bookmark_sim([tiny, tiny, 1 - 2 * tiny, Fraction(0)], trials=5, seed=1)
+    with pytest.raises(ValueError, match="stage b = 4 "):
+        fast_bookmark_sim([tiny, Fraction(1, 3), Fraction(1, 3), 1 - tiny - Fraction(2, 3), 0], 5, 1)
+    assert drawn == []  # refused before any stage was drawn
+
+
 def test_move_rows_equals_apply_move_row_by_row():
     draws = np.random.default_rng(7)
     for n in range(1, 9):

@@ -12,6 +12,7 @@ from cycleshuffles.polys import Polynomial
 from cycleshuffles.shuffles import build_t, combine, r2b_weights, t2r_weights, unweighted_weights
 from cycleshuffles.spectrum import (
     CERTIFIED_DIAGONALIZABLE,
+    CHAR_POLY_MAX_DIM,
     INCONCLUSIVE,
     _exact_weights,
     annihilator_check,
@@ -402,6 +403,113 @@ def test_char_poly_oracle_dense_random_matrix_against_known_factors():
     for i in range(size):
         companion[i][size - 1] = -coeffs[i]
     assert char_poly_oracle(companion) == poly
+
+
+def fraction_char_poly(matrix):
+    """det(xI - M) by the Hessenberg reduction and the Hessenberg recurrence,
+    both in Fractions, the recurrence on Polynomials: the oracle that the
+    fraction-free char_poly_oracle is checked against."""
+    size = len(matrix)
+    h = [[Fraction(v) for v in row] for row in matrix]
+    for k in range(size - 2):
+        if not h[k + 1][k]:
+            swap = next((i for i in range(k + 2, size) if h[i][k]), None)
+            if swap is None:
+                continue
+            h[k + 1], h[swap] = h[swap], h[k + 1]
+            for row in h:
+                row[k + 1], row[swap] = row[swap], row[k + 1]
+        pivot = h[k + 1][k]
+        for i in range(k + 2, size):
+            if not h[i][k]:
+                continue
+            factor = h[i][k] / pivot
+            hi, hk1 = h[i], h[k + 1]
+            for j in range(k, size):
+                hi[j] -= factor * hk1[j]
+            for row in h:
+                row[k + 1] += factor * row[i]
+    # p_k = det(xI - H[:k][:k]) by expansion along the last column
+    polys = [Polynomial.one()]
+    for k in range(1, size + 1):
+        term = Polynomial.x_minus(h[k - 1][k - 1]) * polys[k - 1]
+        subdiag = Fraction(1)
+        for i in range(k - 1, 0, -1):
+            subdiag *= h[i][i - 1]
+            coeff = h[i - 1][k - 1] * subdiag
+            if coeff:
+                term = term - coeff * polys[i - 1]
+        polys.append(term)
+    return polys[size]
+
+
+MATRIX_KINDS = ("full", "upper", "lower", "hessenberg", "mixed")
+
+
+def seeded_matrix(kind, size):
+    """A seeded rational matrix: full; upper or lower triangular; upper
+    Hessenberg with a zero subdiagonal entry in the middle; or full with
+    ints beside Fractions over small, prime and large denominators."""
+    rng = random.Random(f"{kind}-{size}")
+    dens = (1, 2, 3, 4, 6, 7, 9, 11, 25, 10**9 + 7) if kind == "mixed" else (1, 2, 3)
+
+    def entry(i, j):
+        if kind == "upper" and i > j or kind == "lower" and i < j or kind == "hessenberg" and i > j + 1:
+            return 0
+        if rng.random() < 0.2:
+            return 0
+        den = rng.choice(dens)
+        value = Fraction(rng.randint(-9, 9), den)
+        return int(value) if kind == "mixed" and den == 1 else value
+
+    matrix = [[entry(i, j) for j in range(size)] for i in range(size)]
+    if kind == "hessenberg" and size >= 3:
+        middle = size // 2
+        matrix[middle][middle - 1] = 0
+        for k in range(1, size):  # the other subdiagonal entries nonzero
+            if k != middle and not matrix[k][k - 1]:
+                matrix[k][k - 1] = Fraction(k, 2)
+    return matrix
+
+
+@pytest.mark.parametrize("size", range(1, 13))
+@pytest.mark.parametrize("kind", MATRIX_KINDS)
+def test_char_poly_oracle_equals_the_fraction_recurrence(kind, size):
+    matrix = seeded_matrix(kind, size)
+    poly = char_poly_oracle(matrix)
+    assert poly == fraction_char_poly(matrix)
+    assert poly.degree == size and poly.is_monic()
+    if kind in ("upper", "lower"):
+        assert poly == Polynomial.from_roots((Fraction(matrix[i][i]), 1) for i in range(size))
+
+
+@pytest.mark.parametrize("seed", [51, 52])
+def test_char_poly_oracle_on_the_a_basis_at_n5(seed):
+    """The 120 x 120 a-basis matrix in Q-index order, the oracle's cap, for a
+    seeded signed weight vector: Pi (x - g)^mult over the aggregate."""
+    rng = random.Random(seed)
+    weights = tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(5))
+    _, matrix = rmul_matrix(combine(weights), "a", "qindex")
+    assert len(matrix) == CHAR_POLY_MAX_DIM == 120
+    expected = Polynomial.from_roots(full_spectrum(weights, enumerate_lacunar(5)).aggregate)
+    assert char_poly_oracle(matrix) == expected
+
+
+def test_char_poly_oracle_consults_no_lacunar_machinery(monkeypatch):
+    from cycleshuffles import lacunar, spectrum
+
+    weights = pseudo_random_weights(4)
+    _, matrix = rmul_matrix(combine(weights), "a", "qindex")
+    expected = Polynomial.from_roots(full_spectrum(weights, enumerate_lacunar(4)).aggregate)
+
+    def forbidden(*_args, **_kwargs):
+        pytest.fail("char_poly_oracle consulted the lacunar machinery")
+
+    for module in (lacunar, spectrum):
+        for name, value in list(vars(module).items()):
+            if callable(value) and getattr(value, "__module__", None) == lacunar.__name__:
+                monkeypatch.setattr(module, name, forbidden)
+    assert char_poly_oracle(matrix) == expected
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

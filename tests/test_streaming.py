@@ -70,7 +70,7 @@ MATRIX_SCRIPT = """
 import json, sys, tracemalloc
 from cycleshuffles import cli
 
-argv = ["matrix", "--n", "6", "--t", "2", "--basis", "a", "--order", "qindex", "--format", "json"]
+argv = ["matrix", "--n", "6", "--t", "2", "--basis", "a", "--order", "qindex", "--format", sys.argv[2]]
 tracemalloc.start()
 code = cli.run([*argv, "--output", sys.argv[1]])
 print(json.dumps([code, tracemalloc.get_traced_memory()[1]]))
@@ -80,15 +80,27 @@ print(json.dumps([code, tracemalloc.get_traced_memory()[1]]))
 # rows stream, and at about 47.8 MB when the whole payload of row lists is
 # built and encoded in one text
 MATRIX_PEAK_BYTES = 30_000_000
+# its 1.05 MB of CSV: about 12.4 MB from a dense matrix of Fractions written
+# by csv.writer, about 2.7 MB from the sparse integer rows
+MATRIX_CSV_PEAK_BYTES = 6_000_000
 
 
 def test_streamed_matrix_json_holds_no_whole_payload(tmp_path):
     target = tmp_path / "matrix.json"
-    code, peak = _fresh(MATRIX_SCRIPT, str(target))
+    code, peak = _fresh(MATRIX_SCRIPT, str(target), "json")
     assert code == 0
     assert peak < MATRIX_PEAK_BYTES, peak
     data = json.loads(target.read_text())
     assert len(data["order"]) == len(data["rows"]) == 720
+
+
+def test_streamed_matrix_csv_holds_no_dense_matrix(tmp_path):
+    target = tmp_path / "matrix.csv"
+    code, peak = _fresh(MATRIX_SCRIPT, str(target), "csv")
+    assert code == 0
+    assert peak < MATRIX_CSV_PEAK_BYTES, peak
+    lines = target.read_text().splitlines()
+    assert len(lines) == 721 and all(line.count(",") == 720 + 5 for line in lines[1:])
 
 
 FAST_SCRIPT = """
