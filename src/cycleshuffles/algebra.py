@@ -19,12 +19,6 @@ Code that already holds integer vectors over lexicographic ranks (the basis
 columns and the Krylov sequence) multiplies them by an element with
 rank_factors and rank_product instead: the same gather tables, the
 denominator of the element cleared once, and no permutation tuples.
-
-Operations that enumerate all of S_n refuse to run above a degree cap
-(default 8, i.e. 40320 basis permutations) to guard against accidental
-factorial blowup; the cap can be lifted per call or through the
-CYCLESHUFFLES_MAX_N environment variable.  The cap and the Scalar type are
-defined in inputs and imported here from there.
 """
 
 from __future__ import annotations
@@ -35,7 +29,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .inputs import DEFAULT_MAX_N, MAX_N_ENV_VAR, Scalar, algebra_cap, require_within_cap
+from .inputs import Scalar
 from .perms import Perm, all_permutations, format_permutation, identity, inverse
 
 
@@ -52,9 +46,12 @@ class AlgebraElement:
         self.n = n
         clean: dict[Perm, Scalar] = {}
         if terms:
+            letters = set(range(1, n + 1))
             for w, c in terms.items():
                 if len(w) != n:
                     raise ValueError(f"permutation {w} has degree {len(w)}, expected {n}")
+                if letters.difference(w):
+                    raise ValueError(f"{w} is not a permutation of [{n}]")
                 if c:
                     clean[w] = c
         self._terms = clean

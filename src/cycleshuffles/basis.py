@@ -346,17 +346,17 @@ def rmul_matrix(
     return ordered, matrix
 
 
-def filtration_dimensions(catalog: LacunarCatalog, max_n: int | None = None) -> tuple[int, ...]:
+def filtration_dimensions(n: int, max_n: int | None = None) -> tuple[int, ...]:
     """(dim F_0, ..., dim F_last) with dim F_i = #{w : Qind w <= i}.
 
     Counts by enumerating S_n; the multiplicity formula in the spectrum
     module reproduces the same dimensions without the factorial sweep.
 
-    >>> filtration_dimensions(enumerate_lacunar(4))
+    >>> filtration_dimensions(4)
     (0, 1, 4, 12, 18, 24)
     """
-    table = QIndexTable(catalog.n, max_n)
-    counts = [0] * (len(catalog) + 1)
+    table = QIndexTable(n, max_n)
+    counts = [0] * (len(table.catalog) + 1)
     for i in table.index.values():
         counts[i] += 1
     dims = [0]

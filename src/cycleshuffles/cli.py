@@ -364,7 +364,10 @@ _SPECTRUM = {
 
 def cmd_spectrum(args) -> int:
     n, fmt = args.n, args.format
-    weights, den, numerators = _exact_weights(_resolve_weights(args), n)  # refused before any byte
+    weights = _resolve_weights(args)
+    if len(weights) != n:  # refused before any byte
+        raise ValueError(f"expected {n} weights, got {len(weights)}")
+    weights, den, numerators = _exact_weights(weights)
     texts = [str(c) for c in weights]
     frame = {
         "text": f"n = {n}, weights = {', '.join(texts)}\n{_SLOT}aggregate:\n{_SLOT}",

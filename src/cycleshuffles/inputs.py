@@ -101,17 +101,16 @@ def unweighted_weights(n: int) -> tuple[Fraction, ...]:
     return osc_weights([Fraction(2 * (n - i + 1), n * (n + 1)) for i in range(1, n + 1)])
 
 
-def _exact_weights(
-    weights: WeightVector, n: int
-) -> tuple[tuple[Fraction, ...], int, tuple[int, ...]]:
-    """The n weights as Fractions, a common denominator d of them and the
-    integers d * weight; any other count is refused.
+def _exact_weights(weights: WeightVector) -> tuple[tuple[Fraction, ...], int, tuple[int, ...]]:
+    """The weights as Fractions, a common denominator d of them and the
+    integers d * weight.  Their count is the degree, so only an empty
+    vector is refused.
 
-    >>> _exact_weights((Fraction(1, 2), Fraction(1, 3)), 2)
+    >>> _exact_weights((Fraction(1, 2), Fraction(1, 3)))
     ((Fraction(1, 2), Fraction(1, 3)), 6, (3, 2))
     """
-    if len(weights) != n:
-        raise ValueError(f"expected {n} weights, got {len(weights)}")
+    if not weights:
+        raise ValueError("degree must be at least 1, got 0")
     exact = tuple(Fraction(c) for c in weights)
     den = math.lcm(*(c.denominator for c in exact))
     return exact, den, tuple(c.numerator * (den // c.denominator) for c in exact)

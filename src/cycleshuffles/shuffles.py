@@ -6,7 +6,7 @@ below-to-somewhere shuffle).  A position distribution P yields the one-sided
 cycle shuffle osc(P) = sum of P(ell)/(n+1-ell) * t_ell, whose transition
 matrix on deck orders is row-stochastic.  The weights themselves (osc_weights,
 t2r_weights, r2b_weights, unweighted_weights) are plain Fractions and live in
-inputs; they are imported here from there.
+inputs.
 """
 
 from __future__ import annotations
@@ -16,17 +16,7 @@ from typing import Sequence
 
 from .algebra import AlgebraElement, linear_combine
 from .basis import rmul_matrix
-from .inputs import (
-    Scalar,
-    WeightVector,
-    osc_weights,
-    r2b_weights,
-    require_within_cap,
-    t2r_weights,
-    uniform_distribution,
-    unweighted_weights,
-    validate_distribution,
-)
+from .inputs import Scalar, WeightVector, osc_weights, require_within_cap
 from .perms import Perm, cycle
 
 

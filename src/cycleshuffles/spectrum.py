@@ -29,13 +29,14 @@ INCONCLUSIVE = "inconclusive"
 CHAR_POLY_MAX_DIM = 120  # 5! = 120, n = 5: the oracle reduces the matrix in Fractions, O(size^3) operations
 
 
-def eigenvalue_for_set(weights: WeightVector, members: Iterable[int], n: int) -> Fraction:
-    """The eigenvalue of one lacunar subset I of [n-1]; eigenvalue rows are
-    indexed by lacunar subsets only."""
+def eigenvalue_for_set(weights: WeightVector, members: Iterable[int]) -> Fraction:
+    """The eigenvalue of one lacunar subset I of [n-1], n the number of
+    weights; eigenvalue rows are indexed by lacunar subsets only."""
+    _, den, numerators = _exact_weights(weights)
+    n = len(numerators)
     s = set(members)
     if not is_lacunar(s) or any(not 1 <= i <= n - 1 for i in s):
         raise ValueError(f"{s} is not a lacunar subset of [{n - 1}]")
-    _, den, numerators = _exact_weights(weights, n)
     return Fraction(walk_gaps(sorted(s), gap_table(n, numerators))[1], den)
 
 
@@ -64,6 +65,8 @@ class SpectrumRow:
 
 @dataclass(frozen=True)
 class SpectrumReport:
+    """The rows and the aggregate of full_spectrum; n is the number of weights."""
+
     n: int
     weights: tuple[Fraction, ...]
     rows: tuple[SpectrumRow, ...]
@@ -89,15 +92,15 @@ class SpectrumReport:
         }
 
 
-def full_spectrum(weights: WeightVector, catalog: LacunarCatalog) -> SpectrumReport:
+def full_spectrum(weights: WeightVector) -> SpectrumReport:
     """One row per catalog entry plus total multiplicities of equal eigenvalues.
 
-    The rows come from lacunar.catalog_rows in catalog order; the catalog
-    gives the degree.  Always sums to n! because every permutation has
-    exactly one Q-index.
+    The weights give the degree n, and the rows come from
+    lacunar.catalog_rows in catalog order.  Always sums to n! because every
+    permutation has exactly one Q-index.
     """
-    n = catalog.n
-    weights, den, numerators = _exact_weights(weights, n)
+    weights, den, numerators = _exact_weights(weights)
+    n = len(weights)
     cells = [
         [cell and ((a,) if a else (), *cell) for cell in gaps]
         for a, gaps in enumerate(gap_table(n, numerators))
@@ -113,18 +116,16 @@ def full_spectrum(weights: WeightVector, catalog: LacunarCatalog) -> SpectrumRep
     return SpectrumReport(n, weights, tuple(rows), aggregate)
 
 
-def annihilator_check(
-    weights: WeightVector, catalog: LacunarCatalog, max_n: int | None = None
-) -> tuple[bool, AlgebraElement]:
+def annihilator_check(weights: WeightVector, *, max_n: int | None = None) -> tuple[bool, AlgebraElement]:
     """Evaluate the product of (t - g_I) over all lacunar I in the group algebra.
 
     Returns (True, zero) when the product vanishes exactly; otherwise the
     residual element is the witness.
     """
-    require_within_cap(catalog.n, max_n)
-    report = full_spectrum(weights, catalog)
+    require_within_cap(len(weights), max_n)
+    report = full_spectrum(weights)
     t = combine(report.weights)
-    product = AlgebraElement.one(catalog.n)
+    product = AlgebraElement.one(report.n)
     for row in report.rows:
         product = product * (t - row.eigenvalue)
         if product.is_zero():
@@ -255,11 +256,11 @@ def char_poly_oracle(matrix: Sequence[Sequence[Scalar]]) -> Polynomial:
     return Polynomial([Fraction(a, den) for a in coeffs])
 
 
-def diagonalizable_certificate(weights: WeightVector, catalog: LacunarCatalog) -> str:
+def diagonalizable_certificate(weights: WeightVector) -> str:
     """"certified_diagonalizable" when all row eigenvalues are pairwise
     distinct, else "inconclusive" (distinctness is sufficient but not
     necessary, so no negative verdict is ever issued)."""
-    report = full_spectrum(weights, catalog)
+    report = full_spectrum(weights)
     if len(report.aggregate) == len(report.rows):
         return CERTIFIED_DIAGONALIZABLE
     return INCONCLUSIVE

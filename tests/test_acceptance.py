@@ -26,6 +26,7 @@ from cycleshuffles.checks import (
     check_triangularity,
     pseudo_random_weights,
 )
+from cycleshuffles.inputs import r2b_weights, uniform_distribution
 from cycleshuffles.lacunar import enumerate_lacunar, fibonacci, lacunar_masks
 from cycleshuffles.basis import rmul_matrix
 from cycleshuffles.identities import commutator, commutator_nilpotency, identity_suite
@@ -36,9 +37,7 @@ from cycleshuffles.shuffles import (
     build_t,
     build_t_prime,
     combine,
-    r2b_weights,
     transition_matrix,
-    uniform_distribution,
 )
 from cycleshuffles.simulate import (
     bound_check_sweep,
@@ -139,13 +138,12 @@ def test_criterion_03_triangularity_and_printed_expansion():
 def test_criterion_04_annihilating_products():
     start = time.monotonic()
     for n in range(2, 6):
-        catalog = enumerate_lacunar(n)
         for label, weights in (
             ("ones", tuple(Fraction(1) for _ in range(n))),
             ("r2b", r2b_weights(n)),
             ("pseudo-random", pseudo_random_weights(n)),
         ):
-            ok, residual = annihilator_check(weights, catalog)
+            ok, residual = annihilator_check(weights)
             assert ok, f"{label} weights at n={n}: {len(residual)} terms survive"
     elapsed = time.monotonic() - start
     assert elapsed < 60
@@ -167,14 +165,13 @@ def test_criterion_05_minimal_polynomials():
 def test_criterion_06_multiplicities_against_char_poly_oracle():
     start = time.monotonic()
     for n in range(2, 5):
-        catalog = enumerate_lacunar(n)
         for weights in (
             tuple(Fraction(1) for _ in range(n)),
             r2b_weights(n),
             pseudo_random_weights(n),
         ):
             _, matrix = rmul_matrix(combine(weights), "std", "lex")
-            report_ = full_spectrum(weights, catalog)
+            report_ = full_spectrum(weights)
             assert char_poly_oracle(matrix) == Polynomial.from_roots(list(report_.aggregate))
     _, matrix = rmul_matrix(build_t(3, 1), "std", "lex")
     assert char_poly_oracle(matrix) == Polynomial.from_roots([(0, 2), (1, 3), (3, 1)])
@@ -188,20 +185,20 @@ def test_criterion_07_spectrum_facts_and_collision():
         catalog = enumerate_lacunar(n)
         t2r = (Fraction(1),) + tuple(Fraction(0) for _ in range(n - 1))
         values = {
-            eigenvalue_for_set(t2r, catalog[i], n) for i in range(1, len(catalog) + 1)
+            eigenvalue_for_set(t2r, catalog[i]) for i in range(1, len(catalog) + 1)
         }
         assert values == set(range(n - 1)) | {n}
     n = 12
     weights = tuple(Fraction(1, n + 1 - ell) for ell in range(1, n + 1))
     assert (
-        eigenvalue_for_set(weights, {1, 6, 8, 10}, n)
-        == eigenvalue_for_set(weights, {6, 8, 11}, n)
+        eigenvalue_for_set(weights, {1, 6, 8, 10})
+        == eigenvalue_for_set(weights, {6, 8, 11})
         == Fraction(13573, 3960)
     )
-    assert diagonalizable_certificate(weights, enumerate_lacunar(12)) == INCONCLUSIVE
+    assert diagonalizable_certificate(weights) == INCONCLUSIVE
     for m in range(2, 12):
         w = tuple(Fraction(1, m + 1 - ell) for ell in range(1, m + 1))
-        assert diagonalizable_certificate(w, enumerate_lacunar(m)) == CERTIFIED_DIAGONALIZABLE
+        assert diagonalizable_certificate(w) == CERTIFIED_DIAGONALIZABLE
     elapsed = time.monotonic() - start
     assert elapsed < 10
     report(7, "Spec(R(t_1)) = {0..n-2, n} for n <= 8; 13573/3960 collision at n=12", elapsed)

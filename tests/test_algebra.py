@@ -10,9 +10,9 @@ from cycleshuffles.algebra import (
     _gather_table,
     bilinear_form,
     linear_combine,
-    require_within_cap,
     rmul_terms,
 )
+from cycleshuffles.inputs import require_within_cap
 from cycleshuffles.perms import all_permutations, compose, cycle, identity, inverse
 from cycleshuffles.shuffles import build_t, build_t_prime
 

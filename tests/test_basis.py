@@ -21,7 +21,8 @@ from cycleshuffles.basis import (
     rmul_columns,
     rmul_matrix,
 )
-from cycleshuffles.lacunar import enumerate_lacunar, m_vector, non_shadow
+from cycleshuffles.inputs import uniform_distribution
+from cycleshuffles.lacunar import enumerate_lacunar, locate_interval, m_vector, non_shadow
 from cycleshuffles.perms import all_permutations, compose, cycle, descent_set, identity
 from cycleshuffles.shuffles import (
     build_osc,
@@ -29,7 +30,6 @@ from cycleshuffles.shuffles import (
     build_t_prime,
     combine,
     transition_matrix,
-    uniform_distribution,
 )
 
 
@@ -152,6 +152,24 @@ def test_q_index_equivalent_characterization():
             assert not des & catalog[i]
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_first_non_shadow_inside_j_is_its_boolean_interval(n):
+    # the intervals [non_shadow(I), [n-1] - I] over lacunar I partition the
+    # subsets J of [n-1]; the first catalog position whose non-shadow lies in
+    # J is the position of J's interval, and Qind w is that position for Des w
+    catalog = enumerate_lacunar(n)
+    position = {members: i for i, members in enumerate(catalog.sets, start=1)}
+    first = {}
+    for j_mask in range(1 << (n - 1)):
+        j = frozenset(i for i in range(1, n) if j_mask >> (i - 1) & 1)
+        first[j] = next(i for i in range(1, len(catalog) + 1) if non_shadow(catalog[i], n) <= j)
+        assert first[j] == position[locate_interval(j, n)], sorted(j)
+    if n <= 6:
+        table = QIndexTable(n)
+        for w in all_permutations(n):
+            assert table[w] == first[frozenset(descent_set(w))], w
+
+
 def test_q_index_table_counts():
     table = QIndexTable(4)
     assert len(table.index) == 24
@@ -242,14 +260,14 @@ def test_rmul_matrix_std_matches_direct_products():
 
 
 def test_filtration_dimensions_tables():
-    assert filtration_dimensions(enumerate_lacunar(3)) == (0, 1, 3, 6)
-    assert filtration_dimensions(enumerate_lacunar(4)) == (0, 1, 4, 12, 18, 24)
-    assert filtration_dimensions(enumerate_lacunar(5)) == (0, 1, 5, 20, 40, 50, 70, 90, 120)
+    assert filtration_dimensions(3) == (0, 1, 3, 6)
+    assert filtration_dimensions(4) == (0, 1, 4, 12, 18, 24)
+    assert filtration_dimensions(5) == (0, 1, 5, 20, 40, 50, 70, 90, 120)
 
 
 def test_filtration_dimensions_strictly_increase():
     for n in range(1, 7):
-        dims = filtration_dimensions(enumerate_lacunar(n))
+        dims = filtration_dimensions(n)
         assert dims[0] == 0 and dims[-1] == math.factorial(n)
         assert all(a < b for a, b in zip(dims, dims[1:]))
 

@@ -21,17 +21,10 @@ from cycleshuffles.basis import (
     rmul_matrix,
 )
 from cycleshuffles.cli import run
-from cycleshuffles.inputs import uniform_distribution
+from cycleshuffles.inputs import r2b_weights, t2r_weights, uniform_distribution, unweighted_weights
 from cycleshuffles.lacunar import enumerate_lacunar, format_subset, gap_table, non_shadow, walk_gaps
 from cycleshuffles.perms import format_permutation
-from cycleshuffles.shuffles import (
-    build_osc,
-    build_t,
-    r2b_weights,
-    t2r_weights,
-    transition_matrix,
-    unweighted_weights,
-)
+from cycleshuffles.shuffles import build_osc, build_t, transition_matrix
 from cycleshuffles.simulate import fast_bookmark_sim, simulate_sst
 from cycleshuffles.spectrum import full_spectrum
 
@@ -78,7 +71,7 @@ def _csv_text(rows):
 
 def _reference_spectrum(weights, n, fmt):
     """The spectrum as the CLI printed it from the whole full_spectrum report."""
-    report = full_spectrum(weights, enumerate_lacunar(n))
+    report = full_spectrum(weights)
     if fmt == "json":
         return json.dumps(report.to_json(), indent=2) + "\n"
     if fmt == "csv":

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from cycleshuffles.algebra import MAX_N_ENV_VAR
 from cycleshuffles.cli import run
+from cycleshuffles.inputs import MAX_N_ENV_VAR
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 

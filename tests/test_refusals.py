@@ -18,6 +18,7 @@ def b_family(n):
 
 
 REFUSALS = {
+    "key that is not a permutation": (lambda: AlgebraElement(3, {(1, 1, 3): 1}), "(1, 1, 3) is not a permutation of [3]"),
     "coefficient of another degree": (lambda: build_t(3, 1).coefficient((1, 2)), "degree mismatch: 2 vs 3"),
     "product of two degrees": (lambda: build_t(3, 1) * build_t(2, 1), "degree mismatch: 3 vs 2"),
     "bilinear form of two degrees": (lambda: bilinear_form(build_t(3, 1), build_t(2, 1)), "degree mismatch: 3 vs 2"),

@@ -4,19 +4,9 @@ from fractions import Fraction
 import pytest
 
 from cycleshuffles.algebra import AlgebraElement
+from cycleshuffles.inputs import osc_weights, r2b_weights, t2r_weights, uniform_distribution, unweighted_weights
 from cycleshuffles.perms import cycle, identity
-from cycleshuffles.shuffles import (
-    build_osc,
-    build_t,
-    build_t_prime,
-    combine,
-    osc_weights,
-    r2b_weights,
-    t2r_weights,
-    transition_matrix,
-    uniform_distribution,
-    unweighted_weights,
-)
+from cycleshuffles.shuffles import build_osc, build_t, build_t_prime, combine, transition_matrix
 
 T2R_3 = [
     ["1/3", "0", "1/3", "1/3", "0", "0"],

@@ -32,8 +32,7 @@ from cycleshuffles.simulate import (
     simulate_sst,
     stage_probabilities,
 )
-from cycleshuffles.lacunar import enumerate_lacunar
-from cycleshuffles.shuffles import osc_weights, uniform_distribution
+from cycleshuffles.inputs import osc_weights, uniform_distribution
 from cycleshuffles.spectrum import eigenvalue_for_set, full_spectrum
 
 
@@ -381,10 +380,10 @@ def test_each_stage_probability_is_one_minus_a_singleton_eigenvalue(seed):
         probs = _seeded_distribution(n, rng)
         weights = osc_weights(probs)
         stages = stage_probabilities(probs)
-        assert stages == tuple(1 - eigenvalue_for_set(weights, {n - b}, n) for b in range(1, n)), probs
+        assert stages == tuple(1 - eigenvalue_for_set(weights, {n - b}) for b in range(1, n)), probs
         if n <= 14:
             # the largest g_I over nonempty I sits at a singleton, so lambda_2 = 1 - min p_b
-            rows = full_spectrum(weights, enumerate_lacunar(n)).rows
+            rows = full_spectrum(weights).rows
             assert rows[0].members == () and rows[0].eigenvalue == 1
             assert max(row.eigenvalue for row in rows[1:]) == 1 - min(stages), probs
 

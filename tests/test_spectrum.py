@@ -6,15 +6,15 @@ import pytest
 
 from cycleshuffles.algebra import AlgebraElement
 from cycleshuffles.basis import QIndexTable, filtration_dimensions, rmul_matrix
-from cycleshuffles.checks import pseudo_random_weights
-from cycleshuffles.lacunar import enumerate_lacunar, gap_table, m_vector, walk_gaps
+from cycleshuffles.checks import pseudo_random_weights, run_suite
+from cycleshuffles.inputs import _exact_weights, r2b_weights, t2r_weights, unweighted_weights
+from cycleshuffles.lacunar import LacunarCatalog, enumerate_lacunar, gap_table, m_vector, walk_gaps
 from cycleshuffles.polys import Polynomial
-from cycleshuffles.shuffles import build_t, combine, r2b_weights, t2r_weights, unweighted_weights
+from cycleshuffles.shuffles import build_t, combine
 from cycleshuffles.spectrum import (
     CERTIFIED_DIAGONALIZABLE,
     CHAR_POLY_MAX_DIM,
     INCONCLUSIVE,
-    _exact_weights,
     annihilator_check,
     char_poly_oracle,
     delta,
@@ -39,26 +39,24 @@ def test_eigenvalue_for_set_examples():
     for n in range(2, 9):
         catalog = enumerate_lacunar(n)
         w = (Fraction(1),) + tuple(Fraction(0) for _ in range(n - 1))
-        values = {eigenvalue_for_set(w, catalog[i], n) for i in range(1, len(catalog) + 1)}
+        values = {eigenvalue_for_set(w, catalog[i]) for i in range(1, len(catalog) + 1)}
         assert values == set(range(n - 1)) | {n}
-    assert eigenvalue_for_set(ones(4), set(), 4) == 10
+    assert eigenvalue_for_set(ones(4), set()) == 10
 
 
 def test_eigenvalue_collision_at_n12():
     n = 12
     w = paper_r2b_weights(n)
-    g1 = eigenvalue_for_set(w, {1, 6, 8, 10}, n)
-    g2 = eigenvalue_for_set(w, {6, 8, 11}, n)
+    g1 = eigenvalue_for_set(w, {1, 6, 8, 10})
+    g2 = eigenvalue_for_set(w, {6, 8, 11})
     assert g1 == g2 == Fraction(13573, 3960)
 
 
 def test_eigenvalue_for_set_rejects_non_lacunar():
     with pytest.raises(ValueError):
-        eigenvalue_for_set(ones(4), {1, 2}, 4)
+        eigenvalue_for_set(ones(4), {1, 2})
     with pytest.raises(ValueError):
-        eigenvalue_for_set(ones(4), {4}, 4)
-    with pytest.raises(ValueError):
-        eigenvalue_for_set(ones(3), {1}, 4)
+        eigenvalue_for_set(ones(4), {4})
 
 
 DELTA_TABLES = {
@@ -127,9 +125,9 @@ def test_the_gap_walk_matches_the_per_row_oracles(n):
     deltas = [_delta_by_multinomial(members, n) for members in catalog.sets]
     assert [delta(i, catalog) for i in range(1, len(catalog) + 1)] == deltas
     for weights in weight_vectors:
-        _, den, numerators = _exact_weights(weights, n)
+        _, den, numerators = _exact_weights(weights)
         table = gap_table(n, numerators)
-        report = full_spectrum(weights, catalog)
+        report = full_spectrum(weights)
         for members, subset, d, row in zip(catalog.members, catalog.sets, deltas, report.rows):
             m = _m_by_enclosure(subset, n)
             g = _eigenvalue_by_sum(numerators, m)
@@ -156,7 +154,7 @@ def _reference_spectrum(weights, catalog):
 def test_full_spectrum_matches_a_fraction_keyed_reference(n):
     catalog = enumerate_lacunar(n)
     for weights in (r2b_weights(n), t2r_weights(n), unweighted_weights(n), pseudo_random_weights(n)):
-        report = full_spectrum(weights, catalog)
+        report = full_spectrum(weights)
         rows, aggregate = _reference_spectrum(weights, catalog)
         assert [(row.eigenvalue, row.multiplicity) for row in report.rows] == rows
         assert list(report.aggregate) == aggregate
@@ -175,13 +173,13 @@ def test_delta_matches_counting_oracle():
     # filtration_dimensions counts Q-indices over S_n; its steps are the delta_i
     for n in range(1, 8):
         catalog = enumerate_lacunar(n)
-        dims = filtration_dimensions(catalog)
+        dims = filtration_dimensions(n)
         steps = [b - a for a, b in zip(dims, dims[1:])]
         assert [delta(i, catalog) for i in range(1, len(catalog) + 1)] == steps
 
 
 def test_full_spectrum_n4_all_ones():
-    report = full_spectrum(ones(4), enumerate_lacunar(4))
+    report = full_spectrum(ones(4))
     assert dict(report.aggregate) == {
         Fraction(10): 1,
         Fraction(6): 3,
@@ -192,29 +190,49 @@ def test_full_spectrum_n4_all_ones():
 
 def test_full_spectrum_t2r_fixed_point_multiplicities():
     # eigenvalue i (scaled) has multiplicity = permutations with i fixed points
-    report = full_spectrum((Fraction(1), Fraction(0), Fraction(0)), enumerate_lacunar(3))
+    report = full_spectrum((Fraction(1), Fraction(0), Fraction(0)))
     assert dict(report.aggregate) == {Fraction(3): 1, Fraction(0): 2, Fraction(1): 3}
 
 
 def test_full_spectrum_zero_weights():
-    report = full_spectrum((Fraction(0),) * 4, enumerate_lacunar(4))
+    report = full_spectrum((Fraction(0),) * 4)
     assert dict(report.aggregate) == {Fraction(0): 24}
 
 
-@pytest.mark.parametrize("count", [2, 6])
-@pytest.mark.parametrize("spectral", [full_spectrum, annihilator_check, diagonalizable_certificate])
-def test_a_wrong_weight_count_is_refused(spectral, count):
-    with pytest.raises(ValueError, match=f"^expected 4 weights, got {count}$"):
-        spectral(ones(count), enumerate_lacunar(4))
+SPECTRAL = {
+    "full_spectrum": full_spectrum,
+    "annihilator_check": annihilator_check,
+    "diagonalizable_certificate": diagonalizable_certificate,
+    "eigenvalue_for_set": lambda weights: eigenvalue_for_set(weights, ()),
+}
+
+
+@pytest.mark.parametrize("name", SPECTRAL)
+def test_an_empty_weight_vector_is_refused(name):
+    # the weights give the degree, so no count can disagree with it; none is degree 0
+    with pytest.raises(ValueError, match="^degree must be at least 1, got 0$"):
+        SPECTRAL[name](())
+
+
+def test_the_spectral_functions_build_no_catalog(monkeypatch):
+    def refuse(self, n):
+        raise AssertionError(f"LacunarCatalog({n}) built")
+
+    enumerate_lacunar.cache_clear()  # a cached catalog would hide a call
+    monkeypatch.setattr(LacunarCatalog, "__init__", refuse)
+    assert all(result.passed for result in run_suite("annihilator", 4))
+    weights = pseudo_random_weights(4)
+    for spectral in SPECTRAL.values():
+        spectral(weights)
+    assert eigenvalue_for_set(weights, {1, 3}) == full_spectrum(weights).rows[-1].eigenvalue
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_polynomials_evaluate_to_products_of_factors(n):
     # every partial product, so that the comparison is not only 0 == 0
-    catalog = enumerate_lacunar(n)
     for weights in (ones(n), r2b_weights(n), pseudo_random_weights(n)):
         t = combine(weights)
-        rows = full_spectrum(weights, catalog).rows
+        rows = full_spectrum(weights).rows
         product = AlgebraElement.one(n)
         for k, row in enumerate(rows, start=1):
             product = product * (t - row.eigenvalue)
@@ -223,7 +241,7 @@ def test_polynomials_evaluate_to_products_of_factors(n):
 
 
 def test_spectrum_report_json_shape():
-    report = full_spectrum(ones(3), enumerate_lacunar(3))
+    report = full_spectrum(ones(3))
     data = report.to_json()
     assert data["n"] == 3
     assert [row["set"] for row in data["rows"]] == [[], [1], [2]]
@@ -232,7 +250,7 @@ def test_spectrum_report_json_shape():
 
 def test_annihilator_minimal_case():
     # (t_1 - 2) t_1 = 0 in the degree-2 algebra
-    ok, residual = annihilator_check((Fraction(1), Fraction(0)), enumerate_lacunar(2))
+    ok, residual = annihilator_check((Fraction(1), Fraction(0)))
     assert ok and residual.is_zero()
     t1 = build_t(2, 1)
     two = AlgebraElement.one(2).scale(2)
@@ -241,9 +259,8 @@ def test_annihilator_minimal_case():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_annihilator_three_weight_vectors(n):
-    catalog = enumerate_lacunar(n)
     for weights in (ones(n), r2b_weights(n), pseudo_random_weights(n)):
-        ok, residual = annihilator_check(weights, catalog)
+        ok, residual = annihilator_check(weights)
         assert ok, f"{len(residual)} terms survive for {weights}"
 
 
@@ -357,7 +374,7 @@ def test_minimal_polynomial_divides_annihilator():
             assert mp(x).is_zero()
             annihilator = Polynomial.from_roots(
                 [
-                    (eigenvalue_for_set(weights, catalog[i], n), 1)
+                    (eigenvalue_for_set(weights, catalog[i]), 1)
                     for i in range(1, len(catalog) + 1)
                 ]
             )
@@ -369,7 +386,7 @@ def test_minimal_polynomial_divides_annihilator():
 
 def annihilator_roots(weights, catalog):
     return [
-        (eigenvalue_for_set(weights, catalog[i], catalog.n), 1)
+        (eigenvalue_for_set(weights, catalog[i]), 1)
         for i in range(1, len(catalog) + 1)
     ]
 
@@ -491,7 +508,7 @@ def test_char_poly_oracle_on_the_a_basis_at_n5(seed):
     weights = tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(5))
     _, matrix = rmul_matrix(combine(weights), "a", "qindex")
     assert len(matrix) == CHAR_POLY_MAX_DIM == 120
-    expected = Polynomial.from_roots(full_spectrum(weights, enumerate_lacunar(5)).aggregate)
+    expected = Polynomial.from_roots(full_spectrum(weights).aggregate)
     assert char_poly_oracle(matrix) == expected
 
 
@@ -500,7 +517,7 @@ def test_char_poly_oracle_consults_no_lacunar_machinery(monkeypatch):
 
     weights = pseudo_random_weights(4)
     _, matrix = rmul_matrix(combine(weights), "a", "qindex")
-    expected = Polynomial.from_roots(full_spectrum(weights, enumerate_lacunar(4)).aggregate)
+    expected = Polynomial.from_roots(full_spectrum(weights).aggregate)
 
     def forbidden(*_args, **_kwargs):
         pytest.fail("char_poly_oracle consulted the lacunar machinery")
@@ -514,10 +531,9 @@ def test_char_poly_oracle_consults_no_lacunar_machinery(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_multiplicities_certified_by_char_poly(n):
-    catalog = enumerate_lacunar(n)
     for weights in (ones(n), r2b_weights(n), pseudo_random_weights(n)):
         _, matrix = rmul_matrix(combine(weights), "std", "lex")
-        report = full_spectrum(weights, catalog)
+        report = full_spectrum(weights)
         expected = Polynomial.from_roots(list(report.aggregate))
         assert char_poly_oracle(matrix) == expected
 
@@ -530,7 +546,7 @@ def test_diagonal_of_triangular_matrix_matches_spectrum():
         order, matrix = rmul_matrix(combine(weights), "a", "qindex")
         diagonal = sorted(Fraction(matrix[i][i]) for i in range(len(order)))
         expected = sorted(
-            eigenvalue_for_set(weights, catalog[table[w]], n) for w in order
+            eigenvalue_for_set(weights, catalog[table[w]]) for w in order
         )
         assert diagonal == expected
 
@@ -538,20 +554,20 @@ def test_diagonal_of_triangular_matrix_matches_spectrum():
 def test_diagonalizable_certificate_examples():
     for n in range(2, 12):
         assert (
-            diagonalizable_certificate(paper_r2b_weights(n), enumerate_lacunar(n))
+            diagonalizable_certificate(paper_r2b_weights(n))
             == CERTIFIED_DIAGONALIZABLE
         )
         assert (
-            diagonalizable_certificate(r2b_weights(n), enumerate_lacunar(n))
+            diagonalizable_certificate(r2b_weights(n))
             == CERTIFIED_DIAGONALIZABLE
         )
     assert (
-        diagonalizable_certificate(paper_r2b_weights(12), enumerate_lacunar(12))
+        diagonalizable_certificate(paper_r2b_weights(12))
         == INCONCLUSIVE
     )
     for n in range(4, 8):
         t2r = (Fraction(1),) + tuple(Fraction(0) for _ in range(n - 1))
-        assert diagonalizable_certificate(t2r, enumerate_lacunar(n)) == INCONCLUSIVE
+        assert diagonalizable_certificate(t2r) == INCONCLUSIVE
 
 
 def test_top_to_random_spectrum_via_m_values():
