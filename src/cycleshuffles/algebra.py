@@ -30,7 +30,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .inputs import Scalar
-from .perms import Perm, all_permutations, format_permutation, identity, inverse
+from .perms import Perm, _require_permutation, all_permutations, format_permutation, identity, inverse
 
 
 class AlgebraElement:
@@ -46,12 +46,10 @@ class AlgebraElement:
         self.n = n
         clean: dict[Perm, Scalar] = {}
         if terms:
-            letters = set(range(1, n + 1))
             for w, c in terms.items():
                 if len(w) != n:
                     raise ValueError(f"permutation {w} has degree {len(w)}, expected {n}")
-                if letters.difference(w):
-                    raise ValueError(f"{w} is not a permutation of [{n}]")
+                _require_permutation(w, n)
                 if c:
                     clean[w] = c
         self._terms = clean
@@ -90,6 +88,7 @@ class AlgebraElement:
         """The coefficient of the permutation w (0 if absent)."""
         if len(w) != self.n:
             raise ValueError(f"degree mismatch: {len(w)} vs {self.n}")
+        _require_permutation(w, self.n)
         return self._terms.get(w, 0)
 
     def __add__(self, other: "AlgebraElement | Scalar") -> "AlgebraElement":

@@ -23,16 +23,16 @@ Each family -- the permutation basis, the a-basis or the b-basis -- keeps
 its elements as rows of (rank, integer) pairs, and the expansion of an
 integer vector over ranks back into the family, fixed where the family is
 built: none, the back-substitution over its own rows, or the incidence of
-its a-family.  One integer kernel draws the columns of right
-multiplication in a family, in lexicographic order: the row of w times the
-integer numerators of x through the gather tables of the algebra module,
-expanded by the family.  rmul_columns divides each column by the common
-denominator of x, for the triangularity checks.  rmul_rows, the one place
-that reads a basis by name, keeps the integers: it gives each row of the
-matrix in the named order as the numerators of its nonzero entries, keyed
-by column position, over one denominator.  The matrix export renders these
-rows as they stand; rmul_matrix turns them into dense Fractions for the
-transition matrices and the char-poly oracle.
+its a-family.  One integer kernel, rmul_columns, draws the columns of
+right multiplication in a family in lexicographic order: the row of w
+times the integer numerators d * x through the gather tables of the
+algebra module, expanded by the family, as integers keyed by rank over d.
+The triangularity checks read these columns as they stand.  rmul_rows, the
+one place that reads a basis by name, gives each row of the matrix in the
+named order as the numerators of its nonzero entries, keyed by column
+position, over d; the matrix export renders these rows as they stand, and
+rmul_matrix turns them into dense Fractions for the transition matrices
+and the char-poly oracle.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Callable, Iterator, Literal, Sequence
 from .algebra import AlgebraElement, divide_terms, integer_terms, rank_factors, rank_product, sn_index
 from .inputs import Scalar, require_within_cap
 from .lacunar import LacunarCatalog, enumerate_lacunar, set_to_mask
-from .perms import Perm, descent_set
+from .perms import Perm, _require_permutation, descent_set
 
 Row = list[tuple[int, int]]
 Expand = Callable[[dict[int, int]], dict[int, int]]
@@ -86,6 +86,7 @@ def q_index(w: Perm, catalog: LacunarCatalog) -> int:
     """
     if len(w) != catalog.n:
         raise ValueError(f"degree mismatch: {len(w)} vs {catalog.n}")
+    _require_permutation(w, catalog.n)
     des = set_to_mask(descent_set(w))
     for i, np_mask in enumerate(catalog.non_shadow_masks, start=1):
         if np_mask & des == np_mask:
@@ -199,17 +200,13 @@ def _require_degree(family: BasisFamily, n: int) -> None:
         raise ValueError(f"degree mismatch: family of degree {family.n}, element of degree {n}")
 
 
-def _perm_terms(coefficients: dict[int, int], den: int, n: int) -> dict[Perm, Scalar]:
-    """The rank-keyed integers over den, keyed by permutation, zeros dropped."""
-    perms = sn_index(n)[0]
-    return divide_terms({perms[r]: c for r, c in coefficients.items() if c}, den)
-
-
-def _rank_terms(x: AlgebraElement) -> tuple[int, dict[int, int]]:
-    """A common denominator d of x and the integers d * x keyed by rank."""
-    rank = sn_index(x.n)[1]
+def _perm_terms(x: AlgebraElement, expand: Expand) -> dict[Perm, Scalar]:
+    """The coefficients of x by the expansion: the integers d * x keyed by
+    rank, expanded, then over d and keyed by permutation, zeros dropped."""
+    perms, rank = sn_index(x.n)
     den, numerators = integer_terms(x.terms)
-    return den, {rank[w]: c for w, c in numerators}
+    coefficients = expand({rank[w]: c for w, c in numerators})
+    return divide_terms({perms[r]: c for r, c in coefficients.items() if c}, den)
 
 
 def expand_in_a(x: AlgebraElement, family: BasisFamily) -> dict[Perm, Scalar]:
@@ -218,8 +215,7 @@ def expand_in_a(x: AlgebraElement, family: BasisFamily) -> dict[Perm, Scalar]:
     if family.kind != "a":
         raise ValueError("expansion by back-substitution needs the a-family")
     _require_degree(family, x.n)
-    den, work = _rank_terms(x)
-    return _perm_terms(family.expand(work), den, x.n)
+    return _perm_terms(x, family.expand)
 
 
 def dual_basis(family: BasisFamily) -> BasisFamily:
@@ -242,8 +238,7 @@ def expand_in_b(y: AlgebraElement, a_family: BasisFamily) -> dict[Perm, Scalar]:
     """Coefficients of y in the dual basis: the b_p-coefficient is f(a_p, y),
     accumulated over the support of y through the family's incidence."""
     _require_degree(a_family, y.n)
-    den, y_ranks = _rank_terms(y)
-    return _perm_terms(_pair(a_family.containing, y_ranks), den, y.n)
+    return _perm_terms(y, partial(_pair, a_family.containing))
 
 
 BasisName = Literal["std", "a", "b"]
@@ -267,29 +262,22 @@ def basis_order(n: int, order: str, max_n: int | None = None) -> tuple[Perm, ...
     return tuple(sorted(perms, key=lambda w: (-table[w], w)))
 
 
-def rmul_columns(x: AlgebraElement, family: BasisFamily) -> Iterator[tuple[Perm, dict[Perm, Scalar]]]:
-    """Sparse columns of y -> y x in the family, as (w, column) pairs in
-    lexicographic order of w, each computed when it is drawn.
-
-    Column w maps each row index v to the coefficient of the v-th basis
-    vector in (basis vector w) * x.  The degree is checked on the call; the
-    family passed the cap when it was built.
-    """
+def rmul_columns(x: AlgebraElement, family: BasisFamily) -> Iterator[tuple[int, dict[int, int]]]:
+    """Columns of y -> y x in the family, one per basis vector in
+    lexicographic order, each computed when it is drawn, as (d, column): d
+    is a common denominator of x, and column r maps each rank v to d times
+    the coefficient of the v-th basis vector in (r-th basis vector) * x; an
+    entry may be a cancelled zero.  The degree is checked on the call; the
+    family passed the cap when it was built."""
     _require_degree(family, x.n)
-    columns = _columns(x, family)
-    return ((w, _perm_terms(column, den, x.n)) for w, (den, column) in zip(family.perms, columns))
 
+    def columns() -> Iterator[tuple[int, dict[int, int]]]:
+        den, factors = rank_factors(x.terms, x.n)
+        for row in family.rows:
+            product = rank_product(row, factors)
+            yield den, product if family.expand is None else family.expand(product)
 
-def _columns(x: AlgebraElement, family: BasisFamily) -> Iterator[tuple[int, dict[int, int]]]:
-    """The integer kernel of right multiplication: for each basis vector, in
-    lexicographic order, a common denominator d of x and the column times d
-    over ranks -- the vector's row times the integer numerators d * x
-    through the gather tables, expanded back into the family (the std basis
-    needs no expansion)."""
-    den, factors = rank_factors(x.terms, x.n)
-    for row in family.rows:
-        product = rank_product(row, factors)
-        yield den, product if family.expand is None else family.expand(product)
+    return columns()
 
 
 SparseRows = list[list[tuple[int, int]]]
@@ -317,7 +305,7 @@ def rmul_rows(
     position = {w: k for k, w in enumerate(ordered)}
     at = [position[w] for w in family.perms]  # lexicographic rank -> position in the order
     columns: SparseRows = [[] for _ in ordered]
-    for r, (den, column) in enumerate(_columns(x, family)):
+    for r, (den, column) in enumerate(rmul_columns(x, family)):
         columns[at[r]] = [(at[v], c) for v, c in column.items() if c]
     if transpose:
         for column in columns:

@@ -50,8 +50,8 @@ def check_triangularity(n: int, max_n: int | None = None) -> list[CheckResult]:
 
 def _triangularity(family: BasisFamily, table: QIndexTable) -> list[CheckResult]:
     """R(t_ell) on the a-basis in Q-order or R(t'_ell) on the b-basis in
-    reverse Q-order, by the family's kind, for every ell; each sweep stops
-    at its first bad column."""
+    reverse Q-order, by the family's kind, for every ell, on integer columns
+    where only a nonzero entry offends; each sweep stops at its first bad one."""
     n = family.n
     if family.kind == "a":
         suite, shuffle, reaches, sign = "triangularity", build_t, operator.ge, ">="
@@ -59,19 +59,21 @@ def _triangularity(family: BasisFamily, table: QIndexTable) -> list[CheckResult]
     else:
         suite, shuffle, reaches, sign = "duality", build_t_prime, operator.le, "<="
         name = "R(t'_{}) upper-triangular in reverse Q-order"
+    perms = family.perms
+    qind = [table[w] for w in perms]
     diagonals = [m_vector(members, n) for members in table.catalog.members]
     results = []
     for ell in range(1, n + 1):
         bad = None
-        for w, column in rmul_columns(shuffle(n, ell), family):
-            qw = table[w]
-            diag = column.pop(w, 0)
-            if diag != diagonals[qw - 1][ell - 1]:
-                bad = f"diagonal of column {w} is {diag}"
+        for r, (den, column) in enumerate(rmul_columns(shuffle(n, ell), family)):
+            qw = qind[r]
+            diag = column.pop(r, 0)
+            if diag != den * diagonals[qw - 1][ell - 1]:
+                bad = f"diagonal of column {perms[r]} is {Fraction(diag, den)}"
                 break
-            offender = next((v for v in column if reaches(table[v], qw)), None)
+            offender = next((v for v, c in column.items() if c and reaches(qind[v], qw)), None)
             if offender is not None:
-                bad = f"column {w} reaches {offender} with Qind {table[offender]} {sign} {qw}"
+                bad = f"column {perms[r]} reaches {perms[offender]} with Qind {qind[offender]} {sign} {qw}"
                 break
         results.append(CheckResult(suite, name.format(ell), bad is None, bad or ""))
     return results

@@ -514,7 +514,11 @@ def run(argv) -> int:
     try:
         return handler(args)
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):  # so that flushing stdout at exit cannot fail on the closed pipe
+            with contextlib.suppress(OSError, ValueError):  # a stdout without a descriptor is left alone
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with contextlib.suppress(OSError):  # stderr can be the same closed pipe
+            print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

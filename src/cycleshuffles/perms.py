@@ -17,6 +17,12 @@ from typing import Iterator, Sequence
 Perm = tuple[int, ...]
 
 
+def _require_permutation(w: Perm, n: int) -> None:
+    """Refuse a word of length n whose letters are not 1, ..., n."""
+    if set(range(1, n + 1)).difference(w):
+        raise ValueError(f"{w} is not a permutation of [{n}]")
+
+
 def identity(n: int) -> Perm:
     """The identity permutation of [n].
 

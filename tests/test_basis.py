@@ -32,6 +32,8 @@ from cycleshuffles.shuffles import (
     transition_matrix,
 )
 
+from columns import perm_columns
+
 
 def element(n, *words):
     return AlgebraElement(n, {w: 1 for w in words})
@@ -431,21 +433,23 @@ def test_rmul_columns_draws_lex_columns_one_at_a_time(basis_name, monkeypatch):
 
         return count
 
-    for name in ("rank_factors", "_perm_terms"):
+    for name in ("rank_factors", "rank_product"):
         monkeypatch.setattr(basis, name, counted(name, getattr(basis, name)))
     if family.expand is not None:
         family.expand = counted("expand", family.expand)
     columns = rmul_columns(x, family)
     assert made == []  # nothing is computed before the first draw
     drawn = []
-    for k, (w, column) in enumerate(columns, start=1):
-        # the factors of x once, then one column (and one expansion) per draw
+    for k, (d, column) in enumerate(columns, start=1):
+        # the factors of x once, then one product (and one expansion) per draw
         assert made.count("rank_factors") == 1
-        assert made.count("_perm_terms") == k
+        assert made.count("rank_product") == k
         assert made.count("expand") == (0 if basis_name == "std" else k)
-        drawn.append((w, column))
-    assert [w for w, _ in drawn] == list(all_permutations(4))
-    w, column = drawn[0]
+        assert d == 1 and all(type(c) is int and 0 <= v < 24 for v, c in column.items())
+        drawn.append((d, column))
+    assert len(drawn) == 24 and family.perms == tuple(all_permutations(4))  # column r is the r-th in lex order
+    w, column = next(perm_columns(family, drawn))
+    assert w == identity(4)
     if basis_name == "std":
         assert column == first.terms
     elif basis_name == "a":
@@ -485,7 +489,7 @@ def test_every_column_rebuilds_its_product(basis_name, n):
             for q in family.perms:
                 assert bilinear_form(a_element(p), family[q]) == (p == q)
     for label, x in _shuffles_to_rebuild(n):
-        for w, column in rmul_columns(x, family):
+        for w, column in perm_columns(family, rmul_columns(x, family)):
             assert _rebuild(column, vector, n) == vector(w) * x, (label, w)
 
 
@@ -503,5 +507,5 @@ def test_a_factor_with_more_terms_than_gather_tables_is_composed(basis_name, mon
     family = families(n)[basis_name]
     vector = {"std": AlgebraElement.from_perm, "a": a_element, "b": family.__getitem__}[basis_name]
     monkeypatch.setattr(algebra, "_gather_table", None)  # no n!-sized table may be built
-    for w, column in rmul_columns(x, family):
+    for w, column in perm_columns(family, rmul_columns(x, family)):
         assert _rebuild(column, vector, n) == vector(w) * x

@@ -1,11 +1,12 @@
 import copy
+import operator
 import re
 from fractions import Fraction
 
 import pytest
 
 from cycleshuffles import checks, lacunar
-from cycleshuffles.basis import BasisFamily, build_a_family, dual_basis
+from cycleshuffles.basis import BasisFamily, QIndexTable, build_a_family, dual_basis
 from cycleshuffles.inputs import SUITE_NAMES
 from cycleshuffles.shuffles import build_t, build_t_prime
 
@@ -96,6 +97,34 @@ def test_triangularity_fails_when_two_q_indices_are_swapped(suite, run, monkeypa
     for result in failed:
         assert result.suite == suite
         assert re.fullmatch(rf"column \(.*\) reaches \(.*\) with Qind \d+ {sign} \d+", result.detail)
+
+
+@pytest.mark.parametrize("fill, passed", [(0, True), (1, False)], ids=["zero", "one"])
+@pytest.mark.parametrize("build", [build_a_family, lambda n: dual_basis(build_a_family(n))], ids=["a", "b"])
+def test_the_sweeps_ignore_cancelled_zeros(build, fill, passed):
+    """Every column the expansion gives holds fill at rank v unless its entry
+    there is nonzero.  v reaches the diagonal of column r, the first in lex
+    order with a rank that can, and no earlier column: a cancelled zero
+    there leaves every sweep passing, a 1 fails each at column r."""
+    n = 4
+    real = build(n)
+    table = QIndexTable(n)
+    qind = [table[w] for w in real.perms]
+    reaches, sign = (operator.ge, ">=") if real.kind == "a" else (operator.le, "<=")
+    r = next(r for r in range(len(qind)) if any(v != r and reaches(qind[v], qind[r]) for v in range(len(qind))))
+    v = next(v for v in range(r + 1, len(qind)) if reaches(qind[v], qind[r]))
+
+    def expand(product):
+        column = real.expand(product)
+        if not column.get(v):
+            column[v] = fill
+        return column
+
+    results = checks._triangularity(BasisFamily(n, real.rows, real.kind, expand), table)
+    assert [result.passed for result in results] == [passed] * n
+    if not passed:
+        detail = f"column {real.perms[r]} reaches {real.perms[v]} with Qind {qind[v]} {sign} {qind[r]}"
+        assert [result.detail for result in results] == [detail] * n
 
 
 def test_antipode_conjugation_checks_the_cap_it_is_given():

@@ -6,8 +6,11 @@ import json
 import os
 import random
 import stat
+import subprocess
+import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,10 @@ from cycleshuffles.perms import format_permutation
 from cycleshuffles.shuffles import build_osc, build_t, transition_matrix
 from cycleshuffles.simulate import fast_bookmark_sim, simulate_sst
 from cycleshuffles.spectrum import full_spectrum
+
+from columns import perm_columns
+
+SRC = Path(cli.__file__).resolve().parent.parent
 
 
 def invoke(capsys, *argv):
@@ -464,13 +471,14 @@ def test_matrix_rendering_is_byte_identical_to_fraction_rendering(fmt, capsys):
 
 def _columns_matrix(x, basis, order):
     """(labels, rows) of the matrix of y -> y x, each cell set from the
-    columns of rmul_columns, rows and columns in the named order."""
+    integer columns of rmul_columns as a Fraction, rows and columns in the
+    named order."""
     a_family = build_a_family(x.n)
     family = {"std": build_std_family(x.n), "a": a_family, "b": dual_basis(a_family)}[basis]
     labels = basis_order(x.n, order)
     at = {w: k for k, w in enumerate(labels)}
     rows = [[0] * len(labels) for _ in labels]
-    for w, column in rmul_columns(x, family):
+    for w, column in perm_columns(family, rmul_columns(x, family)):
         for v, c in column.items():
             rows[at[v]][at[w]] = c
     return labels, rows
@@ -705,6 +713,19 @@ def test_a_write_that_fails_partway_through_the_rows_keeps_the_target(command, t
     assert handle.passes == 0 and handle.handle.closed  # rows were written before the failure
     assert target.read_text() == "old contents\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+
+@pytest.mark.parametrize("stderr", [subprocess.STDOUT, subprocess.DEVNULL], ids=["same-pipe", "apart"])
+def test_a_reader_that_closes_the_pipe_early_gets_exit_code_2(stderr):
+    """spectrum at n = 18 writes about 680 KB, far more than a pipe holds, so
+    it is still writing when the reader closes the pipe after one line.  With
+    stderr on the same pipe, the error line cannot be written either."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = [sys.executable, "-c", "from cycleshuffles.cli import main; main()", "spectrum", "--n", "18", "--r2b"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=stderr) as child:
+        assert child.stdout.readline().startswith(b"n = 18, weights = ")
+        child.stdout.close()
+        assert child.wait(timeout=60) == 2
 
 
 def test_output_replaces_an_existing_file(tmp_path, capsys):

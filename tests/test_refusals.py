@@ -19,9 +19,17 @@ def b_family(n):
 
 REFUSALS = {
     "key that is not a permutation": (lambda: AlgebraElement(3, {(1, 1, 3): 1}), "(1, 1, 3) is not a permutation of [3]"),
+    "coefficient of a key that is not a permutation": (
+        lambda: build_t(3, 1).coefficient((1, 1, 3)),
+        "(1, 1, 3) is not a permutation of [3]",
+    ),
     "coefficient of another degree": (lambda: build_t(3, 1).coefficient((1, 2)), "degree mismatch: 2 vs 3"),
     "product of two degrees": (lambda: build_t(3, 1) * build_t(2, 1), "degree mismatch: 3 vs 2"),
     "bilinear form of two degrees": (lambda: bilinear_form(build_t(3, 1), build_t(2, 1)), "degree mismatch: 3 vs 2"),
+    "Q-index of a word that is not a permutation": (
+        lambda: q_index((7, 7, 7), enumerate_lacunar(3)),
+        "(7, 7, 7) is not a permutation of [3]",
+    ),
     "Q-index of another degree": (lambda: q_index((2, 1), enumerate_lacunar(3)), "degree mismatch: 2 vs 3"),
     "empty linear combination": (lambda: linear_combine([]), "needs at least one pair"),
     "lacunar masks of degree 0": (lambda: lacunar_masks(0), "degree must be at least 1, got 0"),
