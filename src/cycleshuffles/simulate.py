@@ -24,12 +24,15 @@ position i of each step comes from the cumulative distribution through a
 guide table (_inverse_cdf), the value searchsorted gives.
 fast_bookmark_sim draws each geometric stage as numpy's Generator.geometric
 does, draw for draw: below p = 1/3 that is inversion of one Exp(1) variate,
-ceil(E / -log1p(-p)) (Devroye 1986, X.2), done here over the whole stage at
-once; from 1/3 up it is numpy's search over the float partial sums
-p + pq + ..., done here through the same guide table.  A draw above sums
+ceil(E / -log1p(-p)) (Devroye 1986, X.2), done here in bulk; from 1/3 up it
+is numpy's search over the float partial sums p + pq + ..., done here
+through the same guide table, built once per stage.  A draw above sums
 that have stopped growing, where numpy would search forever, raises
-ValueError.  Means and standard errors are derived from exact integer sums
-of the sampled times.
+ValueError.  Each stage is drawn SST_LANES trials at a time into one reused
+buffer, each chunk continuing the stage's stream, and added into the
+totals, the one array of all trials; the histogram is read from the totals
+sorted in place.  Means and standard errors are derived from exact integer
+sums of the sampled times.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count
-from typing import Mapping, Sequence
+from itertools import count
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -52,8 +55,8 @@ _U64 = (1 << 64) - 1
 _FAST_SIM_KEY_OFFSET = 1 << 63
 
 # Lanes simulated side by side in simulate_sst, each refilled with the next
-# trial when its own finishes, and draws looked up at once in _geometric;
-# bounds their memory only.
+# trial when its own finishes, and the trials of one stage drawn at once in
+# fast_bookmark_sim; bounds their memory only.
 SST_LANES = 16_384
 
 # Philox4x64-10 constants, stacked as (counter word 0, counter word 2) and
@@ -339,31 +342,43 @@ def stage_probabilities(probabilities: Sequence[Scalar]) -> tuple[Fraction, ...]
     """
     probs = _validated(probabilities)
     n = len(probs)
-    prefix = list(accumulate(p / (n + 1 - i) for i, p in enumerate(probs, start=1)))
-    return tuple((b + 1) * prefix[n - b - 1] for b in range(1, n))
+    stages, running = [], Fraction(0)
+    for b in range(n - 1, 0, -1):
+        running += probs[n - b - 1] / (b + 1)  # P(i) / (n + 1 - i) at i = n - b
+        stages.append((b + 1) * running)
+    return tuple(reversed(stages))
 
 
-def _geometric(rng: np.random.Generator, p: float, out: np.ndarray) -> np.ndarray:
-    """The draws of rng.geometric(p, size=len(out)), draw for draw, in the
-    float64 buffer out.  For 0 < p < 1/3 numpy inverts one Exp(1) variate
-    per draw, ceil(E / -log1p(-p)); this takes the variates in one call and
-    inverts them in bulk.  Otherwise numpy draws one double U per draw and
-    searches for the first k whose partial sum p + pq + ... + pq^(k-1),
-    added in float64 in that order, reaches U; this takes the doubles in
-    one call and looks them up over the same sums, a chunk at a time.  By
-    their 128th term (q <= 2/3) the sums have stopped growing."""
+def _geometric(rng: np.random.Generator, p: float) -> Callable[[np.ndarray], np.ndarray]:
+    """A sampler for stage p: each call fill(out) puts the next len(out)
+    draws of rng.geometric(p) in the float64 buffer out, draw for draw, so
+    that successive calls continue rng's stream where the last one stopped.
+    For 0 < p < 1/3 numpy inverts one Exp(1) variate per draw,
+    ceil(E / -log1p(-p)); fill takes the variates in one call and inverts
+    them in bulk.  Otherwise numpy draws one double U per draw and searches
+    for the first k whose partial sum p + pq + ... + pq^(k-1), added in
+    float64 in that order, reaches U; fill takes the doubles in one call and
+    looks them up over the same sums, through a guide table built once here.
+    By their 128th term (q <= 2/3) the sums have stopped growing."""
     if 0 < p < 1 / 3:
-        rng.standard_exponential(out=out)
-        out /= -math.log1p(-p)
-        return np.ceil(out, out=out)
-    rng.random(out=out)
+        scale = -math.log1p(-p)
+
+        def fill(out: np.ndarray) -> np.ndarray:
+            rng.standard_exponential(out=out)
+            out /= scale
+            return np.ceil(out, out=out)
+
+        return fill
     terms = np.full(128, 1 - p)
     terms[0] = p
     search = _inverse_cdf(np.cumsum(np.cumprod(terms)), "left")
-    for start in range(0, len(out), SST_LANES):
-        chunk = out[start : start + SST_LANES]
-        chunk[...] = search(chunk)
-    return out
+
+    def fill(out: np.ndarray) -> np.ndarray:
+        rng.random(out=out)
+        out[...] = search(out)
+        return out
+
+    return fill
 
 
 def fast_bookmark_sim(probabilities: Sequence[Scalar], trials: int, seed: int) -> SimulationResult:
@@ -390,18 +405,22 @@ def fast_bookmark_sim(probabilities: Sequence[Scalar], trials: int, seed: int) -
             "its geometric time cannot be simulated"
         )
     totals = np.zeros(trials)
-    draws = np.empty(trials)
+    chunk = np.empty(min(SST_LANES, trials))
     for below, p in enumerate(stages, start=1):
-        rng = _trial_rng(seed, _FAST_SIM_KEY_OFFSET + below)
-        totals += _geometric(rng, p, draws)
-    del draws
-    if totals.max() >= 2.0**53:
+        fill = _geometric(_trial_rng(seed, _FAST_SIM_KEY_OFFSET + below), p)
+        for start in range(0, trials, SST_LANES):
+            part = totals[start : start + SST_LANES]
+            part += fill(chunk[: len(part)])
+    totals.sort()
+    if totals[-1] >= 2.0**53:
         raise ValueError(
             "a simulated tau reached 2^53 steps, beyond exact counting; "
             "the stage probabilities are too small to simulate"
         )
-    values, counts = np.unique(totals, return_counts=True)
-    taus = Counter(dict(zip(map(int, values.tolist()), counts.tolist())))
+    # the last index of each run of equal times, and the run lengths
+    ends = np.append(np.flatnonzero(totals[1:] != totals[:-1]), trials - 1)
+    counts = np.diff(ends, prepend=-1)
+    taus = Counter(dict(zip(map(int, totals[ends].tolist()), counts.tolist())))
     return _summarize(n, trials, seed, taus, probs, final_counts=None)
 
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -203,15 +204,47 @@ def _stage_probabilities_oracle(n):
     return [float(Fraction(below + 1, n) * (h(n) - h(below))) for below in range(1, n)]
 
 
+def _numpy_stage_histogram(probabilities, trials, seed):
+    """The histogram of the sum over stages b of numpy's own geometric draws
+    from the stream keyed (seed, 2^63 + b), each stage drawn whole."""
+    totals = np.zeros(trials, dtype=np.int64)
+    for below, p in enumerate(probabilities, start=1):
+        totals += _trial_rng(seed, (1 << 63) + below).geometric(p, size=trials)
+    return tuple(sorted(Counter(totals.tolist()).items()))
+
+
 def test_fast_bookmark_stages_and_histogram_are_unchanged():
     n, trials, seed = 240, 3000, 17
     probabilities = _stage_probabilities_oracle(n)
     assert [float(p) for p in stage_probabilities(uniform_distribution(n))] == probabilities
-    totals = np.zeros(trials, dtype=np.int64)
-    for below, p in enumerate(probabilities, start=1):
-        totals += _trial_rng(seed, (1 << 63) + below).geometric(p, size=trials)
-    expected = tuple(sorted(Counter(totals.tolist()).items()))
+    expected = _numpy_stage_histogram(probabilities, trials, seed)
     assert fast_bookmark_sim(uniform_distribution(n), trials, seed).histogram == expected
+
+
+def test_fast_bookmark_histogram_is_numpys_across_chunks(monkeypatch):
+    # three whole chunks and a short one, so each stage's stream is continued
+    # by three later calls; stages on both sides of p = 1/3 take both samplers
+    monkeypatch.setattr(simulate, "SST_LANES", 13)
+    n, trials, seed = 10, 3 * 13 + 5, 29
+    probabilities = [float(p) for p in stage_probabilities(uniform_distribution(n))]
+    assert min(probabilities) < 1 / 3 < max(probabilities)
+    expected = _numpy_stage_histogram(probabilities, trials, seed)
+    assert fast_bookmark_sim(uniform_distribution(n), trials, seed).histogram == expected
+
+
+def test_fast_bookmark_sim_holds_one_trials_sized_array():
+    # the float64 totals take 8 bytes a trial; a second trials-sized buffer
+    # of draws or a sorted copy would take 8 more; a first small run imports
+    # numpy.random (about 0.8 MB), which is no cost of the trials
+    trials = 200_000
+    fast_bookmark_sim(uniform_distribution(40), 1, seed=31)
+    tracemalloc.start()
+    try:
+        fast_bookmark_sim(uniform_distribution(40), trials, seed=31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * trials
 
 
 def test_fast_bookmark_histogram_golden_at_n_1000():
@@ -494,7 +527,9 @@ def test_bulk_stage_sampler_equals_numpy_geometric():
         for p in grid:
             expected = np.random.Generator(np.random.Philox(key=key)).geometric(p, size=size)
             rng = np.random.Generator(np.random.Philox(key=key))
-            bulk = simulate._geometric(rng, p, np.full(size, -1.0))
+            fill = simulate._geometric(rng, p)
+            # uneven calls, each continuing the stream where the last stopped
+            bulk = np.concatenate([fill(np.full(k, -1.0)) for k in (1, 2050, 2048)])
             assert np.array_equal(bulk, expected), (key, p)
             # the stream is left where numpy's own draws leave it
             after = np.random.Generator(np.random.Philox(key=key))
@@ -565,8 +600,8 @@ def test_a_stalled_geometric_search_is_refused():
     # numpy's search for a draw above them would never return
     assert _stage_sums(0.7)[-1] == 1 - 3 * 2.0**-53
     with pytest.raises(ValueError, match="would never stop"):
-        simulate._geometric(_TopDraws(), 0.7, np.empty(5))
-    assert simulate._geometric(_TopDraws(), 0.5, np.empty(5)).tolist() == [53.0] * 5  # 1 - 2^-k reaches it at k = 53
+        simulate._geometric(_TopDraws(), 0.7)(np.empty(5))
+    assert simulate._geometric(_TopDraws(), 0.5)(np.empty(5)).tolist() == [53.0] * 5  # 1 - 2^-k reaches it at k = 53
 
 
 def _chi_square_p_value(histogram, pmf, trials):
