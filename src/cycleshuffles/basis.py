@@ -149,10 +149,12 @@ def build_std_family(n: int, max_n: int | None = None) -> BasisFamily:
 
 
 def build_a_family(n: int, max_n: int | None = None) -> BasisFamily:
-    """The a-basis, expanded by back-substitution over its own rows."""
+    """The a-basis, expanded by back-substitution over its own rows.  Every
+    entry is 1, so the rows share one (rank, 1) pair per rank."""
     require_within_cap(n, max_n)
     perms, rank = sn_index(n)
-    rows = tuple([(rank[v], 1) for v in _young_words(w)] for w in perms)
+    unit = [(r, 1) for r in range(len(perms))]
+    rows = tuple([unit[rank[v]] for v in _young_words(w)] for w in perms)
     return BasisFamily(n, rows, kind="a", expand=partial(_back_substitute, rows))
 
 
@@ -229,8 +231,9 @@ def dual_basis(family: BasisFamily) -> BasisFamily:
         raise ValueError("dual_basis expects the a-family")
     rows: list[Row] = [[] for _ in family.perms]
     for v in range(len(family.perms)):
+        pairs: dict[int, tuple[int, int]] = {}  # the b_q sharing one coefficient at v share its pair
         for q, c in family.expand({v: 1}).items():
-            rows[q].append((v, c))
+            rows[q].append(pairs.setdefault(c, (v, c)))
     return BasisFamily(family.n, rows, kind="b", expand=partial(_pair, family.containing))
 
 

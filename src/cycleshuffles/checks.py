@@ -6,10 +6,10 @@ computation and reports a single pass/fail with a short diagnostic.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import _composer, integer_terms, linear_combine, sn_index
 from .basis import BasisFamily, QIndexTable, build_a_family, dual_basis, rmul_columns
@@ -42,41 +42,72 @@ def pseudo_random_weights(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 8)) for _ in range(n))
 
 
-def check_triangularity(n: int, max_n: int | None = None) -> list[CheckResult]:
+DUAL_TRIANGULAR = "R(t'_{}) upper-triangular in reverse Q-order"
+
+
+class _Sweep:
+    """The a-family of degree n and the lines read from one draw of its
+    R(t_ell) columns, each made when first asked for.  run_suite makes one
+    per call and hands it to check_triangularity and check_duality, so a
+    run of every suite draws each a-column once and keeps nothing past the
+    call."""
+
+    def __init__(self, n: int, max_n: int | None):
+        self.n, self.max_n = n, max_n
+
+    @cached_property
+    def family(self) -> BasisFamily:
+        return build_a_family(self.n, self.max_n)
+
+    @cached_property
+    def lines(self) -> tuple[list[CheckResult], list[CheckResult]]:
+        return _sweep_lines(self.family, QIndexTable(self.n, self.max_n))
+
+
+def check_triangularity(n: int, max_n: int | None = None, sweep: _Sweep | None = None) -> list[CheckResult]:
     """Right multiplication by each t_ell is upper-triangular on the a-basis
     in Q-index order, with diagonal entry m_{Q_{Qind w}, ell}."""
-    return _triangularity(build_a_family(n, max_n), QIndexTable(n, max_n))
+    return (sweep or _Sweep(n, max_n)).lines[0]
 
 
-def _triangularity(family: BasisFamily, table: QIndexTable) -> list[CheckResult]:
-    """R(t_ell) on the a-basis in Q-order or R(t'_ell) on the b-basis in
-    reverse Q-order, by the family's kind, for every ell, on integer columns
-    where only a nonzero entry offends; each sweep stops at its first bad one."""
+def _sweep_lines(family: BasisFamily, table: QIndexTable) -> tuple[list[CheckResult], list[CheckResult]]:
+    """The R(t_ell) and R(t'_ell) lines for every ell, from one read of the
+    integer a-columns of R(t_ell), where only a nonzero entry offends.
+
+    a-column p offends at rank v when Qind v >= Qind p, or at its diagonal
+    when that is not m.  The b-matrix of R(t'_ell) is the transpose of the
+    a-matrix of R(t_ell) (check_duality states the premises), so b-column q
+    offends at p exactly when a-column p offends at q, with the same
+    diagonals.  The R(t_ell) line names the first offending a-column in lex
+    order and its first offending entry; the R(t'_ell) line names the least
+    offending b-column q, by its diagonal if that offends and otherwise by
+    its least offending p, so every a-column is read before it reports."""
     n = family.n
-    if family.kind == "a":
-        suite, shuffle, reaches, sign = "triangularity", build_t, operator.ge, ">="
-        name = "R(t_{}) upper-triangular in Q-order"
-    else:
-        suite, shuffle, reaches, sign = "duality", build_t_prime, operator.le, "<="
-        name = "R(t'_{}) upper-triangular in reverse Q-order"
     perms = family.perms
     qind = [table[w] for w in perms]
     diagonals = [m_vector(members, n) for members in table.catalog.members]
-    results = []
+    a_lines, b_lines = [], []
     for ell in range(1, n + 1):
-        bad = None
-        for r, (den, column) in enumerate(rmul_columns(shuffle(n, ell), family)):
-            qw = qind[r]
-            diag = column.pop(r, 0)
-            if diag != den * diagonals[qw - 1][ell - 1]:
-                bad = f"diagonal of column {perms[r]} is {Fraction(diag, den)}"
-                break
-            offender = next((v for v, c in column.items() if c and reaches(qind[v], qw)), None)
-            if offender is not None:
-                bad = f"column {perms[r]} reaches {perms[offender]} with Qind {qind[offender]} {sign} {qw}"
-                break
-        results.append(CheckResult(suite, name.format(ell), bad is None, bad or ""))
-    return results
+        a_bad = b_bad = ""
+        b_key = (len(perms),)  # (q, 0) for the diagonal of b-column q, (q, 1) for its other entries
+        for p, (den, column) in enumerate(rmul_columns(build_t(n, ell), family)):
+            qp = qind[p]
+            diag = column.pop(p, 0)
+            offenders = [v for v, c in column.items() if c and qind[v] >= qp]
+            if diag != den * diagonals[qp - 1][ell - 1]:
+                detail = f"diagonal of column {perms[p]} is {Fraction(diag, den)}"
+                a_bad = a_bad or detail
+                if (p, 0) < b_key:
+                    b_key, b_bad = (p, 0), detail
+            if offenders:
+                v = offenders[0]
+                a_bad = a_bad or f"column {perms[p]} reaches {perms[v]} with Qind {qind[v]} >= {qp}"
+                q = min(offenders)
+                if (q, 1) < b_key:
+                    b_key, b_bad = (q, 1), f"column {perms[q]} reaches {perms[p]} with Qind {qp} <= {qind[q]}"
+        a_lines.append(CheckResult("triangularity", f"R(t_{ell}) upper-triangular in Q-order", not a_bad, a_bad))
+        b_lines.append(CheckResult("duality", DUAL_TRIANGULAR.format(ell), not b_bad, b_bad))
+    return a_lines, b_lines
 
 
 def check_gram(b_family: BasisFamily) -> CheckResult:
@@ -93,26 +124,39 @@ def check_gram(b_family: BasisFamily) -> CheckResult:
     return CheckResult("duality", "Gram(a, b) = identity", bad is None, bad or "")
 
 
-def check_duality(n: int, max_n: int | None = None) -> list[CheckResult]:
+def check_duality(n: int, max_n: int | None = None, sweep: _Sweep | None = None) -> list[CheckResult]:
     """Gram matrix of the a-basis against its dual is the identity, the
-    antipode swaps t and t', and conjugating left multiplication by the
-    antipode gives right multiplication by the primed shuffle."""
-    b_family = dual_basis(build_a_family(n, max_n))
-    results = [check_gram(b_family)]
+    antipode swaps t and t', R(t'_ell) is upper-triangular on the b-basis in
+    reverse Q-index order, and conjugating left multiplication by the
+    antipode gives right multiplication by the primed shuffle.
 
+    f(u x, v) = f(u, v S(x)) for the antipode S, so with Gram(a, b) = I and
+    S(t_ell) = t'_ell the coefficient of b_p in b_q t'_ell is f(a_p t_ell,
+    b_q), the coefficient of a_q in a_p t_ell: the R(t'_ell) lines are read
+    from the a-columns of R(t_ell), and fail, not derived, when either
+    premise fails in this run."""
+    sweep = sweep or _Sweep(n, max_n)
     mismatch = next(
         (ell for ell in range(1, n + 1) if build_t(n, ell).antipode() != build_t_prime(n, ell)),
         None,
     )
-    results.append(
+    results = [
+        check_gram(dual_basis(sweep.family)),
         CheckResult(
             "duality",
             "antipode(t_ell) = t'_ell",
             mismatch is None,
             f"fails at ell={mismatch}" if mismatch else "",
+        ),
+    ]
+    failed = " and ".join(r.name for r in results if not r.passed)
+    if failed:
+        results.extend(
+            CheckResult("duality", DUAL_TRIANGULAR.format(ell), False, f"not derived: {failed} failed")
+            for ell in range(1, n + 1)
         )
-    )
-    results.extend(_triangularity(b_family, QIndexTable(n, max_n)))
+    else:
+        results.extend(sweep.lines[1])
     results.append(check_antipode_conjugation(n, max_n))
     return results
 
@@ -203,11 +247,11 @@ SUITES = dict(
     zip(
         SUITE_NAMES,
         (
-            lambda n, max_n: check_triangularity(n, max_n),
-            lambda n, max_n: check_annihilator(n, max_n),
-            lambda n, max_n: check_duality(n, max_n),
-            lambda n, max_n: check_identities(n, max_n),
-            lambda n, max_n: check_boolean_partition(n),
+            lambda n, max_n, sweep: check_triangularity(n, max_n, sweep),
+            lambda n, max_n, sweep: check_annihilator(n, max_n),
+            lambda n, max_n, sweep: check_duality(n, max_n, sweep),
+            lambda n, max_n, sweep: check_identities(n, max_n),
+            lambda n, max_n, sweep: check_boolean_partition(n),
         ),
         strict=True,
     )
@@ -216,9 +260,11 @@ SUITES = dict(
 
 def run_suite(name: str, n: int, max_n: int | None = None) -> list[CheckResult]:
     """Run one suite, or every suite for "all", after checking n against the
-    cap once: no suite runs above it, whether it enumerates S_n or not."""
+    cap once: no suite runs above it, whether it enumerates S_n or not.  The
+    suites share one a-family and one draw of its R(t_ell) columns."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {sorted(SUITES)} or 'all'")
     require_within_cap(n, max_n)
     suites = SUITES.values() if name == "all" else [SUITES[name]]
-    return [result for suite in suites for result in suite(n, max_n)]
+    sweep = _Sweep(n, max_n)
+    return [result for suite in suites for result in suite(n, max_n, sweep)]

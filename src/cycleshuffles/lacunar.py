@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
+from itertools import islice
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -55,17 +56,19 @@ def lacunar_masks(n: int) -> list[int]:
 
     Built by the recursion "subsets avoiding m-1, plus subsets of [m-3]
     with m-1 adjoined", so the list has fibonacci(n+1) entries without any
-    filtering pass.
+    filtering pass.  Each step only appends, so the subsets of every
+    smaller ground set are a prefix of the one list, which grows in place.
     """
     if n < 1:
         raise ValueError(f"degree must be at least 1, got {n}")
-    prev_prev = [0]  # lacunar subsets of [] (empty ground set)
-    prev = [0]  # lacunar subsets of [0], likewise just the empty set
+    masks = [0]  # lacunar subsets of [0], just the empty set
+    split = 1  # masks[:split] are the lacunar subsets of the ground set two steps back
     for m in range(1, n):
         bit = 1 << m
-        cur = prev + [mask | bit for mask in prev_prev]
-        prev_prev, prev = prev, cur
-    return prev
+        size = len(masks)
+        masks.extend([mask | bit for mask in islice(masks, split)])
+        split = size
+    return masks
 
 
 def set_to_mask(members: Iterable[int]) -> int:

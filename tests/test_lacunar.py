@@ -48,6 +48,21 @@ def test_counts_match_fibonacci():
         assert len(enumerate_lacunar(n)) == fibonacci(n + 1)
 
 
+def two_list_masks(n_max):
+    """The recursion of lacunar_masks on two fresh lists per step, the
+    oracle for its one list grown in place: yields the masks of n = 1..n_max."""
+    prev_prev, prev = [0], [0]
+    yield prev
+    for m in range(1, n_max):
+        prev_prev, prev = prev, prev + [mask | 1 << m for mask in prev_prev]
+        yield prev
+
+
+def test_masks_grown_in_place_equal_the_two_list_recursion():
+    for n, expected in enumerate(two_list_masks(30), start=1):
+        assert lacunar_masks(n) == expected
+
+
 def test_catalog_order_small_n():
     assert [sorted(s) for s in enumerate_lacunar(4).sets] == [[], [1], [2], [3], [1, 3]]
     assert [sorted(s) for s in enumerate_lacunar(5).sets] == [
