@@ -64,7 +64,10 @@ def _fraction_list(text: str) -> tuple[Fraction, ...]:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value

@@ -20,19 +20,25 @@ block of four words (two steps) per pass, each lane at its own block index.
 A lane whose trial has finished takes the next unused stream and starts it
 at block 0, so every lane stays busy until the streams run out.  Results
 therefore depend only on (seed, trials), never on the lane count.  The
-position i of each step comes from the cumulative distribution through a
-guide table (_inverse_cdf), the value searchsorted gives.
-fast_bookmark_sim draws each geometric stage as numpy's Generator.geometric
-does, draw for draw: below p = 1/3 that is inversion of one Exp(1) variate,
-ceil(E / -log1p(-p)) (Devroye 1986, X.2), done here in bulk; from 1/3 up it
-is numpy's search over the float partial sums p + pq + ..., done here
-through the same guide table, built once per stage.  A draw above sums
-that have stopped growing, where numpy would search forever, raises
-ValueError.  Each stage is drawn SST_LANES trials at a time into one reused
-buffer, each chunk continuing the stage's stream, and added into the
-totals, the one array of all trials; the histogram is read from the totals
-sorted in place.  Means and standard errors are derived from exact integer
-sums of the sampled times.
+position i of each step is looked up from its raw word through a guide
+table over the cumulative distribution (_inverse_cdf), the value
+searchsorted gives for the word's double.
+fast_bookmark_sim takes the stage probabilities as floats from one integer
+running sum over a common denominator, each the correctly rounded float of
+its exact Fraction, and draws each geometric stage as numpy's
+Generator.geometric does, draw for draw: below p = 1/3 that is inversion of
+one Exp(1) variate, ceil(E / -log1p(-p)) (Devroye 1986, X.2), done here in
+bulk; from 1/3 up it is numpy's search over the float partial sums
+p + pq + ..., done here through the same guide table, built once per stage,
+over the raw Philox words that numpy's doubles would be made of.  A draw
+above sums that have stopped growing, where numpy would search forever,
+raises ValueError.  Each stage is drawn SST_LANES trials at a time into one
+reused buffer, each chunk continuing the stage's stream, and added into the
+totals, the one array of all trials.  The histogram has one form, the
+sorted (tau, count) pairs: fast_bookmark_sim reads them once from the runs
+of the totals sorted in place, and frees the totals before it makes them.
+Means and standard errors are derived from exact integer sums of the
+sampled times.
 """
 
 from __future__ import annotations
@@ -42,11 +48,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .inputs import Scalar, uniform_distribution, validate_distribution
+from .inputs import Scalar, validate_distribution
 from .perms import Perm
 
 RNG_ID = "philox4x64"
@@ -69,7 +75,8 @@ _PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 
 # Buckets of the inverse-cdf guide table, one per value of a word's top 12 bits.
-_GUIDE_SIZE = 1 << 12
+_GUIDE_BITS = 12
+_GUIDE_SIZE = 1 << _GUIDE_BITS
 
 # Fraction arithmetic for the exact expectation is kept to moderate n; the
 # harmonic denominators grow like lcm(1..n) and summation multiplies them up.
@@ -147,14 +154,16 @@ def _philox_block(
 
 
 def _inverse_cdf(edges: np.ndarray, side: str):
-    """The lookup u -> 1 + np.searchsorted(edges, u, side), elementwise over
-    the doubles u = (word >> 11) * 2^-53 of raw 64-bit words, for ascending
-    edges.  A guide table (Chen and Asau 1974; Devroye 1986, III.2.4) over
-    the top 12 bits of the word, floor(u * 4096), holds the answer of each
-    bucket that no edge cuts, and 0 where one does; only the draws in cut
-    buckets are searched.  A draw above the last edge has no count (numpy's
-    geometric search, over partial sums that stop growing below it, would
-    never return), so the lookup raises ValueError for it."""
+    """The lookup words -> 1 + np.searchsorted(edges, u, side), elementwise
+    over the doubles u = (word >> 11) * 2^-53 of raw 64-bit words, for
+    ascending edges.  A guide table (Chen and Asau 1974; Devroye 1986,
+    III.2.4) over the top 12 bits of the word, floor(u * 4096), holds the
+    answer of each bucket that no edge cuts, and 0 where one does; only the
+    draws in cut buckets are made doubles and searched.  lookup(words, out)
+    writes the answers into the intp array out when one is given.  A draw
+    above the last edge has no count (numpy's geometric search, over partial
+    sums that stop growing below it, would never return), so the lookup
+    raises ValueError for it."""
     last = edges[-1]
     low = np.arange(_GUIDE_SIZE) / _GUIDE_SIZE  # each bucket's first double
     high = low + (1 / _GUIDE_SIZE - 2.0**-53)  # and its last
@@ -162,11 +171,17 @@ def _inverse_cdf(edges: np.ndarray, side: str):
     whole = (first == np.searchsorted(edges, high, side)) & (high <= last)
     table = np.where(whole, first + 1, 0)
 
-    def lookup(u: np.ndarray) -> np.ndarray:
-        k = table[(u * _GUIDE_SIZE).astype(np.intp)]
+    def lookup(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty(len(words), np.intp)
+        # the buckets go into out and are looked up in place: take reads each
+        # index before it writes that slot, and copies out first only under
+        # its default mode="raise" (every bucket is in range)
+        np.right_shift(words, np.uint64(64 - _GUIDE_BITS), out=out.view(np.uint64))
+        k = np.take(table, out, out=out, mode="clip")
         cut = np.flatnonzero(k == 0)
         if len(cut):
-            u = u[cut]
+            u = (words[cut] >> np.uint64(11)) * 2.0**-53
             if u.max() > last:
                 raise ValueError(
                     f"a draw of {float(u.max())!r} lies above the last edge {float(last)!r} "
@@ -221,24 +236,25 @@ def _summarize(
     n: int,
     trials: int,
     seed: int,
-    taus: Counter,
+    histogram: tuple[tuple[int, int], ...],
     probs: tuple[Fraction, ...],
     final_counts: Mapping[Perm, int] | None,
 ) -> SimulationResult:
-    total = sum(tau * c for tau, c in taus.items())
-    total_sq = sum(tau * tau * c for tau, c in taus.items())
+    """The result of a run whose taus are histogram, its (tau, count) pairs
+    in ascending tau, for the validated distribution probs."""
+    total = sum(tau * c for tau, c in histogram)
+    total_sq = sum(tau * tau * c for tau, c in histogram)
     mean = total / trials
     if trials > 1:
         variance = (total_sq - Fraction(total * total, trials)) / (trials - 1)
         stderr = math.sqrt(variance / trials)
     else:
         stderr = float("nan")
-    exact = exact_expected_tau(probs) if 2 <= n <= EXACT_TAU_MAX_N else None
+    exact = _expected_tau(probs) if 2 <= n <= EXACT_TAU_MAX_N else None
     upper = lower = None
-    if n >= 2 and probs == uniform_distribution(n):
-        # the bounds are theorems about random-to-below only
+    if n >= 2 and probs.count(probs[0]) == n:
+        # the bounds are theorems about random-to-below, the uniform P, only
         upper, lower = bounds(n)
-    histogram = tuple(sorted(taus.items()))
     return SimulationResult(
         n, trials, seed, RNG_ID, mean, stderr, histogram, exact, upper, lower, final_counts
     )
@@ -301,11 +317,11 @@ def simulate_sst(
                 if not len(streams):
                     break
         words = _philox_block(seed, streams, tick - start, scratch)
-        uniforms = (words >> np.uint64(11)) * 2.0**-53
-        for half in (0, 2):
-            # i from P, j uniform on i..n
-            i = position(uniforms[half])
-            j = i + (uniforms[half + 1] * (n + 1 - i)).astype(np.int64)
+        uniforms = (words[1::2] >> np.uint64(11)) * 2.0**-53
+        for step in (0, 1):
+            # i from P by the step's first word, j uniform on i..n by its second
+            i = position(words[2 * step])
+            j = i + (uniforms[step] * (n + 1 - i)).astype(np.int64)
             live = below < n
             steps += live
             # a finished lane has gap 0, which no card can cross
@@ -316,7 +332,7 @@ def simulate_sst(
     final_counts = None
     if record_final:
         final_counts = Counter(map(tuple, np.concatenate(finals).tolist()))
-    return _summarize(n, trials, seed, taus, probs, final_counts)
+    return _summarize(n, trials, seed, tuple(sorted(taus.items())), probs, final_counts)
 
 
 # Kept for benchmarks/tracer.py, which patches it, until ROADMAP item 6 re-points the tracer.
@@ -333,33 +349,43 @@ def stage_probabilities(probabilities: Sequence[Scalar]) -> tuple[Fraction, ...]
     """p_1, ..., p_{n-1}: the chance that one step raises the bookmark while
     b cards sit below it, (b + 1) * sum over i <= n - b of P(i) / (n + 1 - i),
     whatever the deck order, since the card at i crosses iff i <= n - b <= j.
-    One running sum of P(i) / (n + 1 - i) gives every stage in O(n)
-    rational operations; for the uniform P, p_b = climb_probability(n, b).
+    One integer running sum of P(i) / (n + 1 - i) gives every stage
+    (_stage_ratios); for the uniform P, p_b = climb_probability(n, b).
     Also p_b = 1 - g_{n-b}, the eigenvalue of {n - b} under osc_weights(P).
 
     >>> stage_probabilities([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
     (Fraction(7, 12), Fraction(1, 2))
     """
-    probs = _validated(probabilities)
+    ratios = _stage_ratios(_validated(probabilities))
+    return tuple(Fraction(num, den) for num, den in ratios)[::-1]
+
+
+def _stage_ratios(probs: tuple[Fraction, ...]) -> Iterator[tuple[int, int]]:
+    """(num, den) with p_b = num / den, for b = n - 1 down to 1, from a
+    validated distribution: the terms P(i) / (n + 1 - i) are summed as
+    integers over den, their least common denominator, so a stage costs no
+    rational operation and holds no big integer once the next is made."""
     n = len(probs)
-    stages, running = [], Fraction(0)
-    for b in range(n - 1, 0, -1):
-        running += probs[n - b - 1] / (b + 1)  # P(i) / (n + 1 - i) at i = n - b
-        stages.append((b + 1) * running)
-    return tuple(reversed(stages))
+    den = math.lcm(*(p.denominator * (n + 1 - i) for i, p in enumerate(probs[:-1], start=1)))
+    running = 0
+    for i, p in enumerate(probs[:-1], start=1):
+        running += p.numerator * (den // (p.denominator * (n + 1 - i)))
+        yield (n + 1 - i) * running, den  # b + 1 = n + 1 - i
 
 
 def _geometric(rng: np.random.Generator, p: float) -> Callable[[np.ndarray], np.ndarray]:
     """A sampler for stage p: each call fill(out) puts the next len(out)
-    draws of rng.geometric(p) in the float64 buffer out, draw for draw, so
-    that successive calls continue rng's stream where the last one stopped.
-    For 0 < p < 1/3 numpy inverts one Exp(1) variate per draw,
-    ceil(E / -log1p(-p)); fill takes the variates in one call and inverts
-    them in bulk.  Otherwise numpy draws one double U per draw and searches
-    for the first k whose partial sum p + pq + ... + pq^(k-1), added in
-    float64 in that order, reaches U; fill takes the doubles in one call and
-    looks them up over the same sums, through a guide table built once here.
-    By their 128th term (q <= 2/3) the sums have stopped growing."""
+    draws of rng.geometric(p) in the memory of the float64 buffer out, draw
+    for draw, and returns them, so that successive calls continue rng's
+    stream where the last one stopped.  For 0 < p < 1/3 numpy inverts one
+    Exp(1) variate per draw, ceil(E / -log1p(-p)); fill takes the variates
+    in one call and inverts them in bulk, in out.  Otherwise numpy draws one
+    double U per draw, from one raw 64-bit word, and searches for the first
+    k whose partial sum p + pq + ... + pq^(k-1), added in float64 in that
+    order, reaches U; fill takes the raw words in one call and looks them up
+    over the same sums, through a guide table built once here, into out
+    viewed as intp.  By their 128th term (q <= 2/3) the sums have stopped
+    growing."""
     if 0 < p < 1 / 3:
         scale = -math.log1p(-p)
 
@@ -372,13 +398,27 @@ def _geometric(rng: np.random.Generator, p: float) -> Callable[[np.ndarray], np.
     terms = np.full(128, 1 - p)
     terms[0] = p
     search = _inverse_cdf(np.cumsum(np.cumprod(terms)), "left")
+    raw = rng.bit_generator.random_raw
 
     def fill(out: np.ndarray) -> np.ndarray:
-        rng.random(out=out)
-        out[...] = search(out)
-        return out
+        return search(raw(len(out)), out.view(np.intp))
 
     return fill
+
+
+def _stage_totals(stages: list[float], trials: int, seed: int) -> np.ndarray:
+    """Each trial's sum over the stages b = 1, 2, ... of its geometric draw
+    at p_b = stages[b - 1], in float64.  Stage b draws from the stream keyed
+    (seed, 2^63 + b), SST_LANES trials at a time into one reused buffer,
+    which is freed on return."""
+    totals = np.zeros(trials)
+    chunk = np.empty(min(SST_LANES, trials))
+    for below, p in enumerate(stages, start=1):
+        fill = _geometric(_trial_rng(seed, _FAST_SIM_KEY_OFFSET + below), p)
+        for start in range(0, trials, SST_LANES):
+            part = totals[start : start + SST_LANES]
+            part += fill(chunk[: len(part)])
+    return totals
 
 
 def fast_bookmark_sim(probabilities: Sequence[Scalar], trials: int, seed: int) -> SimulationResult:
@@ -398,19 +438,14 @@ def fast_bookmark_sim(probabilities: Sequence[Scalar], trials: int, seed: int) -
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     probs = _validated(probabilities)
-    stages = [float(p) for p in stage_probabilities(probs)]
+    # int / int rounds correctly, as float(Fraction(num, den)) does
+    stages = [num / den for num, den in _stage_ratios(probs)][::-1]
     if 0.0 in stages:
         raise ValueError(
             f"the climb probability of stage b = {stages.index(0.0) + 1} rounds to 0.0 in float64; "
             "its geometric time cannot be simulated"
         )
-    totals = np.zeros(trials)
-    chunk = np.empty(min(SST_LANES, trials))
-    for below, p in enumerate(stages, start=1):
-        fill = _geometric(_trial_rng(seed, _FAST_SIM_KEY_OFFSET + below), p)
-        for start in range(0, trials, SST_LANES):
-            part = totals[start : start + SST_LANES]
-            part += fill(chunk[: len(part)])
+    totals = _stage_totals(stages, trials, seed)
     totals.sort()
     if totals[-1] >= 2.0**53:
         raise ValueError(
@@ -420,8 +455,10 @@ def fast_bookmark_sim(probabilities: Sequence[Scalar], trials: int, seed: int) -
     # the last index of each run of equal times, and the run lengths
     ends = np.append(np.flatnonzero(totals[1:] != totals[:-1]), trials - 1)
     counts = np.diff(ends, prepend=-1)
-    taus = Counter(dict(zip(map(int, totals[ends].tolist()), counts.tolist())))
-    return _summarize(n, trials, seed, taus, probs, final_counts=None)
+    taus = totals[ends].astype(np.int64)
+    del totals, ends  # the histogram's Python objects would otherwise sit on top of them
+    histogram = tuple(zip(taus.tolist(), counts.tolist()))
+    return _summarize(n, trials, seed, histogram, probs, final_counts=None)
 
 
 # Kept for benchmarks/tracer.py, which patches it, until ROADMAP item 6 re-points the tracer.
@@ -435,9 +472,9 @@ def exact_expected_tau(probabilities: Sequence[Scalar]) -> Fraction:
     sum over b of 1 / p_b.  For the uniform P this is
     sum over i = 2..n of n / (i (H_n - H_{i-1})).
 
-    >>> exact_expected_tau(uniform_distribution(2))
+    >>> exact_expected_tau([Fraction(1, 2)] * 2)
     Fraction(2, 1)
-    >>> exact_expected_tau(uniform_distribution(3))
+    >>> exact_expected_tau([Fraction(1, 3)] * 3)
     Fraction(24, 5)
     >>> exact_expected_tau([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
     Fraction(26, 7)
@@ -450,7 +487,11 @@ def exact_expected_tau(probabilities: Sequence[Scalar]) -> Fraction:
             f"exact rational evaluation is limited to n <= {EXACT_TAU_MAX_N} "
             f"(denominators explode); for uniform P use expected_tau_extended"
         )
-    return sum((1 / p for p in stage_probabilities(probabilities)), start=Fraction(0))
+    return _expected_tau(_validated(probabilities))
+
+
+def _expected_tau(probs: tuple[Fraction, ...]) -> Fraction:
+    return sum((Fraction(den, num) for num, den in _stage_ratios(probs)), start=Fraction(0))
 
 
 def expected_tau_extended(n: int, harmonics: np.ndarray | None = None) -> np.longdouble:

@@ -192,6 +192,26 @@ def test_a_wrong_weight_count_is_refused_before_the_first_byte(fmt, tmp_path, ca
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--unweighted", "--n"],
+        ["simulate", "--n", "3", "--seed", "1", "--trials"],
+        ["matrix", "--n", "3", "--t"],
+        ["verify", "--n", "3", "--suite", "all", "--max-n"],
+    ],
+    ids=["--n", "--trials", "--t", "--max-n"],
+)
+@pytest.mark.parametrize("value, shown", [("abc", "'abc'"), ("2.5", "'2.5'"), ("0", "0"), ("-3", "-3")])
+def test_a_count_that_is_not_a_positive_integer_is_usage_error(argv, value, shown, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run([*argv, value])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-1]}: expected a positive integer, got {shown}\n" in err
+    assert "_positive_int" not in err
+
+
 def test_malformed_rational_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run(["spectrum", "--n", "3", "--weights", "1,x,3"])

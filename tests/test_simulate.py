@@ -247,6 +247,37 @@ def test_fast_bookmark_sim_holds_one_trials_sized_array():
     assert peak < 12 * trials
 
 
+def test_fast_bookmark_histogram_holds_no_more_than_its_draws(monkeypatch):
+    # with thousands of distinct taus, the histogram's Python objects are
+    # built after the totals are freed; on top of them they took more than
+    # the draws, which hold the totals, the stage buffer and its lookups
+    sampler = simulate._geometric
+    draws_peak = 0
+
+    def traced(rng, p):
+        fill = sampler(rng, p)
+
+        def traced_fill(out):
+            nonlocal draws_peak
+            drawn = fill(out)
+            draws_peak = max(draws_peak, tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return drawn
+
+        return traced_fill
+
+    monkeypatch.setattr(simulate, "_geometric", traced)
+    fast_bookmark_sim(uniform_distribution(40), 1, seed=31)  # imports numpy.random
+    tracemalloc.start()
+    try:
+        result = fast_bookmark_sim(uniform_distribution(1000), 100_000, seed=37)
+        histogram_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.histogram) > 2000
+    assert histogram_peak <= draws_peak, (histogram_peak, draws_peak)
+
+
 def test_fast_bookmark_histogram_golden_at_n_1000():
     # digest of the histogram printed by the per-stage harmonic implementation
     result = fast_bookmark_sim(uniform_distribution(1000), 2000, 5)
@@ -421,6 +452,56 @@ def test_each_stage_probability_is_one_minus_a_singleton_eigenvalue(seed):
             assert max(row.eigenvalue for row in rows[1:]) == 1 - min(stages), probs
 
 
+def _stage_probabilities_by_fractions(probs):
+    """The stages by a running sum of Fractions, the O(n) rational reference."""
+    n = len(probs)
+    stages, running = [], Fraction(0)
+    for b in range(n - 1, 0, -1):
+        running += probs[n - b - 1] / (b + 1)
+        stages.append((b + 1) * running)
+    return tuple(reversed(stages))
+
+
+def _big_numerator_distribution(n, rng):
+    """A random P with P(1) > 0 whose weights reach 10^30; some are 0."""
+    raw = [rng.randrange(1, 10**30)] + [rng.choice((0, rng.randrange(1, 10**30))) for _ in range(n - 1)]
+    return [Fraction(r, sum(raw)) for r in raw]
+
+
+def _tiny_head(tiny):
+    return [tiny, 1 - tiny, Fraction(0)]
+
+
+STAGE_FLOAT_CASES = {
+    **{f"seeded P, seed {seed}": _big_numerator_distribution(2 + 7 * seed, random.Random(seed)) for seed in range(9)},
+    "uniform P at n = 1000": uniform_distribution(1000),
+    "top-heavy P at n = 10": _top_heavy(10),
+    "P(1) = 10^-400": _tiny_head(Fraction(1, 10**400)),
+    "P(1) = 2^-56": _tiny_head(Fraction(1, 2**56)),
+}
+
+
+@pytest.mark.parametrize("case", STAGE_FLOAT_CASES)
+def test_the_sampler_gets_each_stage_probability_rounded_once(case, monkeypatch):
+    probs = STAGE_FLOAT_CASES[case]
+    stages = stage_probabilities(probs)
+    assert stages == _stage_probabilities_by_fractions(probs)
+    expected = [float(p) for p in stages]
+    sampled = []
+    sampler = simulate._geometric
+    monkeypatch.setattr(simulate, "_geometric", lambda rng, p: sampled.append(p) or sampler(rng, p))
+    if 0.0 in expected:
+        with pytest.raises(ValueError, match=f"stage b = {expected.index(0.0) + 1} rounds to 0.0"):
+            fast_bookmark_sim(probs, trials=1, seed=1)
+        assert sampled == []
+        return
+    try:
+        fast_bookmark_sim(probs, trials=1, seed=1)
+    except ValueError as exc:  # P(1) = 2^-56 is drawn, then refused
+        assert "2^53" in str(exc)
+    assert sampled == expected
+
+
 def test_stage_probabilities_and_exact_tau_need_p1_positive():
     probs = [Fraction(0), Fraction(1, 2), Fraction(1, 2)]
     for fn in (stage_probabilities, exact_expected_tau):
@@ -572,27 +653,41 @@ LOOKUP_EDGES = {
 @pytest.mark.parametrize("case", LOOKUP_EDGES)
 def test_inverse_cdf_matches_searchsorted_word_for_word(case, side):
     edges = LOOKUP_EDGES[case]
-    u = _doubles(_words_around(edges))
+    words = _words_around(edges)
+    u = _doubles(words)
     lookup = _inverse_cdf(edges, side)
     inside = u <= edges[-1]
-    assert np.array_equal(lookup(u[inside]), np.searchsorted(edges, u[inside], side) + 1)
+    expected = np.searchsorted(edges, u[inside], side) + 1
+    assert np.array_equal(lookup(words[inside]), expected)
+    # the same answers written into a given array
+    out = np.full(len(expected), -1, dtype=np.intp)
+    assert lookup(words[inside], out) is out
+    assert np.array_equal(out, expected)
     if not inside.all():
         with pytest.raises(ValueError, match="above the last edge"):
-            lookup(u)
+            lookup(words)
+
+
+def _words(doubles):
+    """The raw words whose doubles are the given multiples of 2^-53."""
+    return (np.asarray(doubles) * 2.0**53).astype(np.uint64) << np.uint64(11)
 
 
 def test_inverse_cdf_refuses_a_draw_above_its_last_edge():
     lookup = _inverse_cdf(np.array([0.25, 0.5]), "left")
-    assert lookup(np.array([0.0, 0.25, 0.3, 0.5])).tolist() == [1, 1, 2, 2]
+    assert lookup(_words([0.0, 0.25, 0.3, 0.5])).tolist() == [1, 1, 2, 2]
     with pytest.raises(ValueError, match="0.5000000000000001 lies above the last edge 0.5"):
-        lookup(np.array([0.1, np.nextafter(0.5, 1)]))
+        lookup(_words([0.1, np.nextafter(0.5, 1)]))
 
 
 class _TopDraws:
-    """A generator whose every double is the largest below 1."""
+    """A generator whose every raw word is the largest, 2^64 - 1, whose
+    double is the largest below 1."""
 
-    def random(self, out):
-        out[...] = 1 - 2.0**-53
+    class bit_generator:
+        @staticmethod
+        def random_raw(size):
+            return np.full(size, (1 << 64) - 1, dtype=np.uint64)
 
 
 def test_a_stalled_geometric_search_is_refused():
@@ -707,7 +802,7 @@ def _per_trial_reference(probabilities, trials, seed):
                     break
         taus[steps] += 1
         final_counts[tuple(deck)] += 1
-    return _summarize(n, trials, seed, taus, probs, final_counts)
+    return _summarize(n, trials, seed, tuple(sorted(taus.items())), probs, final_counts)
 
 
 def _assert_same_run(result, reference, record_final):
