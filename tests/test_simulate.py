@@ -248,9 +248,9 @@ def test_fast_bookmark_sim_holds_one_trials_sized_array():
 
 
 def test_fast_bookmark_histogram_holds_no_more_than_its_draws(monkeypatch):
-    # with thousands of distinct taus, the histogram's Python objects are
-    # built after the totals are freed; on top of them they took more than
-    # the draws, which hold the totals, the stage buffer and its lookups
+    # the pairs of about 7,000 distinct taus are made after the totals are
+    # freed; made on top of them, they took more than the draws, which hold
+    # the totals, the stage buffer and its lookups
     sampler = simulate._geometric
     draws_peak = 0
 
@@ -681,8 +681,8 @@ def test_inverse_cdf_refuses_a_draw_above_its_last_edge():
 
 
 class _TopDraws:
-    """A generator whose every raw word is the largest, 2^64 - 1, whose
-    double is the largest below 1."""
+    """A generator whose raw words are all 2^64 - 1, the word of the largest
+    double below 1."""
 
     class bit_generator:
         @staticmethod
