@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .inputs import (
-    MAX_N_ENV_VAR,
+    DEFAULT_MAX_N,
     SUITE_NAMES,
     _exact_weights,
     r2b_weights,
@@ -73,6 +73,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """A seed as the Philox key holds it, so that two seeds never share a stream."""
+    message = f"expected an integer in [0, 2^64), got {text!r}"
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(message)
+    return value
+
+
 def _output_path(text: str) -> str:
     if not text:
         raise argparse.ArgumentTypeError("expected a file path, got an empty string")
@@ -96,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-n",
             type=_positive_int,
             default=None,
-            help=f"override the full-algebra degree cap (also {MAX_N_ENV_VAR})",
+            help=f"raise the full-algebra degree cap (default {DEFAULT_MAX_N})",
         )
 
     p = sub.add_parser("spectrum", help="eigenvalues and multiplicities for given weights")
@@ -134,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate the bookmark strong stationary time")
     common(p, formats=("text", "json"))
     p.add_argument("--trials", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True, help="an integer in [0, 2^64)")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--uniform", action="store_true", help="uniform position choice (default)")
     group.add_argument("--dist", type=_fraction_list, help="explicit position distribution")

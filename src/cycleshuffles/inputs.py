@@ -4,13 +4,13 @@ Position distributions and the t-weights they give, the exact weights of a
 spectrum, the full-algebra degree cap and the names of the verify suites
 live here, apart from the group algebra: this module imports only the
 standard library, so a subcommand that needs no element of Q[S_n] (spectrum,
-filtration) checks its input without loading one.
+filtration) checks its input without loading one.  The cap is
+DEFAULT_MAX_N unless the caller passes max_n (--max-n on the command line).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -18,35 +18,18 @@ Scalar = Union[int, Fraction]
 WeightVector = Sequence[Scalar]
 
 DEFAULT_MAX_N = 8
-MAX_N_ENV_VAR = "CYCLESHUFFLES_MAX_N"
 
 # the verify suites, in the order "all" runs them (checks.SUITES is built from this)
 SUITE_NAMES = ("triangularity", "annihilator", "duality", "identities", "boolean-partition")
 
 
-def algebra_cap(override: int | None = None) -> int:
-    """Effective degree cap for full-S_n computations."""
-    if override is not None:
-        return override
-    env = os.environ.get(MAX_N_ENV_VAR)
-    if env is None:
-        return DEFAULT_MAX_N
-    message = f"{MAX_N_ENV_VAR} must be a positive integer, got {env!r}"
-    try:
-        cap = int(env)
-    except ValueError:
-        raise ValueError(message) from None
-    if cap < 1:
-        raise ValueError(message)
-    return cap
-
-
-def require_within_cap(n: int, override: int | None = None) -> None:
-    cap = algebra_cap(override)
+def require_within_cap(n: int, max_n: int | None = None) -> None:
+    """Refuse a degree above the full-algebra cap: max_n, else DEFAULT_MAX_N."""
+    cap = DEFAULT_MAX_N if max_n is None else max_n
     if n > cap:
         raise ValueError(
-            f"degree {n} exceeds the full-algebra cap {cap}; raise it explicitly "
-            f"or via {MAX_N_ENV_VAR} if {n}! = that many terms is intended"
+            f"degree {n} exceeds the full-algebra cap {cap}; raise it with "
+            f"max_n (--max-n) if {n}! terms are intended"
         )
 
 

@@ -156,11 +156,13 @@ def test_antipode_adjoint_for_bilinear_form():
 
 def test_cap_enforcement(monkeypatch):
     require_within_cap(8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cap 8"):
         require_within_cap(9)
     require_within_cap(9, 10)
+    # a stray CYCLESHUFFLES_MAX_N in the environment moves no cap: only max_n does
     monkeypatch.setenv("CYCLESHUFFLES_MAX_N", "9")
-    require_within_cap(9)
+    with pytest.raises(ValueError, match="cap 8"):
+        require_within_cap(9)
 
 
 def product_oracle(x, y):

@@ -259,14 +259,13 @@ def test_matrix_over_cap_is_usage_error(capsys):
 
 
 def test_max_n_flag_lifts_cap_for_basis_paths(capsys):
-    import os
-
+    environment = dict(os.environ)
     code, out, _ = invoke(
         capsys, "verify", "--n", "5", "--suite", "boolean-partition", "--max-n", "5"
     )
     assert code == 0
-    # the override is scoped to the invocation
-    assert "CYCLESHUFFLES_MAX_N" not in os.environ
+    # the cap is an argument: raising it leaves the process environment alone
+    assert dict(os.environ) == environment
 
 
 @pytest.mark.parametrize(
@@ -623,6 +622,9 @@ def test_max_n_is_refused_where_nothing_enumerates_sn(argv, capsys):
         (("spectrum", "--n", "3", "--r2b", "--output="), "--output"),
         (("matrix", "--n", "3", "--t", "1", "--max-n", "0"), "--max-n"),
         (("matrix", "--n", "3", "--t", "1", "--max-n", "-1"), "--max-n"),
+        (("simulate", "--n", "3", "--trials", "10", "--seed", "-1"), "--seed"),
+        (("simulate", "--n", "3", "--trials", "10", "--seed", str(1 << 64)), "--seed"),
+        (("simulate", "--n", "3", "--trials", "10", "--seed", "abc"), "--seed"),
     ],
 )
 def test_bad_flag_values_are_refused_at_parse_time(argv, flag, tmp_path, monkeypatch, capsys):
@@ -799,24 +801,13 @@ def test_output_to_a_fifo_writes_through_it(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-1"])
-@pytest.mark.parametrize(
-    "argv",
-    [("matrix", "--n", "3", "--t", "1"), ("verify", "--n", "3", "--suite", "triangularity")],
-)
-def test_bad_cap_environment_variable_is_a_usage_error(argv, value, monkeypatch, capsys):
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "9"])
+def test_no_environment_variable_moves_the_cap(value, monkeypatch, capsys):
+    # a stray CYCLESHUFFLES_MAX_N in the environment moves no cap: only --max-n does
+    runs = [("matrix", "--n", "3", "--t", "1"), ("verify", "--n", "3", "--suite", "triangularity")]
+    unset = [invoke(capsys, *argv) for argv in runs]
     monkeypatch.setenv("CYCLESHUFFLES_MAX_N", value)
-    code, out, err = invoke(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert "CYCLESHUFFLES_MAX_N" in err and repr(value) in err
-
-
-def test_cap_environment_variable_sets_the_cap(monkeypatch, capsys):
-    monkeypatch.setenv("CYCLESHUFFLES_MAX_N", "5")
-    assert invoke(capsys, "matrix", "--n", "3", "--t", "1")[0] == 0
-    assert invoke(capsys, "verify", "--n", "3", "--suite", "triangularity")[0] == 0
-    code, out, err = invoke(capsys, "verify", "--n", "6", "--suite", "boolean-partition")
-    assert code == 2 and out == "" and "cap 5" in err
-    monkeypatch.setenv("CYCLESHUFFLES_MAX_N", "9")
-    assert invoke(capsys, "verify", "--n", "9", "--suite", "boolean-partition")[0] == 0
+    assert [invoke(capsys, *argv) for argv in runs] == unset
+    assert all(code == 0 for code, _, _ in unset)
+    code, out, err = invoke(capsys, "verify", "--n", "9", "--suite", "boolean-partition")
+    assert code == 2 and out == "" and "cap 8" in err

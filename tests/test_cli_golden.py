@@ -6,6 +6,9 @@ change that alters any CLI byte on purpose must regenerate the file and
 say which cases moved:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+which prints the key of every case whose digests changed, appeared or
+disappeared, and nothing when none did.
 """
 
 from __future__ import annotations
@@ -14,14 +17,11 @@ import contextlib
 import hashlib
 import io
 import json
-import os
-import sys
 from pathlib import Path
 
 import pytest
 
 from cycleshuffles.cli import run
-from cycleshuffles.inputs import MAX_N_ENV_VAR
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -95,6 +95,9 @@ def _cases() -> list[tuple[str, ...]]:
         ("simulate", "--n", "3", "--trials", "0", "--seed", "1"),
         ("filtration", "--n", "3", "--max-n", "5"),
     ]
+    # the seed is the Philox key itself: [0, 2^64) runs, anything else is refused
+    for seed in ("0", str((1 << 64) - 1), "-1", str(1 << 64), "abc"):
+        cases.append(("simulate", "--n", "3", "--trials", "10", "--seed", seed))
     return cases
 
 
@@ -126,13 +129,19 @@ def test_the_grid_is_the_recorded_grid(golden):
 
 
 @pytest.mark.parametrize("argv", _cases(), ids=_key)
-def test_cli_bytes_match_the_recorded_digests(argv, golden, monkeypatch):
-    monkeypatch.delenv(MAX_N_ENV_VAR, raising=False)
+def test_cli_bytes_match_the_recorded_digests(argv, golden):
     assert _digest(argv) == golden[_key(argv)]
 
 
 if __name__ == "__main__":
-    os.environ.pop(MAX_N_ENV_VAR, None)
+    recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     digests = {_key(argv): _digest(argv) for argv in _cases()}
+    for key in sorted(recorded.keys() | digests.keys()):
+        if key not in digests:
+            print(f"disappeared: {key}")
+        elif key not in recorded:
+            print(f"appeared: {key}")
+        elif digests[key] != recorded[key]:
+            new, old = digests[key], recorded[key]
+            print(f"changed ({', '.join(f for f in new if new[f] != old.get(f))}): {key}")
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {GOLDEN}", file=sys.stderr)

@@ -273,16 +273,16 @@ def test_minimal_polynomial_examples():
 
 
 def test_minimal_polynomial_cap(monkeypatch, forbid_enumeration_above):
-    # the one full-algebra cap: default 8, CYCLESHUFFLES_MAX_N, then max_n
-    monkeypatch.delenv("CYCLESHUFFLES_MAX_N", raising=False)
+    # the one full-algebra cap: default 8 unless max_n is given; a stray
+    # CYCLESHUFFLES_MAX_N in the environment moves no cap
+    monkeypatch.setenv("CYCLESHUFFLES_MAX_N", "9")
     x9, x6 = combine(ones(9)), combine(ones(6))
     forbid_enumeration_above(8)
     with pytest.raises(ValueError, match="degree 9 exceeds the full-algebra cap 8"):
         minimal_polynomial(x9)
-    monkeypatch.setenv("CYCLESHUFFLES_MAX_N", "5")
     with pytest.raises(ValueError, match="degree 6 exceeds the full-algebra cap 5"):
-        minimal_polynomial(x6)
-    minimal_polynomial(x6, max_n=6)  # max_n overrides the environment
+        minimal_polynomial(x6, max_n=5)
+    minimal_polynomial(x6, max_n=6)
 
 
 def test_minimal_polynomial_rejects_a_relation_that_does_not_annihilate(monkeypatch):
