@@ -14,11 +14,20 @@ each submodule (cycleshuffles.basis, ...), is imported on first access
 (PEP 562), so a caller pays only for what it uses: the spectrum needs
 lacunar and inputs, not the group algebra.  The simulators live in
 cycleshuffles.simulate, the only module that imports numpy.
+
+The two constants that the command-line parser reads are defined here, so
+that building it loads no module of the package but cycleshuffles.cli.
 """
 
 import importlib
 
 __version__ = "0.1.0"
+
+# the full-algebra degree cap unless a caller passes max_n (inputs.require_within_cap)
+DEFAULT_MAX_N = 8
+
+# the verify suites, in the order "all" runs them (checks.SUITES is built from this)
+SUITE_NAMES = ("triangularity", "annihilator", "duality", "identities", "boolean-partition")
 
 # public name -> the submodule that defines it
 _EXPORTS = {
@@ -69,7 +78,7 @@ _EXPORTS = {
 
 _SUBMODULES = frozenset(
     {
-        "algebra", "basis", "checks", "cli", "identities", "inputs",
+        "algebra", "basis", "checks", "cli", "commands", "identities", "inputs",
         "lacunar", "perms", "polys", "shuffles", "simulate", "spectrum",
     }
 )

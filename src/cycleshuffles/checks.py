@@ -7,22 +7,22 @@ computation and reports a single pass/fail with a short diagnostic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
+from . import SUITE_NAMES
 from .algebra import _composer, integer_terms, linear_combine, sn_index
 from .basis import BasisFamily, QIndexTable, build_a_family, dual_basis, rmul_columns
 from .identities import _nilpotency_reports, identity_suite
-from .inputs import SUITE_NAMES, r2b_weights, require_within_cap
+from .inputs import r2b_weights, require_within_cap
 from .lacunar import locate_interval, m_vector
 from .perms import inverse
 from .shuffles import build_t, build_t_prime, combine
 from .spectrum import annihilator_check
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     name: str
     passed: bool
@@ -241,7 +241,7 @@ def check_boolean_partition(n: int) -> list[CheckResult]:
     ]
 
 
-# named by inputs.SUITE_NAMES, in its order, so the CLI lists them without importing this module;
+# named by cycleshuffles.SUITE_NAMES, in its order, so the CLI lists them without importing this module;
 # each lambda looks its check up by name when it runs, so the wrappers benchmarks/tracer.py patches in are called
 SUITES = dict(
     zip(

@@ -10,9 +10,8 @@ factorial-sized element.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import AlgebraElement
 from .inputs import require_within_cap
@@ -24,8 +23,7 @@ def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return x * y - y * x
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     params: tuple
     passed: bool
@@ -33,8 +31,7 @@ class IdentityCheck:
     smallest_surviving: Perm | None
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     n: int
     checks: tuple[IdentityCheck, ...]
 

@@ -1,11 +1,12 @@
 """The checked inputs of every subcommand, as plain Fractions.
 
 Position distributions and the t-weights they give, the exact weights of a
-spectrum, the full-algebra degree cap and the names of the verify suites
-live here, apart from the group algebra: this module imports only the
-standard library, so a subcommand that needs no element of Q[S_n] (spectrum,
+spectrum and the full-algebra degree cap live here, apart from the group
+algebra: this module imports only the standard library and the package
+root, so a subcommand that needs no element of Q[S_n] (spectrum,
 filtration) checks its input without loading one.  The cap is
-DEFAULT_MAX_N unless the caller passes max_n (--max-n on the command line).
+DEFAULT_MAX_N, defined at the package root, unless the caller passes max_n
+(--max-n on the command line).
 """
 
 from __future__ import annotations
@@ -14,13 +15,10 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
+from . import DEFAULT_MAX_N
+
 Scalar = Union[int, Fraction]
 WeightVector = Sequence[Scalar]
-
-DEFAULT_MAX_N = 8
-
-# the verify suites, in the order "all" runs them (checks.SUITES is built from this)
-SUITE_NAMES = ("triangularity", "annihilator", "duality", "identities", "boolean-partition")
 
 
 def require_within_cap(n: int, max_n: int | None = None) -> None:

@@ -11,8 +11,7 @@ inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import AlgebraElement, linear_combine
 from .basis import rmul_matrix
@@ -59,8 +58,7 @@ def build_osc(probabilities: Sequence[Scalar]) -> AlgebraElement:
     return combine(osc_weights(probabilities))
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(NamedTuple):
     """Dense n! x n! matrix of exact rationals, rows and columns indexed by
     the lexicographic enumeration of S_n.  Entries are ints (0 included) or
     Fractions, as rmul_matrix gives them."""

@@ -53,7 +53,6 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .inputs import Scalar, validate_distribution
-from .perms import Perm
 
 RNG_ID = "philox4x64"
 
@@ -215,7 +214,7 @@ class SimulationResult:
     exact: Fraction | None
     upper_bound: float | None
     conjectured_lower: float | None
-    final_counts: Mapping[Perm, int] | None = None
+    final_counts: Mapping[tuple[int, ...], int] | None = None
 
     def to_json(self) -> dict:
         return {
@@ -238,7 +237,7 @@ def _summarize(
     seed: int,
     histogram: tuple[tuple[int, int], ...],
     probs: tuple[Fraction, ...],
-    final_counts: Mapping[Perm, int] | None,
+    final_counts: Mapping[tuple[int, ...], int] | None,
 ) -> SimulationResult:
     """The result of a run whose taus are histogram, its (tau, count) pairs
     in ascending tau, for the validated distribution probs."""

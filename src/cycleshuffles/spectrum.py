@@ -14,9 +14,8 @@ small n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import AlgebraElement, rank_factors, rank_product
 from .inputs import Scalar, WeightVector, _exact_weights, require_within_cap
@@ -55,16 +54,14 @@ def delta(i: int, catalog: LacunarCatalog) -> int:
     return walk_gaps(catalog.row(i), gap_table(catalog.n))[2]
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
+class SpectrumRow(NamedTuple):
     members: tuple[int, ...]  # ascending
     m: tuple[int, ...]
     eigenvalue: Fraction
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """The rows and the aggregate of full_spectrum; n is the number of weights."""
 
     n: int

@@ -8,9 +8,8 @@ from functools import partial
 
 import pytest
 
-from cycleshuffles import checks, lacunar
+from cycleshuffles import SUITE_NAMES, checks, lacunar
 from cycleshuffles.basis import BasisFamily, QIndexTable, build_a_family, dual_basis, rmul_columns
-from cycleshuffles.inputs import SUITE_NAMES
 from cycleshuffles.shuffles import build_t, build_t_prime
 
 

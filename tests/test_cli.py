@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from cycleshuffles import cli
+from cycleshuffles import cli, commands
 from cycleshuffles.basis import (
     basis_order,
     build_a_family,
@@ -578,11 +578,36 @@ def _reference_tables(command, n):
 def test_tables_across_chunk_boundaries_are_the_whole_rendering(command, n, monkeypatch, capsys):
     # every streamed table, two rows to a chunk: the r2b aggregate and the
     # histograms span chunks too
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
+    tables = []
+    monkeypatch.setattr(commands, "_CHUNK_ROWS", 2)
+    monkeypatch.setattr(commands, "_table", _chunk_counting(commands._table, tables))
     for argv, expected in _reference_tables(command, n):
         code, out, err = invoke(capsys, command, *argv)
         assert (code, err) == (0, "")
         assert out == expected, argv
+    if any(rows > 2 for _, rows in tables):  # the chunk size reached the renderer
+        assert any(chunks > 1 for chunks, _ in tables)
+
+
+def _chunk_counting(table, tables):
+    """_table, appending (chunks, rows) of each table it renders to tables:
+    a chunk is a text yielded after more rows were drawn."""
+
+    def counted(fmt, rows, *rest):
+        drawn, marks = 0, set()
+
+        def draw():
+            nonlocal drawn
+            for row in rows:
+                drawn += 1
+                yield row
+
+        for text in table(fmt, draw(), *rest):
+            marks.add(drawn)
+            yield text
+        tables.append((len(marks - {0}), drawn))
+
+    return counted
 
 
 @pytest.mark.parametrize(
@@ -692,18 +717,16 @@ class _FailingWrite:
 
 @pytest.mark.parametrize("fail_at", ["write", "replace"])
 def test_failed_output_write_keeps_the_target(fail_at, tmp_path, monkeypatch, capsys):
-    from cycleshuffles import cli
-
     target = tmp_path / "spectrum.json"
     target.write_text("old contents\n")
     if fail_at == "write":
-        monkeypatch.setattr(cli, "open", lambda *a: _FailingWrite(open(*a)), raising=False)
+        monkeypatch.setattr(commands, "open", lambda *a: _FailingWrite(open(*a)), raising=False)
     else:
 
         def failing_replace(src, dst):
             raise OSError(13, "Permission denied")
 
-        monkeypatch.setattr(cli.os, "replace", failing_replace)
+        monkeypatch.setattr(commands.os, "replace", failing_replace)
     code, out, err = invoke(capsys, "spectrum", "--n", "3", "--r2b", "--output", str(target))
     assert code == 2
     assert out == ""
@@ -714,8 +737,6 @@ def test_failed_output_write_keeps_the_target(fail_at, tmp_path, monkeypatch, ca
 
 @pytest.mark.parametrize("command", ["spectrum", "filtration"])
 def test_a_write_that_fails_partway_through_the_rows_keeps_the_target(command, tmp_path, monkeypatch, capsys):
-    from cycleshuffles import cli
-
     target = tmp_path / "out.json"
     target.write_text("old contents\n")
     handles = []
@@ -724,7 +745,7 @@ def test_a_write_that_fails_partway_through_the_rows_keeps_the_target(command, t
         handles.append(_FailingWrite(open(*args), passes=3))
         return handles[-1]
 
-    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    monkeypatch.setattr(commands, "open", failing_open, raising=False)
     argv = [command, "--n", "20", "--format", "json", "--output", str(target)]
     if command == "spectrum":
         argv.append("--r2b")
