@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .algebra import AlgebraElement
 from .inputs import require_within_cap
@@ -98,22 +98,6 @@ def commutator_nilpotency(n: int, max_n: int | None = None) -> IdentityReport:
 def separate_nilpotency_exponents(n: int, max_n: int | None = None) -> IdentityReport:
     """Both proven exponents j - i + 1 and ceil((n - j)/2) + 1 individually."""
     return _nilpotency_reports(n, max_n)[1]
-
-
-def mixed_commutator_product(
-    n: int, j: int, ks: Sequence[int], max_n: int | None = None
-) -> AlgebraElement:
-    """The product [t_{k_1}, t_j] [t_{k_2}, t_j] ... for a user-supplied index
-    sequence; vanishes whenever len(ks) >= j - ks[-1] + 1 or
-    2 len(ks) >= n - j + 2."""
-    require_within_cap(n, max_n)
-    if not 1 <= j <= n or any(not 1 <= k <= j for k in ks):
-        raise ValueError(f"indices must satisfy 1 <= k <= j <= n, got j={j}, ks={list(ks)}")
-    tj = build_t(n, j)
-    product = AlgebraElement.one(n)
-    for k in ks:
-        product = product * commutator(build_t(n, k), tj)
-    return product
 
 
 def identity_suite(n: int, max_n: int | None = None) -> IdentityReport:

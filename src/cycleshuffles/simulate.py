@@ -9,7 +9,9 @@ counts as below).  The shuffle is fully mixed at the first time tau when all
 n cards sit below the bookmark.  Tau is a sum of independent Geometric(p_b)
 stages (stage_probabilities), so E[tau] = sum over b of 1 / p_b whenever
 P(1) > 0; for the uniform P this is sum over i = 2..n of
-n / (i (H_n - H_{i-1})).
+n / (i (H_n - H_{i-1})).  exact_expected_tau sums it in Fractions up to
+n = 200; bound_check_sweep sums it in float64, within a relative error of
+gamma_{2n} = 2nu / (1 - 2nu), u = 2^-53, on any IEEE platform.
 
 Randomness is Philox4x64-10 ("philox4x64", Salmon et al., SC'11): trial t
 of a run seeded s draws the stream keyed (s, t), the stream numpy's
@@ -484,7 +486,7 @@ def exact_expected_tau(probabilities: Sequence[Scalar]) -> Fraction:
     if n > EXACT_TAU_MAX_N:
         raise ValueError(
             f"exact rational evaluation is limited to n <= {EXACT_TAU_MAX_N} "
-            f"(denominators explode); for uniform P use expected_tau_extended"
+            f"(denominators explode), got n = {n}"
         )
     return _expected_tau(_validated(probabilities))
 
@@ -493,22 +495,18 @@ def _expected_tau(probs: tuple[Fraction, ...]) -> Fraction:
     return sum((Fraction(den, num) for num, den in _stage_ratios(probs)), start=Fraction(0))
 
 
-def expected_tau_extended(n: int, harmonics: np.ndarray | None = None) -> np.longdouble:
-    """The uniform-P expectation in numpy longdouble (>= 64-bit significand
-    on this platform, i.e. x87 80-bit extended or better)."""
-    if n < 2:
-        raise ValueError(f"the expectation formula needs n >= 2, got {n}")
-    if harmonics is None:
-        harmonics = harmonic_prefix(n)
-    i = np.arange(2, n + 1)
-    terms = n / (i * (harmonics[n] - harmonics[i - 1]))
-    return terms.sum()
-
-
-def harmonic_prefix(max_n: int) -> np.ndarray:
-    """Array H[0..max_n] of harmonic numbers in longdouble."""
-    ks = np.arange(1, max_n + 1, dtype=np.longdouble)
-    return np.concatenate([np.zeros(1, dtype=np.longdouble), np.cumsum(1 / ks)])
+def _expected_tau_float(ratios: np.ndarray) -> float:
+    """The float64 twin of _expected_tau: sum over b of 1 / p_b, with
+    p_b = (b + 1) S_{n-b} and S_k = r_1 + ... + r_k, from the doubles
+    r_i = P(i) / (n + 1 - i), i = 1..n-1, each within one rounding of its
+    exact value.  The result E' satisfies |E' - E| <= gamma_{2n} E, where
+    gamma_k = k u / (1 - k u) and u = 2^-53 (Higham 2002, sections 3.1 and
+    4.2): one rounding per ratio and gamma_{k-1} for the prefix sum S_k,
+    one rounding each for the multiply by b + 1 and the reciprocal, and
+    gamma_{n-2} for the sum of the n - 1 positive terms in any order."""
+    n = len(ratios) + 1
+    stages = np.cumsum(ratios) * np.arange(n, 1, -1)  # p_b for b = n - 1 down to 1
+    return float(np.reciprocal(stages).sum())
 
 
 def bounds(n: int) -> tuple[float, float]:
@@ -518,31 +516,30 @@ def bounds(n: int) -> tuple[float, float]:
     evaluated, no clamping."""
     if n < 2:
         raise ValueError(f"bounds need n >= 2, got {n}")
-    return _bound_pair(n, float, math.log)
-
-
-def _bound_pair(n: int, dtype, log) -> tuple:
-    """(n log n + n log log n + n log 2 + 1, n log n + n log log n), computed
-    in dtype with the matching log."""
-    x = dtype(n)
-    lower = x * log(x) + x * log(log(x))
-    return lower + x * log(dtype(2)) + 1, lower
+    lower = n * math.log(n) + n * math.log(math.log(n))
+    return lower + n * math.log(2) + 1, lower
 
 
 def bound_check_sweep(max_n: int) -> tuple[list[int], list[int]]:
-    """For every n in [2, max_n], compare the expectation with the proved
-    upper bound, and for n >= 3 with the conjectured lower bound, all in
-    longdouble.  Returns (upper-bound violations, lower-bound violations);
-    the first list empty certifies the theorem numerically, the second is
-    conjecture status only and never gates anything."""
-    harmonics = harmonic_prefix(max_n)
+    """For every n in [2, max_n], compare the uniform-P expectation with the
+    proved upper bound, and for n >= 3 with the conjectured lower bound, as
+    bounds(n) gives them.  The expectation is _expected_tau_float of the
+    ratios 1 / (n (n + 1 - i)), one rounding each since n (n + 1 - i) is an
+    integer below 2^53; n is a violation unless the value clears the bound
+    by more than twice its error bound gamma_{2n}, the factor 2 covering
+    the second-order term and the roundings of the comparison.  Returns
+    (upper-bound violations, lower-bound violations); the first list empty
+    certifies the theorem numerically in any IEEE double arithmetic, the
+    second is conjecture status only and never gates anything."""
     upper_violations: list[int] = []
     lower_violations: list[int] = []
     for n in range(2, max_n + 1):
-        value = expected_tau_extended(n, harmonics)
-        upper, lower = _bound_pair(n, np.longdouble, np.log)
-        if value > upper:
+        value = _expected_tau_float(1 / (n * np.arange(n, 1, -1)))
+        gamma = 2 * n / (2.0**53 - 2 * n)  # gamma_{2n}
+        slack = 2 * gamma * value
+        upper, lower = bounds(n)
+        if value + slack >= upper:
             upper_violations.append(n)
-        if n >= 3 and value < lower:
+        if n >= 3 and value - slack <= lower:
             lower_violations.append(n)
     return upper_violations, lower_violations

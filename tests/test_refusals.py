@@ -7,10 +7,11 @@ import pytest
 from cycleshuffles import checks
 from cycleshuffles.algebra import AlgebraElement, bilinear_form, linear_combine
 from cycleshuffles.basis import build_a_family, dual_basis, expand_in_a, q_index, rmul_matrix
+from cycleshuffles.inputs import uniform_distribution
 from cycleshuffles.lacunar import enumerate_lacunar, lacunar_masks
 from cycleshuffles.perms import cycle, transposition
 from cycleshuffles.shuffles import build_t, build_t_prime, transition_matrix
-from cycleshuffles.simulate import expected_tau_extended, fast_bookmark_sim
+from cycleshuffles.simulate import exact_expected_tau, fast_bookmark_sim
 
 
 def b_family(n):
@@ -41,7 +42,10 @@ REFUSALS = {
         "need nonnegative coefficients",
     ),
     "fast simulation of no trials": (lambda: fast_bookmark_sim([1, 0], 0, 1), "trials must be positive, got 0"),
-    "extended expectation at n = 1": (lambda: expected_tau_extended(1), "needs n >= 2, got 1"),
+    "exact expectation above its degree limit": (
+        lambda: exact_expected_tau(uniform_distribution(201)),
+        "limited to n <= 200 (denominators explode), got n = 201",
+    ),
     "unknown suite": (lambda: checks.run_suite("nope", 3), "unknown suite 'nope'"),
     "incidence of a b-family": (lambda: b_family(2).containing, "needs the a-family"),
     "a-expansion in a b-family": (lambda: expand_in_a(build_t(2, 1), b_family(2)), "needs the a-family"),

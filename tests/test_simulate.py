@@ -17,6 +17,7 @@ from cycleshuffles.simulate import (
     EXACT_TAU_MAX_N,
     RNG_ID,
     _apply_move,
+    _expected_tau_float,
     _move_rows,
     _inverse_cdf,
     _philox_block,
@@ -27,7 +28,6 @@ from cycleshuffles.simulate import (
     bounds,
     climb_probability,
     exact_expected_tau,
-    expected_tau_extended,
     fast_bookmark_sim,
     harmonic,
     simulate_sst,
@@ -304,11 +304,34 @@ def test_exact_expected_tau_values():
         exact_expected_tau(uniform_distribution(EXACT_TAU_MAX_N + 1))
 
 
-def test_extended_precision_matches_exact():
-    for n in (2, 3, 10, 50):
-        assert float(expected_tau_extended(n)) == pytest.approx(
-            float(exact_expected_tau(uniform_distribution(n))), rel=1e-15
-        )
+def _float_ratios(probs):
+    """The doubles P(i) / (n + 1 - i), i = 1..n-1, each correctly rounded."""
+    n = len(probs)
+    return np.array([float(Fraction(p) / (n + 1 - i)) for i, p in enumerate(probs[:-1], start=1)])
+
+
+def _point_mass(n):
+    return [Fraction(1)] + [Fraction(0)] * (n - 1)
+
+
+def test_float_expectation_matches_exact():
+    for law in (uniform_distribution, _top_heavy, _point_mass):
+        for n in (2, 3, 10, 50):
+            probs = law(n)
+            assert _expected_tau_float(_float_ratios(probs)) == pytest.approx(
+                float(exact_expected_tau(probs)), rel=1e-15
+            )
+
+
+def test_float_expectation_within_its_stated_error_bound():
+    # |E' - E| <= gamma_{2n} E, gamma_k = k u / (1 - k u) = k / (2^53 - k)
+    rng = random.Random(31)
+    for law in (uniform_distribution, _top_heavy, _point_mass, lambda n: _seeded_distribution(n, rng)):
+        for n in range(2, 201):
+            probs = law(n)
+            exact = exact_expected_tau(probs)
+            error = abs(Fraction(_expected_tau_float(_float_ratios(probs))) - exact)
+            assert error <= Fraction(2 * n, 2**53 - 2 * n) * exact, probs
 
 
 def test_bounds_examples():
@@ -322,7 +345,7 @@ def test_bounds_examples():
 
 
 def test_bounds_equal_the_spelled_out_formula():
-    # the float formula bounds() used before it shared _bound_pair with the sweep
+    # the formula spelled out, left to right, as bounds() evaluates it
     for n in range(2, 201):
         loglog = math.log(math.log(n))
         upper = n * math.log(n) + n * loglog + n * math.log(2) + 1
@@ -334,11 +357,6 @@ def test_bound_sweep_small():
     upper_violations, lower_violations = bound_check_sweep(200)
     assert upper_violations == []
     assert lower_violations == []
-
-
-def test_longdouble_precision_floor():
-    # the sweep contract asks for >= 64 significand bits (x87 80-bit extended)
-    assert np.finfo(np.longdouble).nmant >= 63
 
 
 def test_record_final_counts():
