@@ -32,7 +32,9 @@ one place that reads a basis by name, gives each row of the matrix in the
 named order as the numerators of its nonzero entries, keyed by column
 position, over d; the matrix export renders these rows as they stand, and
 rmul_matrix turns them into dense Fractions for the transition matrices
-and the char-poly oracle.
+and the char-poly oracle.  Transposes come from the antipode S: as
+f(u x, v) = f(u, v S(x)), the b-matrix of R(x) is the transposed a-matrix
+of R(S(x)), and the transposed std matrix of R(x) is that of R(S(x)).
 """
 
 from __future__ import annotations
@@ -287,30 +289,23 @@ SparseRows = list[list[tuple[int, int]]]
 
 
 def rmul_rows(
-    x: AlgebraElement,
-    basis: BasisName = "a",
-    order: str = "lex",
-    max_n: int | None = None,
-    transpose: bool = False,
+    x: AlgebraElement, basis: BasisName = "a", order: str = "lex", max_n: int | None = None
 ) -> tuple[tuple[Perm, ...], int, SparseRows]:
     """The matrix of y -> y x in the chosen basis, rows and columns in the
     named order (see basis_order), as (labels, d, rows): d is a common
     denominator of x, and each row lists the (column position, integer c)
-    pairs of its nonzero entries c / d, in increasing position.  With
-    transpose the rows are those of the transposed matrix, the columns as
-    the kernel draws them."""
+    pairs of its nonzero entries c / d, in increasing position.  Row p of
+    the b-matrix is a-column p of R(S(x)), so no dual basis is built."""
     if basis not in ("std", "a", "b"):
         raise ValueError(f"unknown basis {basis!r}; expected std, a or b")
     ordered = basis_order(x.n, order, max_n)
     family = (build_std_family if basis == "std" else build_a_family)(x.n, max_n)
-    if basis == "b":
-        family = dual_basis(family)
     position = {w: k for k, w in enumerate(ordered)}
     at = [position[w] for w in family.perms]  # lexicographic rank -> position in the order
     columns: SparseRows = [[] for _ in ordered]
-    for r, (den, column) in enumerate(rmul_columns(x, family)):
+    for r, (den, column) in enumerate(rmul_columns(x.antipode() if basis == "b" else x, family)):
         columns[at[r]] = [(at[v], c) for v, c in column.items() if c]
-    if transpose:
+    if basis == "b":
         for column in columns:
             column.sort()
         return ordered, den, columns

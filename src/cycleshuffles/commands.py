@@ -345,13 +345,13 @@ def cmd_matrix(args) -> int:
         if len(args.osc) != n:
             raise ValueError(f"expected {n} probabilities, got {len(args.osc)}")
         element = build_osc(args.osc)
+        if args.basis == "std":  # the transition matrix: row tau holds tau * osc(P)
+            element = element.antipode()
     else:
         if args.t > n:
             raise ValueError(f"--t {args.t} exceeds n={n}")
         element = build_t(n, args.t)
-    # std with --osc is the transition matrix: row tau holds tau * osc(P), the std column tau
-    transpose = args.osc is not None and args.basis == "std"
-    labels, den, rows = rmul_rows(element, args.basis, args.order, args.max_n, transpose)
+    labels, den, rows = rmul_rows(element, args.basis, args.order, args.max_n)
     names = [format_permutation(w) for w in labels]
     text = functools.cache(lambda c: _ratio_text(c, den))
     entries = ([(j, text(c)) for j, c in row] for row in rows)

@@ -82,6 +82,6 @@ def transition_matrix(x: AlgebraElement, max_n: int | None = None) -> Transition
         raise ValueError(f"coefficients sum to {total}, expected 1")
     if any(c < 0 for c in x.terms.values()):
         raise ValueError("transition matrices need nonnegative coefficients")
-    # tau^{-1} sigma = v  <=>  sigma = tau v: row tau is std column tau, the terms of tau * x
-    perms, matrix = rmul_matrix(x, "std", "lex", max_n)
-    return TransitionMatrix(x.n, perms, tuple(zip(*matrix)))
+    # tau^{-1} sigma = v  <=>  sigma = tau v: row tau holds tau * x, std row tau of R(S(x))
+    perms, matrix = rmul_matrix(x.antipode(), "std", "lex", max_n)
+    return TransitionMatrix(x.n, perms, tuple(map(tuple, matrix)))

@@ -82,6 +82,9 @@ _GUIDE_SIZE = 1 << _GUIDE_BITS
 # Fraction arithmetic for the exact expectation is kept to moderate n; the
 # harmonic denominators grow like lcm(1..n) and summation multiplies them up.
 EXACT_TAU_MAX_N = 200
+# A run reports E[tau] only when its numerator and denominator have at most 4,300 digits,
+# CPython's default limit for str() of an int, fixed whatever the interpreter's own limit.
+_EXACT_TAU_BELOW = 10**4300
 
 
 def _apply_move(deck: list[int], below: int, i: int, j: int) -> int:
@@ -252,6 +255,8 @@ def _summarize(
     else:
         stderr = float("nan")
     exact = _expected_tau(probs) if 2 <= n <= EXACT_TAU_MAX_N else None
+    if exact is not None and max(exact.numerator, exact.denominator) >= _EXACT_TAU_BELOW:
+        exact = None
     upper = lower = None
     if n >= 2 and probs.count(probs[0]) == n:
         # the bounds are theorems about random-to-below, the uniform P, only

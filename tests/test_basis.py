@@ -20,6 +20,7 @@ from cycleshuffles.basis import (
     q_index,
     rmul_columns,
     rmul_matrix,
+    rmul_rows,
 )
 from cycleshuffles.inputs import uniform_distribution
 from cycleshuffles.lacunar import enumerate_lacunar, locate_interval, m_vector, non_shadow
@@ -509,3 +510,71 @@ def test_a_factor_with_more_terms_than_gather_tables_is_composed(basis_name, mon
     monkeypatch.setattr(algebra, "_gather_table", None)  # no n!-sized table may be built
     for w, column in perm_columns(family, rmul_columns(x, family)):
         assert _rebuild(column, vector, n) == vector(w) * x
+
+
+def _oracle_elements(n):
+    """Every t_ell, osc(uniform), osc(point mass at 1) and the pseudo-random
+    combination of degree n, by label."""
+    for ell in range(1, n + 1):
+        yield f"t_{ell}", build_t(n, ell)
+    yield "osc(uniform)", build_osc(uniform_distribution(n))
+    yield "osc(point mass)", build_osc((1,) + (0,) * (n - 1))
+    yield "pseudo-random", combine(checks.pseudo_random_weights(n))
+
+
+def _sparse_rows(labels, entries):
+    """(labels, rows) in the form of rmul_rows from the (row w, column v) ->
+    integer entries: each row its (column position, c) pairs, zeros dropped,
+    in increasing position."""
+    at = {w: k for k, w in enumerate(labels)}
+    rows = [[] for _ in labels]
+    for (w, v), c in entries.items():
+        if c:
+            rows[at[w]].append((at[v], c))
+    return labels, [sorted(row) for row in rows]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_b_rows_equal_the_rows_of_the_dual_basis_columns(n):
+    """Oracle: the b-matrix of R(x) read off the b-columns that rmul_columns
+    draws through dual_basis, the path the export took before its rows came
+    from the a-columns of R(S(x))."""
+    b_family = dual_basis(build_a_family(n))
+    perms = b_family.perms
+    for label, x in _oracle_elements(n):
+        entries = {}
+        for w, (den, column) in zip(perms, rmul_columns(x, b_family)):
+            entries.update(((perms[v], w), c) for v, c in column.items())
+        for order in ORDERS:
+            labels, d, rows = rmul_rows(x, "b", order)
+            assert (labels, rows) == _sparse_rows(basis_order(n, order), entries), (label, order)
+            assert d == den, (label, order)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_std_rows_of_the_antipode_are_the_transposed_std_rows(n):
+    """The permutation basis is orthonormal for f, so the std matrix of
+    R(S(x)) is the transposed std matrix of R(x), in every order; the
+    transition matrix of x is the transposed std matrix of R(x)."""
+    for label, x in _oracle_elements(n):
+        for order in ORDERS:
+            labels, den, rows = rmul_rows(x, "std", order)
+            entries = {(labels[j], labels[i]): c for i, row in enumerate(rows) for j, c in row}
+            assert rmul_rows(x.antipode(), "std", order) == (labels, den, _sparse_rows(labels, entries)[1])
+        if all(c >= 0 for c in x.terms.values()):  # a chain once its mass is scaled to 1
+            chain = x * Fraction(1, sum(x.terms.values()))
+            assert transition_matrix(chain).rows == tuple(zip(*rmul_matrix(chain, "std", "lex")[1])), label
+
+
+@pytest.mark.parametrize("basis_name", ["std", "a", "b"])
+def test_no_matrix_builds_a_dual_basis(basis_name, monkeypatch):
+    def refused(family):
+        raise AssertionError("a dual basis was built")
+
+    monkeypatch.setattr(basis, "dual_basis", refused)
+    for order in ORDERS:
+        for x in (build_t(4, 2), build_osc(uniform_distribution(4))):
+            labels, den, rows = rmul_rows(x, basis_name, order)
+            assert len(labels) == len(rows) == 24 and den >= 1
+            rmul_matrix(x, basis_name, order)
+    transition_matrix(build_osc(uniform_distribution(4)))

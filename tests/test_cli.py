@@ -332,6 +332,33 @@ def test_simulate_one_trial_writes_strict_json(fast, capsys):
     assert data["trials"] == 1
 
 
+def _three_digit_dist(n):
+    """Seeded P proportional to ratios of three-digit integers, as --dist."""
+    rng = random.Random(0)
+    weights = [Fraction(rng.randrange(100, 1000), rng.randrange(100, 1000)) for _ in range(n)]
+    return ",".join(str(w / sum(weights)) for w in weights)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("fast", [(), ("--fast",)], ids=["full", "fast"])
+@pytest.mark.parametrize(
+    "flags",
+    [("--n", "113"), ("--n", "200"), ("--n", "80", "--dist", _three_digit_dist(80))],
+    ids=["113", "200", "dist-80"],
+)
+def test_simulate_leaves_out_an_exact_expectation_too_long_to_write(flags, fast, fmt, capsys):
+    """E[tau] with more than 4,300 digits is not reported: the run exits 0
+    with no exact line in text and "exact": null in JSON."""
+    argv = ("simulate", *flags, "--trials", "2", "--seed", "1", *fast, "--format", fmt)
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        data = json.loads(out)
+        assert (data["n"], data["exact"]) == (int(flags[1]), None)
+    else:
+        assert "exact expectation" not in out and out.startswith(f"n = {flags[1]}, trials = 2")
+
+
 def test_simulate_fast_accepts_non_uniform_dist(capsys):
     # p = (7/12, 1/2), so E[tau] = 12/7 + 2 with or without --fast
     for fast in (("--fast",), ()):
@@ -505,7 +532,8 @@ def _columns_matrix(x, basis, order):
 
 def _reference_matrices(n):
     """(flags, labels, rows) of every basis and order, for every --t L and
-    for --osc uniform; --osc std is the transition matrix, the transpose."""
+    for --osc uniform; --osc std is the transition matrix, the transposed
+    std matrix of R(osc), which the export draws as that of R(S(osc))."""
     dist = ",".join([f"1/{n}"] * n)
     osc = build_osc([Fraction(1, n)] * n)
     for order in ("lex", "qindex", "qindex-desc"):

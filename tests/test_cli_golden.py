@@ -77,6 +77,9 @@ def _cases() -> list[tuple[str, ...]]:
     # the nulls of the simulate JSON: exact above n = 200, stderr at one trial
     cases.append(("simulate", "--n", "201", "--trials", "50", "--seed", "11", "--fast", "--format", "json"))
     cases.append(("simulate", "--n", "5", "--trials", "1", "--seed", "11", "--format", "json"))
+    # no exact expectation where it has more than 4,300 digits, the first uniform n being 113
+    for fmt in ("text", "json"):
+        cases.append(("simulate", "--n", "113", "--trials", "2", "--seed", "1", "--fast", "--format", fmt))
     cases += [
         ("spectrum", "--n", "4", "--weights", "1,1"),
         ("spectrum", "--n", "4", "--weights", "1,1,1,1,1,1"),

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -391,6 +392,56 @@ def test_non_uniform_reports_exact_without_r2b_bounds():
     assert result.upper_bound is None
     assert result.conjectured_lower is None
     assert result.to_json()["exact"] == "26/7"
+
+
+def _three_digit_rationals(n, seed=0):
+    """P proportional to seeded ratios of three-digit integers."""
+    rng = random.Random(seed)
+    weights = [Fraction(rng.randrange(100, 1000), rng.randrange(100, 1000)) for _ in range(n)]
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+# exact expectations with more than 4,300 digits in the numerator or denominator
+LONG_EXACT = {
+    "uniform-113": uniform(113),
+    "uniform-200": uniform(200),
+    "three-digit-80": _three_digit_rationals(80),
+}
+
+
+@pytest.mark.parametrize("sim", [simulate_sst, fast_bookmark_sim])
+@pytest.mark.parametrize("label", sorted(LONG_EXACT))
+def test_an_exact_expectation_too_long_to_write_is_not_reported(label, sim):
+    probs = LONG_EXACT[label]
+    exact = exact_expected_tau(probs)
+    assert max(exact.numerator, exact.denominator) >= 10**4300
+    result = sim(probs, trials=2, seed=1)
+    assert result.exact is None
+    assert result.to_json()["exact"] is None
+    assert json.loads(json.dumps(result.to_json()))["exact"] is None
+    assert "exact=None" in repr(result)
+
+
+def test_the_longest_writable_exact_expectation_is_reported():
+    exact = exact_expected_tau(uniform(112))
+    assert max(exact.numerator, exact.denominator) < 10**4300
+    result = fast_bookmark_sim(uniform(112), trials=2, seed=1)
+    assert result.exact == exact
+    assert result.to_json()["exact"] == str(exact)
+
+
+def test_the_digit_rule_does_not_follow_the_interpreters_limit():
+    """4,300 digits whatever sys.int_max_str_digits says (0 lifts the limit,
+    640 is the smallest it takes)."""
+    default = sys.get_int_max_str_digits()
+    try:
+        for limit in (0, 640, 10**5):
+            sys.set_int_max_str_digits(limit)
+            assert fast_bookmark_sim(uniform(113), trials=2, seed=1).exact is None
+            assert fast_bookmark_sim(uniform(112), trials=2, seed=1).exact == exact_expected_tau(uniform(112))
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 def _top_heavy(n):
