@@ -2,6 +2,13 @@
 
 Each check certifies one of the library's structural guarantees by exact
 computation and reports a single pass/fail with a short diagnostic.
+
+The triangularity lines, and the R(t'_ell) lines of the duality suite by
+transposition, are read from the integer a-matrices A_ell of R(t_ell),
+built by the recursion t_ell = 1 + s_ell t_{ell+1} from the a-matrices of
+the adjacent transpositions s_ell: half of their columns are unit columns
+and the others are short, so only the ascent columns are expanded, and
+only two levels are held at a time.
 """
 
 from __future__ import annotations
@@ -9,15 +16,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import SUITE_NAMES
-from .algebra import _composer, integer_terms, linear_combine, sn_index
-from .basis import BasisFamily, QIndexTable, build_a_family, dual_basis, rmul_columns
+from .algebra import _composer, integer_terms, linear_combine, rank_factors, rank_product, sn_index
+from .basis import BasisFamily, QIndexTable, build_a_family, dual_basis
 from .identities import _nilpotency_reports, identity_suite
 from .inputs import r2b_weights, require_within_cap
 from .lacunar import locate_interval, m_vector
-from .perms import inverse
+from .perms import inverse, transposition
 from .shuffles import build_t, build_t_prime, combine
 from .spectrum import annihilator_check
 
@@ -46,11 +53,11 @@ DUAL_TRIANGULAR = "R(t'_{}) upper-triangular in reverse Q-order"
 
 
 class _Sweep:
-    """The a-family of degree n and the lines read from one draw of its
-    R(t_ell) columns, each made when first asked for.  run_suite makes one
-    per call and hands it to check_triangularity and check_duality, so a
-    run of every suite draws each a-column once and keeps nothing past the
-    call."""
+    """The a-family of degree n and the lines read from one pass of the
+    recursion over the a-matrices of R(t_ell), each made when first asked
+    for.  run_suite makes one per call and hands it to check_triangularity
+    and check_duality, so a run of every suite expands each ascent column
+    of each R(s_ell) once and keeps nothing past the call."""
 
     def __init__(self, n: int, max_n: int | None):
         self.n, self.max_n = n, max_n
@@ -70,44 +77,85 @@ def check_triangularity(n: int, max_n: int | None = None, sweep: _Sweep | None =
     return (sweep or _Sweep(n, max_n)).lines[0]
 
 
+def _transposition_columns(family: BasisFamily, ell: int) -> Iterator[dict[int, int]]:
+    """The integer a-columns of R(s_ell), s_ell = (ell, ell+1), in lex order;
+    the a-basis is unitriangular over Z, so there is no denominator.  When
+    w(ell) > w(ell+1), s_ell lies in the Young subgroup of the descents of
+    w, so a_w s_ell = a_w and column w is the unit column; every other
+    column is the row of a_w times s_ell, expanded by the family."""
+    _, factors = rank_factors({transposition(family.n, ell): 1}, family.n)
+    for p, (w, row) in enumerate(zip(family.perms, family.rows)):
+        yield {p: 1} if w[ell - 1] > w[ell] else family.expand(rank_product(row, factors))
+
+
+def _a_levels(family: BasisFamily) -> Iterator[tuple[int, list[dict[int, int]]]]:
+    """(ell, A_ell) for ell = n, ..., 1, A_ell the integer a-columns of
+    R(t_ell) in lex order with only their nonzero entries.
+
+    Under perms.compose t_ell = 1 + s_ell t_{ell+1} and t_n = 1, so A_n = I
+    and column p of A_ell is e_p plus the sum of S[q, p] times column q of
+    A_{ell+1} over the entries of column p of S = R(s_ell); a unit column
+    of S makes column p of A_ell that of A_{ell+1} plus e_p.  Only
+    A_{ell+1} and the level being built are held."""
+    level = [{p: 1} for p in range(len(family.perms))]
+    yield family.n, level
+    for ell in range(family.n - 1, 0, -1):
+        following = []
+        for p, s_column in enumerate(_transposition_columns(family, ell)):
+            if s_column == {p: 1}:
+                column = level[p].copy()
+                column[p] = column.get(p, 0) + 1
+            else:
+                column = {p: 1}
+                get = column.get
+                for q, c in s_column.items():
+                    for v, a in level[q].items():
+                        column[v] = get(v, 0) + c * a
+            following.append(column if all(column.values()) else {v: a for v, a in column.items() if a})
+        level = following
+        yield ell, level
+
+
 def _sweep_lines(family: BasisFamily, table: QIndexTable) -> tuple[list[CheckResult], list[CheckResult]]:
-    """The R(t_ell) and R(t'_ell) lines for every ell, from one read of the
-    integer a-columns of R(t_ell), where only a nonzero entry offends.
+    """The R(t_ell) and R(t'_ell) lines for every ell, from the integer
+    a-matrices of R(t_ell) that _a_levels builds, where only a nonzero
+    entry offends.
 
     a-column p offends at rank v when Qind v >= Qind p, or at its diagonal
     when that is not m.  The b-matrix of R(t'_ell) is the transpose of the
     a-matrix of R(t_ell) (check_duality states the premises), so b-column q
     offends at p exactly when a-column p offends at q, with the same
     diagonals.  The R(t_ell) line names the first offending a-column in lex
-    order and its first offending entry; the R(t'_ell) line names the least
-    offending b-column q, by its diagonal if that offends and otherwise by
-    its least offending p, so every a-column is read before it reports."""
+    order and its largest offending rank; the R(t'_ell) line names the
+    least offending b-column q, by its diagonal if that offends and
+    otherwise by its least offending p, so every a-column is read before it
+    reports."""
     n = family.n
     perms = family.perms
     qind = [table[w] for w in perms]
     diagonals = [m_vector(members, n) for members in table.catalog.members]
     a_lines, b_lines = [], []
-    for ell in range(1, n + 1):
+    for ell, level in _a_levels(family):
         a_bad = b_bad = ""
         b_key = (len(perms),)  # (q, 0) for the diagonal of b-column q, (q, 1) for its other entries
-        for p, (den, column) in enumerate(rmul_columns(build_t(n, ell), family)):
+        for p, column in enumerate(level):
             qp = qind[p]
-            diag = column.pop(p, 0)
-            offenders = [v for v, c in column.items() if c and qind[v] >= qp]
-            if diag != den * diagonals[qp - 1][ell - 1]:
-                detail = f"diagonal of column {perms[p]} is {Fraction(diag, den)}"
+            diag = column.get(p, 0)
+            offenders = [v for v in column if qind[v] >= qp and v != p]
+            if diag != diagonals[qp - 1][ell - 1]:
+                detail = f"diagonal of column {perms[p]} is {diag}"
                 a_bad = a_bad or detail
                 if (p, 0) < b_key:
                     b_key, b_bad = (p, 0), detail
             if offenders:
-                v = offenders[0]
+                v = max(offenders)
                 a_bad = a_bad or f"column {perms[p]} reaches {perms[v]} with Qind {qind[v]} >= {qp}"
                 q = min(offenders)
                 if (q, 1) < b_key:
                     b_key, b_bad = (q, 1), f"column {perms[q]} reaches {perms[p]} with Qind {qp} <= {qind[q]}"
         a_lines.append(CheckResult("triangularity", f"R(t_{ell}) upper-triangular in Q-order", not a_bad, a_bad))
         b_lines.append(CheckResult("duality", DUAL_TRIANGULAR.format(ell), not b_bad, b_bad))
-    return a_lines, b_lines
+    return a_lines[::-1], b_lines[::-1]
 
 
 def check_gram(b_family: BasisFamily) -> CheckResult:

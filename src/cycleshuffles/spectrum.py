@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .algebra import AlgebraElement, rank_factors, rank_product
+from .algebra import AlgebraElement, divide_terms, rank_factors, rank_product, sn_index
 from .inputs import Scalar, WeightVector, _exact_weights, require_within_cap
 from .lacunar import LacunarCatalog, catalog_rows, gap_table, is_lacunar, walk_gaps
 from .polys import Polynomial
@@ -117,17 +117,28 @@ def annihilator_check(weights: WeightVector, *, max_n: int | None = None) -> tup
     """Evaluate the product of (t - g_I) over all lacunar I in the group algebra.
 
     Returns (True, zero) when the product vanishes exactly; otherwise the
-    residual element is the witness.
+    residual element is the witness.  The product is kept as an integer
+    vector over lexicographic ranks times a rational scale: each factor
+    multiplies it by the integers d (t - g_I) through the rank kernel,
+    with d a common denominator of t and g_I, and the content of the
+    vector is divided out after each step.
     """
     require_within_cap(len(weights), max_n)
     report = full_spectrum(weights)
+    n = report.n
     t = combine(report.weights)
-    product = AlgebraElement.one(report.n)
+    vector, scale = {0: 1}, Fraction(1)  # the identity has lexicographic rank 0
     for row in report.rows:
-        product = product * (t - row.eigenvalue)
-        if product.is_zero():
-            break
-    return product.is_zero(), product
+        den, factors = rank_factors((t - row.eigenvalue).terms, n)
+        vector = {r: c for r, c in rank_product(vector.items(), factors).items() if c}
+        if not vector:
+            return True, AlgebraElement.zero(n)
+        content = math.gcd(*vector.values())
+        vector = {r: c // content for r, c in vector.items()}
+        scale *= Fraction(content, den)
+    perms = sn_index(n)[0]
+    residual = {perms[r]: c * scale.numerator for r, c in vector.items()}
+    return False, AlgebraElement(n, divide_terms(residual, scale.denominator))
 
 
 def _krylov_annihilator(x: AlgebraElement) -> Polynomial:

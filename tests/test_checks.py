@@ -1,6 +1,6 @@
 import copy
 import math
-import operator
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -8,8 +8,10 @@ from functools import partial
 
 import pytest
 
-from cycleshuffles import SUITE_NAMES, checks, lacunar
+from cycleshuffles import SUITE_NAMES, basis, checks, lacunar
+from cycleshuffles.algebra import AlgebraElement, rank_factors, rank_product
 from cycleshuffles.basis import BasisFamily, QIndexTable, build_a_family, dual_basis, rmul_columns
+from cycleshuffles.perms import transposition
 from cycleshuffles.shuffles import build_t, build_t_prime
 
 
@@ -37,6 +39,48 @@ def test_gram_check_fails_when_one_coefficient_is_perturbed(n):
             result = checks.check_gram(perturbed)
             assert not result.passed
             assert f"b_{q}" in result.detail
+
+
+def direct_sweep_lines(family, table, columns=None):
+    """The R(t_ell) and R(t'_ell) lines read from the a-columns of R(t_ell)
+    themselves, the oracle for checks._sweep_lines, which builds those
+    columns by the recursion t_ell = 1 + s_ell t_{ell+1}.  a-column p
+    offends at rank v when Qind v >= Qind p, or at its diagonal when that
+    is not d * m; the R(t_ell) line names the first offending a-column in
+    lex order and the first offending entry in its column, the largest
+    rank, since the back-substitution emits ranks in descending order; the
+    R(t'_ell) line names the least offending b-column q of the transpose,
+    by its diagonal if that offends and otherwise by its least offending p.
+    columns(ell) gives the integer columns, by default drawn from family;
+    the diagonals come from checks.m_vector, so a mutation of it reaches
+    this sweep too."""
+    n = family.n
+    perms = family.perms
+    qind = [table[w] for w in perms]
+    diagonals = [checks.m_vector(members, n) for members in table.catalog.members]
+    columns = columns or (lambda ell: rmul_columns(build_t(n, ell), family))
+    a_lines, b_lines = [], []
+    for ell in range(1, n + 1):
+        a_bad = b_bad = ""
+        b_key = (len(perms),)  # (q, 0) for the diagonal of b-column q, (q, 1) for its other entries
+        for p, (den, column) in enumerate(columns(ell)):
+            qp = qind[p]
+            diag = column.pop(p, 0)
+            offenders = [v for v, c in column.items() if c and qind[v] >= qp]
+            if diag != den * diagonals[qp - 1][ell - 1]:
+                detail = f"diagonal of column {perms[p]} is {Fraction(diag, den)}"
+                a_bad = a_bad or detail
+                if (p, 0) < b_key:
+                    b_key, b_bad = (p, 0), detail
+            if offenders:
+                v = offenders[0]
+                a_bad = a_bad or f"column {perms[p]} reaches {perms[v]} with Qind {qind[v]} >= {qp}"
+                q = min(offenders)
+                if (q, 1) < b_key:
+                    b_key, b_bad = (q, 1), f"column {perms[q]} reaches {perms[p]} with Qind {qp} <= {qind[q]}"
+        a_lines.append(checks.CheckResult("triangularity", f"R(t_{ell}) upper-triangular in Q-order", not a_bad, a_bad))
+        b_lines.append(checks.CheckResult("duality", checks.DUAL_TRIANGULAR.format(ell), not b_bad, b_bad))
+    return a_lines, b_lines
 
 
 def direct_b_lines(b_family, table, columns=None):
@@ -138,10 +182,13 @@ def test_no_derived_line_passes_on_a_failed_premise(suite, premise, monkeypatch)
     ]
 
 
-def test_every_suite_draws_each_a_column_once_and_no_b_column(monkeypatch):
+def test_every_suite_expands_only_the_ascent_columns_and_draws_no_column(monkeypatch):
+    """run_suite("all") builds the a-family, the Q-index table and the dual
+    basis once each, draws no column of any t_ell or t'_ell, and expands
+    through the a-family exactly the ascent columns of each R(s_ell),
+    (n-1) n!/2 of them, and the n! unit vectors of dual_basis."""
     n = 4
-    calls = Counter()
-    draws, columns = [], Counter()
+    calls, expanded, draws = Counter(), Counter(), []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -150,21 +197,114 @@ def test_every_suite_draws_each_a_column_once_and_no_b_column(monkeypatch):
 
         return wrapper
 
-    def counted_columns(x, family):
-        draws.append((x, family.kind))
-        for column in real_columns(x, family):
-            columns[family.kind] += 1
-            yield column
+    def counted_expansions(*args):
+        family = real_family(*args)
+        real_expand = family.expand
 
-    real_columns = checks.rmul_columns
-    for name in ("build_a_family", "dual_basis", "QIndexTable"):
+        def expand(work):
+            expanded[tuple(sorted(work.items()))] += 1
+            return real_expand(work)
+
+        family.expand = expand
+        return family
+
+    def counted_columns(x, family):
+        draws.append(x)
+        return real_columns(x, family)
+
+    real_family, real_columns = checks.build_a_family, basis.rmul_columns
+    for name in ("dual_basis", "QIndexTable"):
         monkeypatch.setattr(checks, name, counted(name, getattr(checks, name)))
-    monkeypatch.setattr(checks, "rmul_columns", counted_columns)
+    monkeypatch.setattr(checks, "build_a_family", counted("build_a_family", counted_expansions))
+    monkeypatch.setattr(basis, "rmul_columns", counted_columns)
+    assert not hasattr(checks, "rmul_columns")
     results = checks.run_suite("all", n)
     assert all(r.passed for r in results)
     assert calls == {"build_a_family": 1, "dual_basis": 1, "QIndexTable": 1}
-    assert draws == [(build_t(n, ell), "a") for ell in range(1, n + 1)]
-    assert columns == {"a": n * math.factorial(n)}
+    assert draws == []
+    family = build_a_family(n)
+    ascent = Counter()
+    for ell in range(1, n):
+        _, factors = rank_factors({transposition(n, ell): 1}, n)
+        for w, row in zip(family.perms, family.rows):
+            if w[ell - 1] < w[ell]:
+                ascent[tuple(sorted(rank_product(row, factors).items()))] += 1
+    assert ascent.total() == (n - 1) * math.factorial(n) // 2
+    assert expanded == ascent + Counter(((v, 1),) for v in range(math.factorial(n)))
+
+
+def nonzero(column):
+    return {v: c for v, c in column.items() if c}
+
+
+def only_ints(columns):
+    return all(type(c) is int for column in columns for c in column.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_t_ell_is_one_plus_s_ell_times_t_ell_plus_one(n):
+    """The identity the recursion of checks._a_levels rests on, as group
+    algebra elements under perms.compose; the other order is false below
+    ell = n - 1."""
+    one = AlgebraElement.one(n)
+    assert build_t(n, n) == one
+    for ell in range(1, n):
+        s = AlgebraElement.from_perm(transposition(n, ell))
+        assert build_t(n, ell) == one + s * build_t(n, ell + 1)
+        assert (build_t(n, ell) == one + build_t(n, ell + 1) * s) == (ell == n - 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_r_s_ell_has_unit_descent_columns_and_integer_entries(n):
+    """Where w(ell) > w(ell+1), a_w s_ell = a_w: the columns the recursion
+    takes as units without expanding them are the units rmul_columns draws."""
+    family = build_a_family(n)
+    for ell in range(1, n):
+        drawn = list(rmul_columns(AlgebraElement.from_perm(transposition(n, ell)), family))
+        assert {den for den, _ in drawn} == {1}
+        columns = [nonzero(column) for _, column in drawn]
+        assert only_ints(columns)
+        descents = [p for p, w in enumerate(family.perms) if w[ell - 1] > w[ell]]
+        assert len(descents) == len(family.perms) // 2
+        assert all(columns[p] == {p: 1} for p in descents)
+        assert list(checks._transposition_columns(family, ell)) == columns
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_each_level_of_the_recursion_is_the_a_matrix_of_r_t_ell(n):
+    """Entry for entry, over d = 1 with int entries only: the a-basis is
+    unitriangular over Z, so every A_ell is an integer matrix."""
+    family = build_a_family(n)
+    levels = list(checks._a_levels(family))
+    assert [ell for ell, _ in levels] == list(range(n, 0, -1))
+    for ell, level in levels:
+        drawn = list(rmul_columns(build_t(n, ell), family))
+        assert {den for den, _ in drawn} == {1}
+        assert level == [nonzero(column) for _, column in drawn]
+        assert only_ints(level)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_the_recursion_gives_the_lines_of_the_direct_sweep(n):
+    family, table = build_a_family(n), QIndexTable(n)
+    lines = checks._sweep_lines(family, table)
+    assert all(r.passed for results in lines for r in results)
+    assert lines == direct_sweep_lines(family, table)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_the_recursion_matches_the_direct_sweep_under_random_q_index_swaps(n):
+    family = build_a_family(n)
+    rng = random.Random(n)
+    failed = 0
+    for _ in range(8):
+        table = QIndexTable(n)
+        u, v = rng.sample(family.perms, 2)
+        table.index[u], table.index[v] = table[v], table[u]
+        lines = checks._sweep_lines(family, table)
+        assert lines == direct_sweep_lines(family, table)
+        failed += not all(r.passed for results in lines for r in results)
+    assert failed
 
 
 TRIANGULARITY_CHECKS = [
@@ -233,52 +373,85 @@ def test_derived_lines_match_the_direct_b_sweep_under_each_mutation(mutate, n, m
     derived = derived_lines(checks.check_duality(n))
     assert not all(r.passed for r in derived)
     assert derived == direct_b_lines(dual_basis(build_a_family(n)), checks.QIndexTable(n))
+    family, table = build_a_family(n), checks.QIndexTable(n)
+    assert checks._sweep_lines(family, table) == direct_sweep_lines(family, table)
 
 
-@pytest.mark.parametrize("fill, passed", [(0, True), (1, False)], ids=["zero", "one"])
-@pytest.mark.parametrize("kind", ["a", "b"])
-def test_the_sweeps_ignore_cancelled_zeros(kind, fill, passed):
-    """Every column the expansion gives holds fill at rank v unless its entry
-    there is nonzero.  v reaches the diagonal of column r, the first in lex
-    order with a rank that can, and no earlier column: a cancelled zero
-    there leaves every sweep passing, a 1 fails each at column r.  The
-    a-columns feed both lines of checks._sweep_lines, and the transposed
-    fill of the b-columns, column v at every rank where it is zero, gives
-    the direct b-sweep the same R(t'_ell) lines; the b-columns filled at
-    rank v feed the direct b-sweep alone."""
-    n = 4
-    a_family = build_a_family(n)
-    real = a_family if kind == "a" else dual_basis(a_family)
-    table = QIndexTable(n)
-    qind = [table[w] for w in real.perms]
-    reaches, sign = (operator.ge, ">=") if kind == "a" else (operator.le, "<=")
-    r = next(r for r in range(len(qind)) if any(v != r and reaches(qind[v], qind[r]) for v in range(len(qind))))
-    v = next(v for v in range(r + 1, len(qind)) if reaches(qind[v], qind[r]))
+def dense_levels(family, s_columns):
+    """columns(ell) for direct_sweep_lines from A_n = I and
+    A_ell = I + A_{ell+1} S_ell, by dense integer matrix products over the
+    columns s_columns(ell) of S_ell: each column of A_ell over d = 1, its
+    ranks in descending order as the back-substitution gives them, zeros
+    left in."""
+    n, size = family.n, len(family.perms)
+    identity = [[int(i == j) for j in range(size)] for i in range(size)]
+    matrices = {n: identity}
+    for ell in range(n - 1, 0, -1):
+        s = [[0] * size for _ in range(size)]
+        for p, column in enumerate(s_columns(ell)):
+            for q, c in column.items():
+                s[q][p] = c
+        a = matrices[ell + 1]
+        matrices[ell] = [
+            [identity[i][j] + sum(a[i][k] * s[k][j] for k in range(size)) for j in range(size)] for i in range(size)
+        ]
+    return lambda ell: [(1, {v: matrices[ell][v][p] for v in reversed(range(size))}) for p in range(size)]
+
+
+def filled_expansion(family, v, fill):
+    """The family with fill at rank v of every column its expansion gives,
+    unless the entry there is nonzero."""
 
     def expand(product):
-        column = real.expand(product)
+        column = family.expand(product)
         if not column.get(v):
             column[v] = fill
         return column
 
-    mutated = BasisFamily(n, real.rows, real.kind, expand)
-    if kind == "a":
-        results, derived = checks._sweep_lines(mutated, table)
-        b_family = dual_basis(a_family)
+    return BasisFamily(family.n, family.rows, family.kind, expand)
 
-        def transposed(ell):
-            for q, (den, column) in enumerate(rmul_columns(build_t_prime(n, ell), b_family)):
-                if q == v:
-                    column.update((p, fill) for p in range(len(qind)) if not column.get(p))
-                yield den, column
 
-        assert derived == direct_b_lines(b_family, table, transposed)
-        assert [result.passed for result in derived] == [passed] * n
-    else:
-        results = direct_b_lines(mutated, table)
+@pytest.mark.parametrize("fill, passed", [(0, True), (1, False)], ids=["zero", "one"])
+def test_the_recursion_ignores_cancelled_zeros(fill, passed):
+    """The a-family's expansion reaches the lines through the ascent columns
+    of each R(s_ell), each filled here at rank 0, the identity.  A
+    cancelled zero leaves every line passing, as the direct sweep over the
+    same filled family reads them; a 1 fails every line but that of
+    t_n = 1, and the lines are those read from I + A_{ell+1} S_ell by dense
+    integer products over the filled S_ell, its descent columns units."""
+    n = 4
+    family, table = build_a_family(n), QIndexTable(n)
+    mutated = filled_expansion(family, 0, fill)
+
+    def s_columns(ell):
+        drawn = rmul_columns(AlgebraElement.from_perm(transposition(n, ell)), mutated)
+        for p, (w, (_, column)) in enumerate(zip(family.perms, drawn)):
+            yield {p: 1} if w[ell - 1] > w[ell] else column
+
+    lines = checks._sweep_lines(mutated, table)
+    assert lines == direct_sweep_lines(mutated, table, dense_levels(mutated, s_columns))
+    for results in lines:
+        assert [result.passed for result in results] == [passed] * (n - 1) + [True]
+    if passed:
+        assert lines == direct_sweep_lines(mutated, table)
+
+
+@pytest.mark.parametrize("fill, passed", [(0, True), (1, False)], ids=["zero", "one"])
+def test_the_direct_b_sweep_ignores_cancelled_zeros(fill, passed):
+    """Every b-column the expansion gives holds fill at rank v unless its
+    entry there is nonzero.  v reaches the diagonal of column r, the first
+    in lex order with a rank that can, and no earlier column: a cancelled
+    zero there leaves the sweep passing, a 1 fails it at column r."""
+    n = 4
+    b_family = dual_basis(build_a_family(n))
+    table = QIndexTable(n)
+    qind = [table[w] for w in b_family.perms]
+    r = next(r for r in range(len(qind)) if any(v != r and qind[v] <= qind[r] for v in range(len(qind))))
+    v = next(v for v in range(r + 1, len(qind)) if qind[v] <= qind[r])
+    results = direct_b_lines(filled_expansion(b_family, v, fill), table)
     assert [result.passed for result in results] == [passed] * n
     if not passed:
-        detail = f"column {real.perms[r]} reaches {real.perms[v]} with Qind {qind[v]} {sign} {qind[r]}"
+        detail = f"column {b_family.perms[r]} reaches {b_family.perms[v]} with Qind {qind[v]} <= {qind[r]}"
         assert [result.detail for result in results] == [detail] * n
 
 

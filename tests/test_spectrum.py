@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cycleshuffles import spectrum
 from cycleshuffles.algebra import AlgebraElement
 from cycleshuffles.basis import QIndexTable, filtration_dimensions, rmul_matrix
 from cycleshuffles.checks import pseudo_random_weights, run_suite
@@ -262,6 +263,25 @@ def test_annihilator_three_weight_vectors(n):
     for weights in (ones(n), r2b_weights(n), pseudo_random_weights(n)):
         ok, residual = annihilator_check(weights)
         assert ok, f"{len(residual)} terms survive for {weights}"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("drop", [0, -1])
+def test_annihilator_residual_is_the_exact_partial_product(n, drop, monkeypatch):
+    """With one row left out the product survives, and the residual is the
+    product of the remaining factors (t - g_I) as group algebra elements."""
+    weights = pseudo_random_weights(n)
+    report = full_spectrum(weights)
+    rows = list(report.rows)
+    del rows[drop]
+    monkeypatch.setattr(spectrum, "full_spectrum", lambda w: report._replace(rows=tuple(rows)))
+    t = combine(report.weights)
+    product = AlgebraElement.one(n)
+    for row in rows:
+        product = product * (t - row.eigenvalue)
+    ok, residual = annihilator_check(weights)
+    assert not ok and not product.is_zero()
+    assert residual == product
 
 
 def test_minimal_polynomial_examples():
