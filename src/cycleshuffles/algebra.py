@@ -15,10 +15,23 @@ are built on first use, never at import, and at most _GATHER_TABLES tables
 are kept.  Otherwise it composes the permutation tuples directly, so
 sparse products never touch an n!-sized table.
 
+Only the n - 1 adjacent transpositions s_k have their gather tables
+composed from permutation tuples.  Any other v has a first descent k, and
+v = (v s_k) s_k, so its table is that of v s_k read through that of s_k:
+one C-level gather.  Peeling the first descent walks cyc_{ell..k} down to
+cyc_{ell..k-1} and cyc_{k..ell} down to cyc_{k..ell+1}, so the tables of
+the shuffles' supports are built from each other.
+
 Code that already holds integer vectors over lexicographic ranks (the basis
-columns and the Krylov sequence) multiplies them by an element with
-rank_factors and rank_product instead: the same gather tables, the
-denominator of the element cleared once, and no permutation tuples.
+columns, the annihilator, the Krylov sequence) multiplies them by an
+element with rank_factors and rank_product instead: the same gather
+tables, the denominator of the element cleared once, and no permutation
+tuples.  A dense vector times an integer combination of the shuffles
+t_ell, plus a multiple of 1, goes through shuffle_rank_product: the
+recursion t_ell = 1 + s_ell t_{ell+1} makes that n - 1 transposition
+gathers and a few list passes, against one multiply-add per entry and term
+of the element in rank_product.  It sits beside rank_product, not in its
+place, because rank_product takes any element and sparse rows.
 """
 
 from __future__ import annotations
@@ -26,11 +39,19 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .inputs import Scalar
-from .perms import Perm, _require_permutation, all_permutations, format_permutation, identity, inverse
+from .perms import (
+    Perm,
+    _require_permutation,
+    all_permutations,
+    format_permutation,
+    identity,
+    inverse,
+    transposition,
+)
 
 
 class AlgebraElement:
@@ -182,10 +203,22 @@ def _composer(v: Perm) -> Callable[[Perm], Perm]:
 
 @functools.lru_cache(maxsize=_GATHER_TABLES)
 def _gather_table(n: int, v: Perm) -> tuple[int, ...]:
-    """rank(u) -> rank(u*v) over all of S_n."""
-    perms, rank = sn_index(n)
-    times_v = _composer(v)
-    return tuple(rank[times_v(u)] for u in perms)
+    """rank(u) -> rank(u*v) over all of S_n.
+
+    Composed from permutation tuples only for an adjacent transposition;
+    any other v with first descent k is (v s_k) s_k, so rank(u*v) is the
+    table of s_k read at rank(u * v s_k).
+    """
+    k = next((i for i in range(1, n) if v[i - 1] > v[i]), None)
+    if k is None:
+        return tuple(range(math.factorial(n)))
+    s = transposition(n, k)
+    if v == s:
+        perms, rank = sn_index(n)
+        times_v = _composer(v)
+        return tuple(rank[times_v(u)] for u in perms)
+    peeled = v[: k - 1] + (v[k], v[k - 1]) + v[k + 1 :]
+    return itemgetter(*_gather_table(n, peeled))(_gather_table(n, s))
 
 
 class _ComposedRanks:
@@ -240,6 +273,31 @@ def rank_product(row: Sequence[tuple[int, int]], factors: RankFactors) -> dict[i
             k = table[u]
             product[k] = get(k, 0) + a * b
     return product
+
+
+def shuffle_rank_product(vector: Sequence[int], weights: Sequence[int], shift: int = 0) -> list[int]:
+    """The dense integer vector v over lexicographic ranks times the integer
+    element x = sum of weights[ell-1] * t_ell + shift, n = len(weights).
+
+    By t_ell = 1 + s_ell t_{ell+1}: with y_1 = weights[0] v and
+    y_{k+1} = y_k s_k + weights[k] v, the product v x is
+    y_1 + ... + y_n + shift v.  The table of the involution s_k gives
+    (y s_k)[r] = y[table[r]], so each step is one gather and two list passes.
+
+    >>> shuffle_rank_product([1, 0], [1, 1], -1)  # 1 * (t_1 + t_2 - 1) = 1 + s_1
+    [1, 1]
+    """
+    n = len(weights)
+    y = [weights[0] * a for a in vector]
+    total = y
+    for k in range(1, n):
+        gathered = itemgetter(*_gather_table(n, transposition(n, k)))(y)
+        c = weights[k]
+        y = [a + c * b for a, b in zip(gathered, vector)] if c else gathered
+        total = list(map(add, total, y))
+    if shift:
+        total = [a + shift * b for a, b in zip(total, vector)]
+    return total
 
 
 def rmul_terms(

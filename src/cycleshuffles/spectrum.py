@@ -8,18 +8,30 @@ walk over its members (lacunar.walk_gaps, carried down the catalog's
 recursion by lacunar.catalog_rows), and the whole spectrum scales with the
 Fibonacci catalog, not with n!.  Exact dense-matrix routines
 (characteristic and minimal polynomials) provide independent oracles at
-small n.
+small n.  The annihilator check, the Krylov sequence of the minimal
+polynomial and its P(x) = 0 check hold dense integer vectors over
+lexicographic ranks of S_n, and multiply them by a combination of the
+t_ell in n - 1 transposition gathers (algebra.shuffle_rank_product).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .algebra import AlgebraElement, divide_terms, rank_factors, rank_product, sn_index
+from .algebra import (
+    AlgebraElement,
+    divide_terms,
+    integer_terms,
+    rank_factors,
+    rank_product,
+    shuffle_rank_product,
+    sn_index,
+)
 from .inputs import Scalar, WeightVector, _exact_weights, require_within_cap
 from .lacunar import LacunarCatalog, catalog_rows, gap_table, is_lacunar, walk_gaps
+from .perms import cycle, identity
 from .polys import Polynomial
 from .shuffles import combine
 
@@ -117,28 +129,59 @@ def annihilator_check(weights: WeightVector, *, max_n: int | None = None) -> tup
     """Evaluate the product of (t - g_I) over all lacunar I in the group algebra.
 
     Returns (True, zero) when the product vanishes exactly; otherwise the
-    residual element is the witness.  The product is kept as an integer
-    vector over lexicographic ranks times a rational scale: each factor
-    multiplies it by the integers d (t - g_I) through the rank kernel,
-    with d a common denominator of t and g_I, and the content of the
-    vector is divided out after each step.
+    residual element is the witness.  The product is kept as a dense
+    integer vector over lexicographic ranks times a rational scale: with d
+    the common denominator of the weights, which every d g_I shares, each
+    factor multiplies it by the integer combination d (t - g_I) of the t_ell
+    through shuffle_rank_product, and the content of the vector is divided
+    out after each step.
     """
     require_within_cap(len(weights), max_n)
     report = full_spectrum(weights)
     n = report.n
-    t = combine(report.weights)
-    vector, scale = {0: 1}, Fraction(1)  # the identity has lexicographic rank 0
+    _, den, numerators = _exact_weights(report.weights)
+    vector, scale = [1] + [0] * (math.factorial(n) - 1), Fraction(1)  # the identity has lexicographic rank 0
     for row in report.rows:
-        den, factors = rank_factors((t - row.eigenvalue).terms, n)
-        vector = {r: c for r, c in rank_product(vector.items(), factors).items() if c}
-        if not vector:
+        g = row.eigenvalue
+        vector = shuffle_rank_product(vector, numerators, -g.numerator * (den // g.denominator))
+        if not any(vector):
             return True, AlgebraElement.zero(n)
-        content = math.gcd(*vector.values())
-        vector = {r: c // content for r, c in vector.items()}
+        content = math.gcd(*vector)
+        if content > 1:
+            vector = [c // content for c in vector]
         scale *= Fraction(content, den)
     perms = sn_index(n)[0]
-    residual = {perms[r]: c * scale.numerator for r, c in vector.items()}
+    residual = {perms[r]: c * scale.numerator for r, c in enumerate(vector) if c}
     return False, AlgebraElement(n, divide_terms(residual, scale.denominator))
+
+
+def _shuffle_weights(x: AlgebraElement) -> list[Scalar] | None:
+    """The weights of x as a combination of the t_ell, or None when it is
+    none: weight ell < n is the coefficient of cyc_{ell..n}, which only
+    t_ell holds, and weight n what is left of the coefficient of 1."""
+    n = x.n
+    weights = [x.terms.get(cycle(n, range(ell, n + 1)), 0) for ell in range(1, n)]
+    weights.append(x.terms.get(identity(n), 0) - sum(weights))
+    return weights if combine(weights) == x else None
+
+
+def _right_multiplier(x: AlgebraElement) -> tuple[int, Callable[[list[int]], list[int]]]:
+    """A common denominator d of x and v -> v (d x) on dense integer vectors
+    over lexicographic ranks: shuffle_rank_product when x is a combination
+    of the t_ell, and rank_product, which takes any element, otherwise."""
+    weights = _shuffle_weights(x)
+    if weights is not None:
+        den = integer_terms(x.terms)[0]
+        numerators = [c.numerator * (den // c.denominator) for c in weights]
+        return den, lambda vector: shuffle_rank_product(vector, numerators)
+    den, factors = rank_factors(x.terms, x.n)
+    size = math.factorial(x.n)
+
+    def times(vector: list[int]) -> list[int]:
+        product = rank_product([(r, a) for r, a in enumerate(vector) if a], factors)
+        return [product.get(r, 0) for r in range(size)]
+
+    return den, times
 
 
 def _krylov_annihilator(x: AlgebraElement) -> Polynomial:
@@ -146,16 +189,16 @@ def _krylov_annihilator(x: AlgebraElement) -> Polynomial:
     by x, via incremental fraction-free elimination on the Krylov sequence.
 
     With d a common denominator of x, the sequence (d x)^k is kept as
-    integer vectors over lexicographic ranks.  Each new vector is reduced
-    against the stored pivots by vec <- (lead/g) vec - (c/g) pivot_vec, with
-    g = gcd(lead, c), together with its combination over the powers, and
-    the content of both is divided out after each step.  The first vector
-    that reduces to zero gives sum of combo[k] (d x)^k = 0, so the
-    polynomial has coefficients combo[k] d^k.
+    integer vectors over lexicographic ranks (see _right_multiplier).  Each
+    new vector is reduced against the stored pivots by
+    vec <- (lead/g) vec - (c/g) pivot_vec, with g = gcd(lead, c), together
+    with its combination over the powers, and the content of both is
+    divided out after each step.  The first vector that reduces to zero
+    gives sum of combo[k] (d x)^k = 0, so the polynomial has coefficients
+    combo[k] d^k.
     """
-    size = math.factorial(x.n)
-    den, factors = rank_factors(x.terms, x.n)
-    current = [1] + [0] * (size - 1)  # the identity has lexicographic rank 0
+    den, times = _right_multiplier(x)
+    current = [1] + [0] * (math.factorial(x.n) - 1)  # the identity has lexicographic rank 0
     pivots: list[tuple[int, list[int], list[int]]] = []  # (rank, vector, combination)
     while True:
         vec, combo = current, [0] * len(pivots) + [1]
@@ -177,8 +220,23 @@ def _krylov_annihilator(x: AlgebraElement) -> Polynomial:
         if pivot is None:
             return Polynomial([c * den**k for k, c in enumerate(combo)]).monic()
         pivots.append((pivot, vec, combo))
-        following = rank_product([(r, a) for r, a in enumerate(current) if a], factors)
-        current = [following.get(r, 0) for r in range(size)]
+        current = times(current)
+
+
+def _annihilates(poly: Polynomial, x: AlgebraElement) -> bool:
+    """Whether P(x) = 0, by Horner over the integers on the dense vector of
+    the identity: with d a common denominator of x and L one of the
+    coefficients p_k, L d^deg P(x) is the sum of the integers
+    L p_k d^(deg-k) times (d x)^k."""
+    den, times = _right_multiplier(x)
+    lcd = math.lcm(*(c.denominator for c in poly.coeffs))
+    deg = poly.degree
+    coeffs = [c.numerator * (lcd // c.denominator) * den ** (deg - k) for k, c in enumerate(poly.coeffs)]
+    vector = [coeffs[-1]] + [0] * (math.factorial(x.n) - 1)
+    for c in reversed(coeffs[:-1]):
+        vector = times(vector)
+        vector[0] += c
+    return not any(vector)
 
 
 def minimal_polynomial(x: AlgebraElement, max_n: int | None = None) -> Polynomial:
@@ -187,11 +245,11 @@ def minimal_polynomial(x: AlgebraElement, max_n: int | None = None) -> Polynomia
     Krylov iteration seeded at the identity yields the minimal polynomial of
     x itself, which annihilates the whole right-multiplication matrix since
     w * P(x) = 0 for every permutation w once P(x) = 0.  The evaluation
-    P(x) = 0 is verified after the fact.
+    P(x) = 0 is verified after the fact, over the integers (_annihilates).
     """
     require_within_cap(x.n, max_n)
     poly = _krylov_annihilator(x)
-    if not poly(x).is_zero():
+    if not _annihilates(poly, x):
         raise RuntimeError(f"Krylov relation {poly} does not annihilate x; elimination broken")
     return poly
 
@@ -204,9 +262,10 @@ def char_poly_oracle(matrix: Sequence[Sequence[Scalar]]) -> Polynomial:
     (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9)
     without Fraction arithmetic: each p_k is an integer coefficient list
     over one denominator, its content divided out, and each step's product
-    of subdiagonal entries is stopped at its first zero.  Serves as the
-    independent oracle for the multiplicity formula; it never consults the
-    lacunar machinery.
+    of subdiagonal entries is stopped at its first zero.  Only the nonzero
+    entries of M are made Fractions; the zeros stay the int 0.  Serves as
+    the independent oracle for the multiplicity formula; it never consults
+    the lacunar machinery.
 
     >>> char_poly_oracle([[2, 0], [0, 2]]) == Polynomial((4, -4, 1))
     True
@@ -214,7 +273,7 @@ def char_poly_oracle(matrix: Sequence[Sequence[Scalar]]) -> Polynomial:
     size = len(matrix)
     if size > CHAR_POLY_MAX_DIM:
         raise ValueError(f"matrix dimension {size} exceeds the oracle cap {CHAR_POLY_MAX_DIM}")
-    h = [[Fraction(v) for v in row] for row in matrix]
+    h = [[Fraction(v) if v else 0 for v in row] for row in matrix]
     if any(len(row) != size for row in h):
         raise ValueError("characteristic polynomial needs a square matrix")
 

@@ -5,16 +5,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cycleshuffles import algebra
 from cycleshuffles.algebra import (
     AlgebraElement,
     _gather_table,
     bilinear_form,
     linear_combine,
+    rank_factors,
+    rank_product,
     rmul_terms,
+    shuffle_rank_product,
+    sn_index,
 )
-from cycleshuffles.inputs import require_within_cap
-from cycleshuffles.perms import all_permutations, compose, cycle, identity, inverse
-from cycleshuffles.shuffles import build_t, build_t_prime
+from cycleshuffles.inputs import require_within_cap, uniform_distribution
+from cycleshuffles.perms import all_permutations, compose, cycle, identity, inverse, transposition
+from cycleshuffles.shuffles import build_osc, build_t, build_t_prime, combine
 
 
 def random_element(rng, n, terms=4):
@@ -224,3 +229,69 @@ def test_rmul_terms_keeps_integers_and_reduces_fractions():
     assert all(type(c) is int for c in product.values())
     half = rmul_terms({(1, 2, 3): 3}, {(1, 2, 3): Fraction(2, 12)}, 3)
     assert half[(1, 2, 3)] == Fraction(1, 2) and half[(1, 2, 3)].denominator == 2
+
+
+def composed_table(n, v):
+    """rank(u) -> rank(u*v) by composing every permutation tuple with v."""
+    perms, rank = sn_index(n)
+    return tuple(rank[compose(u, v)] for u in perms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_gather_tables_read_through_the_transpositions_equal_the_composed_ones(n):
+    _gather_table.cache_clear()
+    for v in all_permutations(n):
+        assert _gather_table(n, v) == composed_table(n, v)
+    _gather_table.cache_clear()
+
+
+def test_the_shuffles_tables_compose_only_the_adjacent_transpositions(monkeypatch):
+    """At n = 8 the tables of every term of osc(uniform) and of its
+    antipode are built from the 7 transposition tables alone."""
+    n = 8
+    composed = []
+    composer = algebra._composer
+
+    def counting_composer(v):
+        composed.append(v)
+        return composer(v)
+
+    monkeypatch.setattr(algebra, "_composer", counting_composer)
+    x = build_osc(uniform_distribution(n))
+    _gather_table.cache_clear()
+    try:
+        for y in (x, x.antipode()):
+            for v in y.terms:
+                _gather_table(n, v)
+        assert sorted(composed) == sorted(transposition(n, k) for k in range(1, n))
+        longest = cycle(n, range(1, n + 1))
+        for v in (longest, inverse(longest)):
+            assert _gather_table(n, v) == composed_table(n, v)
+    finally:
+        _gather_table.cache_clear()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_shuffle_rank_product_equals_rank_product(n):
+    """The recursion against the gather tables of every term of
+    sum of weights[ell-1] * t_ell + shift, on seeded dense integer vectors,
+    with zero and negative weights and a shift."""
+    rng = random.Random(900 + n)
+    size = math.factorial(n)
+    cases = [
+        [1] * n,
+        [rng.randint(-9, 9) for _ in range(n)],
+        [0] * n,
+        [0] + [rng.randint(-9, -1) for _ in range(n - 1)],
+        [rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(n)],
+    ]
+    for weights in cases:
+        for shift in (0, -7, 3):
+            x = combine(weights) + shift
+            den, factors = rank_factors(x.terms, n)
+            assert den == 1
+            for _ in range(3):
+                vector = [rng.choice((0, rng.randint(-20, 20))) for _ in range(size)]
+                product = rank_product([(r, a) for r, a in enumerate(vector) if a], factors)
+                expected = [product.get(r, 0) for r in range(size)]
+                assert shuffle_rank_product(vector, weights, shift) == expected

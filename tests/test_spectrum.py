@@ -10,6 +10,7 @@ from cycleshuffles.basis import QIndexTable, filtration_dimensions, rmul_matrix
 from cycleshuffles.checks import pseudo_random_weights, run_suite
 from cycleshuffles.inputs import _exact_weights, r2b_weights, t2r_weights, unweighted_weights
 from cycleshuffles.lacunar import LacunarCatalog, enumerate_lacunar, gap_table, m_vector, walk_gaps
+from cycleshuffles.perms import all_permutations
 from cycleshuffles.polys import Polynomial
 from cycleshuffles.shuffles import build_t, combine
 from cycleshuffles.spectrum import (
@@ -305,14 +306,64 @@ def test_minimal_polynomial_cap(monkeypatch, forbid_enumeration_above):
     minimal_polynomial(x6, max_n=6)
 
 
-def test_minimal_polynomial_rejects_a_relation_that_does_not_annihilate(monkeypatch):
-    from cycleshuffles import spectrum
+def off_the_shuffles(n):
+    """Elements that are no combination of the t_ell: t_1 t_2, and seeded
+    Fraction coefficients on a random support."""
+    rng = random.Random(40 + n)
+    support = rng.sample(list(all_permutations(n)), 5)
+    scattered = AlgebraElement(n, {w: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4)) for w in support})
+    return {"t1_t2": build_t(n, 1) * build_t(n, 2), "scattered": scattered}
 
-    # (x - 10)(x - 6)(x - 4)(x - 2) misses the repeated eigenvalue 4 at n = 4
-    wrong = Polynomial.from_roots([(10, 1), (6, 1), (4, 1), (2, 1)])
+
+@pytest.mark.parametrize("path", ["shuffle_recursion", "rank_product"])
+def test_minimal_polynomial_rejects_a_relation_that_does_not_annihilate(path, monkeypatch):
+    if path == "shuffle_recursion":
+        x = combine(ones(4))
+        # (x - 10)(x - 6)(x - 4)(x - 2) misses the repeated eigenvalue 4 at n = 4
+        wrong = Polynomial.from_roots([(10, 1), (6, 1), (4, 1), (2, 1)])
+    else:
+        x = off_the_shuffles(4)["t1_t2"]
+        # the minimal polynomial has the root 0; without it the relation is too short
+        wrong, remainder = minimal_polynomial(x).divmod(Polynomial.x_minus(0))
+        assert remainder.is_zero()
+    assert (spectrum._shuffle_weights(x) is None) == (path == "rank_product")
     monkeypatch.setattr(spectrum, "_krylov_annihilator", lambda x: wrong)
     with pytest.raises(RuntimeError):
-        minimal_polynomial(combine(ones(4)))
+        minimal_polynomial(x)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("name", ["t1_t2", "scattered"])
+def test_minimal_polynomial_off_the_shuffles_equals_the_fraction_krylov(n, name, monkeypatch):
+    """Elements outside the span of the t_ell take the rank_product path."""
+    x = off_the_shuffles(n)[name]
+    assert spectrum._shuffle_weights(x) is None
+
+    def refuse(*args):
+        raise AssertionError("the shuffle recursion ran on an element off the shuffles")
+
+    monkeypatch.setattr(spectrum, "shuffle_rank_product", refuse)
+    assert minimal_polynomial(x) == fraction_krylov(x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_combinations_of_the_shuffles_take_the_recursion(n, monkeypatch):
+    """The weights read off combine(weights), a shift by 1 included, are the
+    weights; the Krylov sequence and the P(x) = 0 check then need no
+    rank_product."""
+    weights = list(pseudo_random_weights(n))
+    weights[0] = 0
+    x = combine(weights)
+    assert spectrum._shuffle_weights(x) == weights
+    shifted = list(weights)
+    shifted[-1] += 1  # t_n = 1
+    assert spectrum._shuffle_weights(x + 1) == shifted
+
+    def refuse(*args):
+        raise AssertionError("rank_product ran on a combination of the shuffles")
+
+    monkeypatch.setattr(spectrum, "rank_product", refuse)
+    assert minimal_polynomial(x) == fraction_krylov(x)
 
 
 def fraction_krylov(x):
@@ -518,6 +569,25 @@ def test_char_poly_oracle_equals_the_fraction_recurrence(kind, size):
     assert poly.degree == size and poly.is_monic()
     if kind in ("upper", "lower"):
         assert poly == Polynomial.from_roots((Fraction(matrix[i][i]), 1) for i in range(size))
+
+
+def test_char_poly_oracle_with_int_zeros_beside_fractions():
+    """The oracle makes Fractions of the nonzero entries only; int zeros
+    beside Fractions, one of them a subdiagonal entry that the reduction
+    swaps out, give the Fraction recurrence's polynomial, and the same
+    coefficients as the matrix with every zero a Fraction."""
+    rng = random.Random(61)
+    size = 10
+    matrix = [
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if rng.random() < 0.3 else 0 for _ in range(size)]
+        for _ in range(size)
+    ]
+    matrix[1][0], matrix[5][0] = 0, Fraction(3, 2)
+    assert sum(v == 0 and type(v) is int for row in matrix for v in row) > size * size // 2
+    poly = char_poly_oracle(matrix)
+    assert poly == fraction_char_poly(matrix)
+    as_fractions = char_poly_oracle([[Fraction(v) for v in row] for row in matrix])
+    assert [str(c) for c in as_fractions.coeffs] == [str(c) for c in poly.coeffs]
 
 
 @pytest.mark.parametrize("seed", [51, 52])
