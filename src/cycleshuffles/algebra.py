@@ -194,6 +194,22 @@ def sn_index(n: int) -> tuple[tuple[Perm, ...], dict[Perm, int]]:
     return perms, {w: k for k, w in enumerate(perms)}
 
 
+@functools.cache
+def mirror_ranks(n: int) -> tuple[int, ...]:
+    """rank(w) -> rank(w0 w w0) over S_n, w0 the longest permutation: in
+    one-line notation position i holds n + 1 - w(n + 1 - i).
+
+    Conjugation by w0 is an automorphism of the group algebra that sends
+    s_ell to s_{n-ell} and the descent set D of w to n - D, so it sends a_w
+    to a_{w0 w w0}.  An involution, built on first use per degree.
+
+    >>> mirror_ranks(3)  # 132 <-> 213 and 231 <-> 312; 123 and 321 are fixed
+    (0, 2, 1, 4, 3, 5)
+    """
+    perms, rank = sn_index(n)
+    return tuple(rank[tuple(n + 1 - v for v in reversed(w))] for w in perms)
+
+
 def _composer(v: Perm) -> Callable[[Perm], Perm]:
     """u -> u*v as a single C-level call."""
     if len(v) == 1:

@@ -3,10 +3,14 @@ matrices of right multiplication in these bases.
 
 a_w is the sum of w over its descent Young subgroup: split the one-line word
 of w into maximal decreasing blocks and sum all rearrangements within the
-blocks.  Each a_w is w plus lexicographically smaller permutations, so the
-change of basis from the permutation basis is unitriangular over the
-integers; expansions in the a-basis therefore go by back-substitution along
-descending lexicographic order, with no matrix inversion.
+blocks.  w is decreasing on each block, so a_w is w plus permutations with
+fewer inversions, and the change of basis from the permutation basis is
+unitriangular over the integers; expansions in the a-basis therefore go by
+back-substitution, level by inversion level from the top, with no matrix
+inversion.  Conjugation by the longest permutation w0 is an automorphism
+that sends a_w to a_{w0 w w0} (the mirror map of the algebra module), so
+the a-family lists the words of one member of each mirror pair, and the
+dual basis expands one unit vector of each.
 
 The Q-index of w is the first catalog position i with non_shadow(Q_i)
 contained in the descent set of w.  Ordered by increasing Q-index, the
@@ -39,14 +43,21 @@ of R(S(x)), and the transposed std matrix of R(x) is that of R(S(x)).
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Iterator, Literal, Sequence
 
-from .algebra import AlgebraElement, divide_terms, integer_terms, rank_factors, rank_product, sn_index
+from .algebra import (
+    AlgebraElement,
+    divide_terms,
+    integer_terms,
+    mirror_ranks,
+    rank_factors,
+    rank_product,
+    sn_index,
+)
 from .inputs import Scalar, require_within_cap
 from .lacunar import LacunarCatalog, enumerate_lacunar, set_to_mask
 from .perms import Perm, _require_permutation, descent_set
@@ -152,38 +163,62 @@ def build_std_family(n: int, max_n: int | None = None) -> BasisFamily:
 
 def build_a_family(n: int, max_n: int | None = None) -> BasisFamily:
     """The a-basis, expanded by back-substitution over its own rows.  Every
-    entry is 1, so the rows share one (rank, 1) pair per rank."""
+    entry is 1, so the rows share one (rank, 1) pair per rank.  The words of
+    a_w are listed for one member of each mirror pair (w, w0 w w0) and read
+    through the mirror map for the other, since a_{w0 w w0} = w0 a_w w0."""
     require_within_cap(n, max_n)
     perms, rank = sn_index(n)
+    mirror = mirror_ranks(n)
+    a_ranks: list[list[int]] = []
+    for r, w in enumerate(perms):
+        m = mirror[r]
+        a_ranks.append([mirror[v] for v in a_ranks[m]] if m < r else [rank[v] for v in _young_words(w)])
     unit = [(r, 1) for r in range(len(perms))]
-    rows = tuple([unit[rank[v]] for v in _young_words(w)] for w in perms)
-    return BasisFamily(n, rows, kind="a", expand=partial(_back_substitute, rows))
+    rows = [[unit[v] for v in words] for words in a_ranks]
+    return BasisFamily(n, rows, kind="a", expand=partial(_back_substitute, a_ranks, _inversion_levels(n)))
 
 
-def _back_substitute(a_rows: Sequence[Row], work: dict[int, int]) -> dict[int, int]:
+def _inversion_levels(n: int) -> list[int]:
+    """The inversion count of each permutation of S_n, by lexicographic rank:
+    the digit sum of the rank in the factorial base, whose digits are the
+    Lehmer code of the permutation.
+
+    >>> _inversion_levels(3)
+    [0, 1, 1, 2, 2, 3]
+    """
+    levels = [0]
+    for k in range(2, n + 1):
+        levels = [d + level for d in range(k) for level in levels]
+    return levels
+
+
+def _back_substitute(a_ranks: Sequence[list[int]], levels: Sequence[int], work: dict[int, int]) -> dict[int, int]:
     """a-coefficients of the integer vector work (rank -> int), which is used up.
 
-    At each step the largest surviving rank r must be carried by a_r (every
-    other a_v with v < r only contains ranks < r), so subtracting
-    work[r] * a_r is forced; the diagonal term of a_r is 1, so it zeroes
-    work[r].  The pending ranks are kept sorted, and every rank a_r adds is
-    below r, so the largest is always the last.
+    a_ranks[r] lists the ranks of the words of a_r, r first, and levels[r]
+    is the inversion count of r.  A permutation is decreasing on each block
+    of its descent Young subgroup, so every other word of a_r has fewer
+    inversions than r: a surviving rank r with the most inversions is
+    carried by a_r alone, and subtracting work[r] * a_r is forced.  So the
+    pending ranks are taken level by level from the top, in any order
+    within a level, and each subtraction adds ranks to lower levels only.
     """
-    pending = sorted(work)
-    insort = bisect.insort
+    pending: list[list[int]] = [[] for _ in range(levels[-1] + 1)]
+    for r in work:
+        pending[levels[r]].append(r)
     out: dict[int, int] = {}
-    while pending:
-        r = pending.pop()
-        c = work[r]
-        if not c:
-            continue
-        out[r] = c
-        for v, av in a_rows[r]:
-            if v in work:
-                work[v] -= c * av
-            else:
-                work[v] = -c * av
-                insort(pending, v)
+    for level in reversed(pending):
+        for r in level:
+            c = work[r]
+            if not c:
+                continue
+            out[r] = c
+            for v in a_ranks[r]:
+                if v in work:
+                    work[v] -= c
+                else:
+                    work[v] = -c
+                    pending[levels[v]].append(v)
     return out
 
 
@@ -214,8 +249,8 @@ def _perm_terms(x: AlgebraElement, expand: Expand) -> dict[Perm, Scalar]:
 
 
 def expand_in_a(x: AlgebraElement, family: BasisFamily) -> dict[Perm, Scalar]:
-    """Coefficients of x in the a-basis, by descending-lex back-substitution
-    on the integer numerators of x."""
+    """Coefficients of x in the a-basis, by back-substitution from the top
+    inversion level down on the integer numerators of x."""
     if family.kind != "a":
         raise ValueError("expansion by back-substitution needs the a-family")
     _require_degree(family, x.n)
@@ -227,15 +262,24 @@ def dual_basis(family: BasisFamily) -> BasisFamily:
 
     The a-expansion of each permutation v supplies one coefficient per b_q:
     if v = sum of c_q a_q then [v] b_q = c_q, i.e. the dual change of basis
-    is the inverse transpose of the unitriangular one, exact over Z.
+    is the inverse transpose of the unitriangular one, exact over Z.  Only
+    one unit vector of each mirror pair (v, w0 v w0) is expanded: the
+    expansion of the other is the same with every rank mirrored.
     """
     if family.kind != "a":
         raise ValueError("dual_basis expects the a-family")
+    mirror = mirror_ranks(family.n)
     rows: list[Row] = [[] for _ in family.perms]
-    for v in range(len(family.perms)):
-        pairs: dict[int, tuple[int, int]] = {}  # the b_q sharing one coefficient at v share its pair
+    for v, m in enumerate(mirror):
+        if m < v:
+            continue  # written with the expansion of its mirror m
+        # the b_q sharing one coefficient at v share its pair; v = sum of c a_q gives m = sum of c a_{mirror q}
+        pairs: dict[int, tuple[int, int]] = {}
+        mirrored: dict[int, tuple[int, int]] = {}
         for q, c in family.expand({v: 1}).items():
             rows[q].append(pairs.setdefault(c, (v, c)))
+            if m != v:
+                rows[mirror[q]].append(mirrored.setdefault(c, (m, c)))
     return BasisFamily(family.n, rows, kind="b", expand=partial(_pair, family.containing))
 
 

@@ -8,7 +8,11 @@ transposition, are read from the integer a-matrices A_ell of R(t_ell),
 built by the recursion t_ell = 1 + s_ell t_{ell+1} from the a-matrices of
 the adjacent transpositions s_ell: half of their columns are unit columns
 and the others are short, so only the ascent columns are expanded, and
-only two levels are held at a time.
+only two levels are held at a time.  Conjugation by the longest
+permutation w0 sends s_ell to s_{n-ell} and a_w to a_{w0 w w0}, so one
+ascent column of each mirror pair is expanded and its partner is read
+through the mirror map; the expanded columns of R(s_ell), ell > n - ell,
+wait until the sweep reaches R(s_{n-ell}).
 """
 
 from __future__ import annotations
@@ -19,7 +23,15 @@ from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from . import SUITE_NAMES
-from .algebra import _composer, integer_terms, linear_combine, rank_factors, rank_product, sn_index
+from .algebra import (
+    _composer,
+    integer_terms,
+    linear_combine,
+    mirror_ranks,
+    rank_factors,
+    rank_product,
+    sn_index,
+)
 from .basis import BasisFamily, QIndexTable, build_a_family, dual_basis
 from .identities import _nilpotency_reports, identity_suite
 from .inputs import r2b_weights, require_within_cap
@@ -56,8 +68,9 @@ class _Sweep:
     """The a-family of degree n and the lines read from one pass of the
     recursion over the a-matrices of R(t_ell), each made when first asked
     for.  run_suite makes one per call and hands it to check_triangularity
-    and check_duality, so a run of every suite expands each ascent column
-    of each R(s_ell) once and keeps nothing past the call."""
+    and check_duality, so a run of every suite expands one ascent column
+    of each mirror pair of the R(s_ell) once and keeps nothing past the
+    call."""
 
     def __init__(self, n: int, max_n: int | None):
         self.n, self.max_n = n, max_n
@@ -77,15 +90,35 @@ def check_triangularity(n: int, max_n: int | None = None, sweep: _Sweep | None =
     return (sweep or _Sweep(n, max_n)).lines[0]
 
 
-def _transposition_columns(family: BasisFamily, ell: int) -> Iterator[dict[int, int]]:
+def _transposition_columns(
+    family: BasisFamily, ell: int, waiting: dict[tuple[int, int], dict[int, int]]
+) -> Iterator[dict[int, int]]:
     """The integer a-columns of R(s_ell), s_ell = (ell, ell+1), in lex order;
     the a-basis is unitriangular over Z, so there is no denominator.  When
     w(ell) > w(ell+1), s_ell lies in the Young subgroup of the descents of
     w, so a_w s_ell = a_w and column w is the unit column; every other
-    column is the row of a_w times s_ell, expanded by the family."""
-    _, factors = rank_factors({transposition(family.n, ell): 1}, family.n)
+    column is the row of a_w times s_ell, expanded by the family.
+
+    Conjugation by w0 sends a_w to a_{w0 w w0} and s_ell to s_{n-ell}, so
+    the ascent column (w, ell) is the column (w0 w w0, n - ell) with every
+    rank mirrored.  waiting, shared by the levels of one sweep, maps
+    (ell, rank) to an expanded column: a column whose mirror waits there is
+    read from it and the mirror dropped; any other is expanded and left
+    there for its mirror, unless it is its own: one expansion per pair."""
+    n = family.n
+    mirror = mirror_ranks(n)
+    _, factors = rank_factors({transposition(n, ell): 1}, n)
     for p, (w, row) in enumerate(zip(family.perms, family.rows)):
-        yield {p: 1} if w[ell - 1] > w[ell] else family.expand(rank_product(row, factors))
+        partner = (n - ell, mirror[p])
+        if w[ell - 1] > w[ell]:
+            yield {p: 1}
+        elif partner in waiting:
+            yield {mirror[q]: c for q, c in waiting.pop(partner).items()}
+        else:
+            column = family.expand(rank_product(row, factors))
+            if partner != (ell, p):
+                waiting[ell, p] = column
+            yield column
 
 
 def _a_levels(family: BasisFamily) -> Iterator[tuple[int, list[dict[int, int]]]]:
@@ -96,12 +129,14 @@ def _a_levels(family: BasisFamily) -> Iterator[tuple[int, list[dict[int, int]]]]
     and column p of A_ell is e_p plus the sum of S[q, p] times column q of
     A_{ell+1} over the entries of column p of S = R(s_ell); a unit column
     of S makes column p of A_ell that of A_{ell+1} plus e_p.  Only
-    A_{ell+1} and the level being built are held."""
+    A_{ell+1} and the level being built are held, and the expanded ascent
+    columns of each S_ell with ell > n - ell until S_{n-ell} reads them."""
     level = [{p: 1} for p in range(len(family.perms))]
     yield family.n, level
+    waiting: dict[tuple[int, int], dict[int, int]] = {}
     for ell in range(family.n - 1, 0, -1):
         following = []
-        for p, s_column in enumerate(_transposition_columns(family, ell)):
+        for p, s_column in enumerate(_transposition_columns(family, ell, waiting)):
             if s_column == {p: 1}:
                 column = level[p].copy()
                 column[p] = column.get(p, 0) + 1

@@ -11,6 +11,7 @@ from cycleshuffles.algebra import (
     _gather_table,
     bilinear_form,
     linear_combine,
+    mirror_ranks,
     rank_factors,
     rank_product,
     rmul_terms,
@@ -295,3 +296,19 @@ def test_shuffle_rank_product_equals_rank_product(n):
                 product = rank_product([(r, a) for r, a in enumerate(vector) if a], factors)
                 expected = [product.get(r, 0) for r in range(size)]
                 assert shuffle_rank_product(vector, weights, shift) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_the_mirror_map_is_conjugation_by_the_longest_permutation(n):
+    """mirror_ranks is the involution w -> w0 w w0 under perms.compose, and
+    it carries s_ell to s_{n-ell} and the gather table of s_ell onto that
+    of s_{n-ell}: (u s_ell)' = u' s_{n-ell} for every u."""
+    perms, rank = sn_index(n)
+    mirror = mirror_ranks(n)
+    w0 = tuple(range(n, 0, -1))
+    assert [perms[m] for m in mirror] == [compose(compose(w0, w), w0) for w in perms]
+    assert [mirror[m] for m in mirror] == list(range(len(perms)))
+    for ell in range(1, n):
+        assert mirror[rank[transposition(n, ell)]] == rank[transposition(n, n - ell)]
+        table, mirrored = _gather_table(n, transposition(n, ell)), _gather_table(n, transposition(n, n - ell))
+        assert [mirror[table[r]] for r in range(len(perms))] == [mirrored[m] for m in mirror]

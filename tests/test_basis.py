@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import random
@@ -6,7 +7,15 @@ from fractions import Fraction
 import pytest
 
 from cycleshuffles import basis, checks
-from cycleshuffles.algebra import AlgebraElement, bilinear_form, linear_combine
+from cycleshuffles.algebra import (
+    AlgebraElement,
+    bilinear_form,
+    linear_combine,
+    mirror_ranks,
+    rank_factors,
+    rank_product,
+    sn_index,
+)
 from cycleshuffles.basis import (
     QIndexTable,
     a_element,
@@ -24,7 +33,7 @@ from cycleshuffles.basis import (
 )
 from cycleshuffles.inputs import uniform_distribution
 from cycleshuffles.lacunar import enumerate_lacunar, locate_interval, m_vector, non_shadow
-from cycleshuffles.perms import all_permutations, compose, cycle, descent_set, identity
+from cycleshuffles.perms import all_permutations, compose, cycle, descent_set, identity, transposition
 from cycleshuffles.shuffles import (
     build_osc,
     build_t,
@@ -578,3 +587,78 @@ def test_no_matrix_builds_a_dual_basis(basis_name, monkeypatch):
             assert len(labels) == len(rows) == 24 and den >= 1
             rmul_matrix(x, basis_name, order)
     transition_matrix(build_osc(uniform_distribution(4)))
+
+
+def sorted_back_substitute(a_rows, work):
+    """a-coefficients of the integer vector work (rank -> int), which is used
+    up: the oracle for the level order of basis._back_substitute.  The
+    largest surviving rank r must be carried by a_r, since every other a_v
+    holding r has v > r; the pending ranks are kept sorted, and every rank
+    a_r adds is below r, so the largest is always the last."""
+    pending = sorted(work)
+    out = {}
+    while pending:
+        r = pending.pop()
+        c = work[r]
+        if not c:
+            continue
+        out[r] = c
+        for v, av in a_rows[r]:
+            if v in work:
+                work[v] -= c * av
+            else:
+                work[v] = -c * av
+                bisect.insort(pending, v)
+    return out
+
+
+def inversions(w):
+    return sum(a > b for a, b in itertools.combinations(w, 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_a_rows_are_the_young_words_and_mirror_onto_each_other(n):
+    """Row r of the a-family holds the words of a_w, w = perms[r], w first;
+    the mirror map carries them onto the words of a_{w0 w w0}; every other
+    word has fewer inversions than w, and the level table holds the
+    inversion counts."""
+    perms, rank = sn_index(n)
+    mirror = mirror_ranks(n)
+    levels = basis._inversion_levels(n)
+    assert levels == [inversions(w) for w in perms]
+    words = [[rank[v] for v in basis._young_words(w)] for w in perms]
+    assert all(row[0] == r for r, row in enumerate(words))
+    assert all(levels[v] < levels[r] for r, row in enumerate(words) for v in row[1:])
+    assert [{mirror[v] for v in words[m]} for m in mirror] == [set(row) for row in words]
+    family = build_a_family(n)
+    assert [row[0] for row in family.rows] == [(r, 1) for r in range(len(perms))]
+    assert [sorted(row) for row in family.rows] == [sorted((v, 1) for v in row) for row in words]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_the_level_order_equals_the_sorted_back_substitution(n):
+    """On every unit vector, every ascent product a_w s_ell, every column of
+    osc(uniform) as rmul_columns gives it to the matrix export, and seeded
+    integer vectors with zeros in them."""
+    family = build_a_family(n)
+    size = len(family.perms)
+    vectors = [{v: 1} for v in range(size)]
+    for ell in range(1, n):
+        _, factors = rank_factors({transposition(n, ell): 1}, n)
+        vectors += [rank_product(row, factors) for w, row in zip(family.perms, family.rows) if w[ell - 1] < w[ell]]
+    _, factors = rank_factors(build_osc(uniform_distribution(n)).terms, n)
+    vectors += [rank_product(row, factors) for row in family.rows]
+    rng = random.Random(35 + n)
+    vectors += [{rng.randrange(size): rng.randrange(-9, 10) for _ in range(rng.randrange(1, 16))} for _ in range(60)]
+    for work in vectors:
+        assert family.expand(dict(work)) == sorted_back_substitute(family.rows, dict(work))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_the_mirrored_dual_basis_equals_the_expansion_of_every_unit_vector(n):
+    family = build_a_family(n)
+    rows = [[] for _ in family.perms]
+    for v in range(len(family.perms)):
+        for q, c in sorted_back_substitute(family.rows, {v: 1}).items():
+            rows[q].append((v, c))
+    assert [sorted(row) for row in dual_basis(family).rows] == rows

@@ -9,7 +9,7 @@ from functools import partial
 import pytest
 
 from cycleshuffles import SUITE_NAMES, basis, checks, lacunar
-from cycleshuffles.algebra import AlgebraElement, rank_factors, rank_product
+from cycleshuffles.algebra import AlgebraElement, mirror_ranks, rank_factors, rank_product
 from cycleshuffles.basis import BasisFamily, QIndexTable, build_a_family, dual_basis, rmul_columns
 from cycleshuffles.perms import transposition
 from cycleshuffles.shuffles import build_t, build_t_prime
@@ -47,8 +47,7 @@ def direct_sweep_lines(family, table, columns=None):
     columns by the recursion t_ell = 1 + s_ell t_{ell+1}.  a-column p
     offends at rank v when Qind v >= Qind p, or at its diagonal when that
     is not d * m; the R(t_ell) line names the first offending a-column in
-    lex order and the first offending entry in its column, the largest
-    rank, since the back-substitution emits ranks in descending order; the
+    lex order and the largest offending rank in its column; the
     R(t'_ell) line names the least offending b-column q of the transpose,
     by its diagonal if that offends and otherwise by its least offending p.
     columns(ell) gives the integer columns, by default drawn from family;
@@ -73,7 +72,7 @@ def direct_sweep_lines(family, table, columns=None):
                 if (p, 0) < b_key:
                     b_key, b_bad = (p, 0), detail
             if offenders:
-                v = offenders[0]
+                v = max(offenders)
                 a_bad = a_bad or f"column {perms[p]} reaches {perms[v]} with Qind {qind[v]} >= {qp}"
                 q = min(offenders)
                 if (q, 1) < b_key:
@@ -185,8 +184,11 @@ def test_no_derived_line_passes_on_a_failed_premise(suite, premise, monkeypatch)
 def test_every_suite_expands_only_the_ascent_columns_and_draws_no_column(monkeypatch):
     """run_suite("all") builds the a-family, the Q-index table and the dual
     basis once each, draws no column of any t_ell or t'_ell, and expands
-    through the a-family exactly the ascent columns of each R(s_ell),
-    (n-1) n!/2 of them, and the n! unit vectors of dual_basis."""
+    through the a-family one ascent column of R(s_ell) per mirror pair
+    (w, ell) <-> (w0 w w0, n - ell), the first the sweep meets (ell from
+    n - 1 down, lex order within ell), and one unit vector of dual_basis
+    per mirror pair (v, w0 v w0); a pair that is its own mirror counts
+    once."""
     n = 4
     calls, expanded, draws = Counter(), Counter(), []
 
@@ -223,14 +225,19 @@ def test_every_suite_expands_only_the_ascent_columns_and_draws_no_column(monkeyp
     assert calls == {"build_a_family": 1, "dual_basis": 1, "QIndexTable": 1}
     assert draws == []
     family = build_a_family(n)
-    ascent = Counter()
-    for ell in range(1, n):
+    mirror = mirror_ranks(n)
+    ascent, pairs = Counter(), set()
+    for ell in range(n - 1, 0, -1):
         _, factors = rank_factors({transposition(n, ell): 1}, n)
-        for w, row in zip(family.perms, family.rows):
+        for p, (w, row) in enumerate(zip(family.perms, family.rows)):
             if w[ell - 1] < w[ell]:
-                ascent[tuple(sorted(rank_product(row, factors).items()))] += 1
-    assert ascent.total() == (n - 1) * math.factorial(n) // 2
-    assert expanded == ascent + Counter(((v, 1),) for v in range(math.factorial(n)))
+                pairs.add(frozenset({(ell, p), (n - ell, mirror[p])}))
+                if ell > n - ell or (ell == n - ell and p <= mirror[p]):  # the member the sweep meets first
+                    ascent[tuple(sorted(rank_product(row, factors).items()))] += 1
+    assert ascent.total() == len(pairs) < (n - 1) * math.factorial(n) // 2
+    units = Counter(((v, 1),) for v in range(math.factorial(n)) if v <= mirror[v])
+    assert units.total() == len({frozenset({v, m}) for v, m in enumerate(mirror)})
+    assert expanded == ascent + units
 
 
 def nonzero(column):
@@ -267,7 +274,20 @@ def test_r_s_ell_has_unit_descent_columns_and_integer_entries(n):
         descents = [p for p, w in enumerate(family.perms) if w[ell - 1] > w[ell]]
         assert len(descents) == len(family.perms) // 2
         assert all(columns[p] == {p: 1} for p in descents)
-        assert list(checks._transposition_columns(family, ell)) == columns
+        assert list(checks._transposition_columns(family, ell, {})) == columns
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_each_mirrored_column_of_r_s_ell_is_its_direct_expansion(n):
+    """With one waiting dict over the levels in the sweep's order, every
+    column of each R(s_ell), read through the mirror map or expanded,
+    equals the column rmul_columns draws, and nothing is left waiting."""
+    family = build_a_family(n)
+    waiting = {}
+    for ell in range(n - 1, 0, -1):
+        drawn = rmul_columns(AlgebraElement.from_perm(transposition(n, ell)), family)
+        assert list(checks._transposition_columns(family, ell, waiting)) == [nonzero(column) for _, column in drawn]
+    assert waiting == {}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -380,8 +400,7 @@ def test_derived_lines_match_the_direct_b_sweep_under_each_mutation(mutate, n, m
 def dense_levels(family, s_columns):
     """columns(ell) for direct_sweep_lines from A_n = I and
     A_ell = I + A_{ell+1} S_ell, by dense integer matrix products over the
-    columns s_columns(ell) of S_ell: each column of A_ell over d = 1, its
-    ranks in descending order as the back-substitution gives them, zeros
+    columns s_columns(ell) of S_ell: each column of A_ell over d = 1, zeros
     left in."""
     n, size = family.n, len(family.perms)
     identity = [[int(i == j) for j in range(size)] for i in range(size)]
@@ -395,7 +414,7 @@ def dense_levels(family, s_columns):
         matrices[ell] = [
             [identity[i][j] + sum(a[i][k] * s[k][j] for k in range(size)) for j in range(size)] for i in range(size)
         ]
-    return lambda ell: [(1, {v: matrices[ell][v][p] for v in reversed(range(size))}) for p in range(size)]
+    return lambda ell: [(1, {v: matrices[ell][v][p] for v in range(size)}) for p in range(size)]
 
 
 def filled_expansion(family, v, fill):
