@@ -28,17 +28,18 @@ its elements as rows of (rank, integer) pairs, and the expansion of an
 integer vector over ranks back into the family, fixed where the family is
 built: none, the back-substitution over its own rows, or the incidence of
 its a-family.  One integer kernel, rmul_columns, draws the columns of
-right multiplication in a family in lexicographic order: the row of w
-times the integer numerators d * x through the gather tables of the
+right multiplication in a family, in the order its caller gives: the row
+of w times the integer numerators d * x through the gather tables of the
 algebra module, expanded by the family, as integers keyed by rank over d.
-The triangularity checks read these columns as they stand.  rmul_rows, the
-one place that reads a basis by name, gives each row of the matrix in the
-named order as the numerators of its nonzero entries, keyed by column
-position, over d; the matrix export renders these rows as they stand, and
-rmul_matrix turns them into dense Fractions for the transition matrices
-and the char-poly oracle.  Transposes come from the antipode S: as
-f(u x, v) = f(u, v S(x)), the b-matrix of R(x) is the transposed a-matrix
-of R(S(x)), and the transposed std matrix of R(x) is that of R(S(x)).
+rmul_rows, the one place that reads a basis by name, gives the rows of the
+matrix in the named order as the numerators of their nonzero entries,
+keyed by column position, over d.  Transposes come from the antipode S: as
+f(u x, v) = f(u, v S(x)), a b-row of R(x) is an a-column of R(S(x)), and a
+std row of R(x) is a std column of R(S(x)), so these rows are drawn one at
+a time as they are read; an a-row is a transposed column, so only the
+a-matrix is held whole.  The matrix export renders the rows as they come,
+and rmul_matrix turns them into dense Fractions for the transition
+matrices and the char-poly oracle.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Callable, Iterator, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from .algebra import (
     AlgebraElement,
@@ -311,52 +312,47 @@ def basis_order(n: int, order: str, max_n: int | None = None) -> tuple[Perm, ...
     return tuple(sorted(perms, key=lambda w: (-table[w], w)))
 
 
-def rmul_columns(x: AlgebraElement, family: BasisFamily) -> Iterator[tuple[int, dict[int, int]]]:
-    """Columns of y -> y x in the family, one per basis vector in
-    lexicographic order, each computed when it is drawn, as (d, column): d
-    is a common denominator of x, and column r maps each rank v to d times
-    the coefficient of the v-th basis vector in (r-th basis vector) * x; an
-    entry may be a cancelled zero.  The degree is checked on the call; the
-    family passed the cap when it was built."""
+def rmul_columns(
+    x: AlgebraElement, family: BasisFamily, order: Sequence[int]
+) -> tuple[int, Iterator[dict[int, int]]]:
+    """Right multiplication y -> y x in the family as (d, columns): d is a
+    common denominator of x, and columns yields the column of the r-th basis
+    vector for each lexicographic rank r in order, computed when it is drawn,
+    mapping each rank v to d times the coefficient of the v-th basis vector
+    in (r-th basis vector) * x; an entry may be a cancelled zero.  The degree
+    is checked on the call; the family passed the cap when it was built."""
     _require_degree(family, x.n)
-
-    def columns() -> Iterator[tuple[int, dict[int, int]]]:
-        den, factors = rank_factors(x.terms, x.n)
-        for row in family.rows:
-            product = rank_product(row, factors)
-            yield den, product if family.expand is None else family.expand(product)
-
-    return columns()
-
-
-SparseRows = list[list[tuple[int, int]]]
+    den, factors = rank_factors(x.terms, x.n)
+    products = (rank_product(family.rows[r], factors) for r in order)
+    return den, products if family.expand is None else map(family.expand, products)
 
 
 def rmul_rows(
     x: AlgebraElement, basis: BasisName = "a", order: str = "lex", max_n: int | None = None
-) -> tuple[tuple[Perm, ...], int, SparseRows]:
+) -> tuple[tuple[Perm, ...], int, Iterable[Row]]:
     """The matrix of y -> y x in the chosen basis, rows and columns in the
     named order (see basis_order), as (labels, d, rows): d is a common
     denominator of x, and each row lists the (column position, integer c)
-    pairs of its nonzero entries c / d, in increasing position.  Row p of
-    the b-matrix is a-column p of R(S(x)), so no dual basis is built."""
+    pairs of its nonzero entries c / d, in increasing position.  Std row u
+    is std column u of R(S(x)), and b row p is a-column p: those rows are
+    drawn as they are read.  The a-rows are collected whole, each column's
+    entries appended to their rows as the column is drawn."""
     if basis not in ("std", "a", "b"):
         raise ValueError(f"unknown basis {basis!r}; expected std, a or b")
     ordered = basis_order(x.n, order, max_n)
     family = (build_std_family if basis == "std" else build_a_family)(x.n, max_n)
-    position = {w: k for k, w in enumerate(ordered)}
-    at = [position[w] for w in family.perms]  # lexicographic rank -> position in the order
-    columns: SparseRows = [[] for _ in ordered]
-    for r, (den, column) in enumerate(rmul_columns(x.antipode() if basis == "b" else x, family)):
-        columns[at[r]] = [(at[v], c) for v, c in column.items() if c]
-    if basis == "b":
-        for column in columns:
-            column.sort()
-        return ordered, den, columns
-    rows: SparseRows = [[] for _ in ordered]
+    rank = sn_index(x.n)[1]
+    ranks = [rank[w] for w in ordered]
+    at = {r: k for k, r in enumerate(ranks)}  # lexicographic rank -> position in the order
+    if basis != "a":
+        den, columns = rmul_columns(x.antipode(), family, ranks)
+        return ordered, den, (sorted((at[v], c) for v, c in column.items() if c) for column in columns)
+    den, columns = rmul_columns(x, family, ranks)
+    rows: list[Row] = [[] for _ in ordered]
     for j, column in enumerate(columns):
-        for i, c in column:
-            rows[i].append((j, c))
+        for v, c in column.items():
+            if c:
+                rows[at[v]].append((j, c))
     return ordered, den, rows
 
 

@@ -12,8 +12,9 @@ text therefore matches byte for byte.  spectrum and filtration stream
 their rows from lacunar.catalog_rows, concatenated from the cached per-gap
 texts of lacunar.gap_texts, and hold no more than one chunk and the
 aggregate of equal eigenvalues.  matrix renders the sparse integer rows of
-basis.rmul_rows, one row to a chunk, each spliced from cached runs of zero
-cells and the cached text of each numerator over the common denominator.
+basis.rmul_rows as they are drawn, one row to a chunk, each spliced from
+slices of one row of zero cells and the cached text of each numerator over
+the common denominator.
 Input is checked before the first byte is written.
 
 Each subcommand loads only the modules it runs: at module level this
@@ -177,23 +178,23 @@ def _csv_lines(batch: list) -> str:
 
 def _sparse_lines(fmt: str, width: int):
     """The render of the batches of a sparse table in csv or json, each row
-    spliced from cached cells: its own, and runs of zero cells between and
-    after its entries.  Every cell is preceded by its separator, which for
-    the first cell of a row loses its comma."""
+    spliced from its cells, cached by text, and slices of one row of zero
+    cells for the runs between and after its entries.  Every cell is preceded
+    by its separator, which for the first cell of a row loses its comma."""
     if fmt == "json":
         sep, quote, opening, closing, joiner, end = _SEP2, '"{}"'.format, "[", _SEP1[1:] + "]", _SEP1, ""
     else:
         sep, quote, opening, closing, joiner, end = ",", _csv_field, "", "", "\r\n", "\r\n"
     cell = functools.cache(lambda text: sep + quote(text))
-    zeros = functools.cache(cell("0").__mul__)
+    size, zeros = len(cell("0")), cell("0") * width
 
     def line(row) -> str:
         *head, entries = row
         pieces, at = list(map(cell, head)), 0
         for j, text in entries:
-            pieces += zeros(j - at), cell(text)
+            pieces += zeros[size * at : size * j], cell(text)
             at = j + 1
-        pieces.append(zeros(width - at))
+        pieces.append(zeros[size * at :])
         return opening + "".join(pieces)[1:] + closing
 
     return lambda batch: joiner.join(map(line, batch)) + end

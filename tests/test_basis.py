@@ -42,7 +42,7 @@ from cycleshuffles.shuffles import (
     transition_matrix,
 )
 
-from columns import perm_columns
+from columns import lex_columns, perm_columns
 
 
 def element(n, *words):
@@ -414,7 +414,7 @@ def test_a_family_of_another_degree_is_refused(basis_name):
     of_degree_3 = families(3)
     x = build_t(4, 1)
     with pytest.raises(ValueError, match="degree mismatch"):
-        rmul_columns(x, of_degree_3[basis_name])  # on the call, no column drawn
+        rmul_columns(x, of_degree_3[basis_name], range(24))  # on the call, no column drawn
     if basis_name != "std":
         expand = {"a": expand_in_a, "b": expand_in_b}[basis_name]
         with pytest.raises(ValueError, match="degree mismatch"):
@@ -429,11 +429,13 @@ def test_rmul_matrix_checks_its_basis_on_the_call(forbid_enumeration_above):
 
 
 @pytest.mark.parametrize("basis_name", ["std", "a", "b"])
-def test_rmul_columns_draws_lex_columns_one_at_a_time(basis_name, monkeypatch):
+def test_rmul_columns_draws_the_given_order_one_column_at_a_time(basis_name, monkeypatch):
     family = families(4)[basis_name]
     x = build_t(4, 2)
-    # the first column, w = identity, is x itself times the identity's basis vector
+    # the last column drawn, w = identity, is x itself times the identity's basis vector
     first = {"std": x, "a": a_element(identity(4)) * x, "b": family[identity(4)] * x}[basis_name]
+    order = range(23, -1, -1)
+    lex = [column for _, column in lex_columns(x, family)]
     made = []
 
     def counted(name, real):
@@ -447,18 +449,18 @@ def test_rmul_columns_draws_lex_columns_one_at_a_time(basis_name, monkeypatch):
         monkeypatch.setattr(basis, name, counted(name, getattr(basis, name)))
     if family.expand is not None:
         family.expand = counted("expand", family.expand)
-    columns = rmul_columns(x, family)
-    assert made == []  # nothing is computed before the first draw
+    d, columns = rmul_columns(x, family, order)
+    assert made == ["rank_factors"] and d == 1  # the factors of x and d on the call, no column drawn
     drawn = []
-    for k, (d, column) in enumerate(columns, start=1):
-        # the factors of x once, then one product (and one expansion) per draw
+    for k, column in enumerate(columns, start=1):
+        # one product (and one expansion) per draw
         assert made.count("rank_factors") == 1
         assert made.count("rank_product") == k
         assert made.count("expand") == (0 if basis_name == "std" else k)
-        assert d == 1 and all(type(c) is int and 0 <= v < 24 for v, c in column.items())
-        drawn.append((d, column))
-    assert len(drawn) == 24 and family.perms == tuple(all_permutations(4))  # column r is the r-th in lex order
-    w, column = next(perm_columns(family, drawn))
+        assert all(type(c) is int and 0 <= v < 24 for v, c in column.items())
+        drawn.append(column)
+    assert drawn == [lex[r] for r in order] and family.perms == tuple(all_permutations(4))
+    w, column = next(perm_columns(family, [(d, drawn[-1])]))
     assert w == identity(4)
     if basis_name == "std":
         assert column == first.terms
@@ -499,7 +501,7 @@ def test_every_column_rebuilds_its_product(basis_name, n):
             for q in family.perms:
                 assert bilinear_form(a_element(p), family[q]) == (p == q)
     for label, x in _shuffles_to_rebuild(n):
-        for w, column in perm_columns(family, rmul_columns(x, family)):
+        for w, column in perm_columns(family, lex_columns(x, family)):
             assert _rebuild(column, vector, n) == vector(w) * x, (label, w)
 
 
@@ -517,7 +519,7 @@ def test_a_factor_with_more_terms_than_gather_tables_is_composed(basis_name, mon
     family = families(n)[basis_name]
     vector = {"std": AlgebraElement.from_perm, "a": a_element, "b": family.__getitem__}[basis_name]
     monkeypatch.setattr(algebra, "_gather_table", None)  # no n!-sized table may be built
-    for w, column in perm_columns(family, rmul_columns(x, family)):
+    for w, column in perm_columns(family, lex_columns(x, family)):
         assert _rebuild(column, vector, n) == vector(w) * x
 
 
@@ -552,11 +554,11 @@ def test_b_rows_equal_the_rows_of_the_dual_basis_columns(n):
     perms = b_family.perms
     for label, x in _oracle_elements(n):
         entries = {}
-        for w, (den, column) in zip(perms, rmul_columns(x, b_family)):
+        for w, (den, column) in zip(perms, lex_columns(x, b_family)):
             entries.update(((perms[v], w), c) for v, c in column.items())
         for order in ORDERS:
             labels, d, rows = rmul_rows(x, "b", order)
-            assert (labels, rows) == _sparse_rows(basis_order(n, order), entries), (label, order)
+            assert (labels, list(rows)) == _sparse_rows(basis_order(n, order), entries), (label, order)
             assert d == den, (label, order)
 
 
@@ -569,7 +571,8 @@ def test_std_rows_of_the_antipode_are_the_transposed_std_rows(n):
         for order in ORDERS:
             labels, den, rows = rmul_rows(x, "std", order)
             entries = {(labels[j], labels[i]): c for i, row in enumerate(rows) for j, c in row}
-            assert rmul_rows(x.antipode(), "std", order) == (labels, den, _sparse_rows(labels, entries)[1])
+            t_labels, t_den, t_rows = rmul_rows(x.antipode(), "std", order)
+            assert (t_labels, t_den, list(t_rows)) == (labels, den, _sparse_rows(labels, entries)[1])
         if all(c >= 0 for c in x.terms.values()):  # a chain once its mass is scaled to 1
             chain = x * Fraction(1, sum(x.terms.values()))
             assert transition_matrix(chain).rows == tuple(zip(*rmul_matrix(chain, "std", "lex")[1])), label
@@ -584,7 +587,7 @@ def test_no_matrix_builds_a_dual_basis(basis_name, monkeypatch):
     for order in ORDERS:
         for x in (build_t(4, 2), build_osc(uniform_distribution(4))):
             labels, den, rows = rmul_rows(x, basis_name, order)
-            assert len(labels) == len(rows) == 24 and den >= 1
+            assert len(labels) == len(list(rows)) == 24 and den >= 1
             rmul_matrix(x, basis_name, order)
     transition_matrix(build_osc(uniform_distribution(4)))
 

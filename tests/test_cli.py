@@ -20,7 +20,6 @@ from cycleshuffles.basis import (
     build_a_family,
     build_std_family,
     dual_basis,
-    rmul_columns,
     rmul_matrix,
 )
 from cycleshuffles.cli import run
@@ -31,7 +30,7 @@ from cycleshuffles.shuffles import build_osc, build_t, transition_matrix
 from cycleshuffles.simulate import fast_bookmark_sim, simulate_sst
 from cycleshuffles.spectrum import full_spectrum
 
-from columns import perm_columns
+from columns import lex_columns, perm_columns
 
 SRC = Path(cli.__file__).resolve().parent.parent
 
@@ -420,6 +419,13 @@ def test_out_of_memory_is_an_input_error(message, monkeypatch, capsys):
     assert err == f"error: {message or 'out of memory'}\n"
 
 
+def test_simulate_refuses_uniform_with_an_explicit_dist(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run(["simulate", "--n", "3", "--trials", "10", "--seed", "1", "--uniform", "--dist", "1/3,1/3,1/3"])
+    assert excinfo.value.code == 2
+    assert "argument --dist: not allowed with argument --uniform" in capsys.readouterr().err
+
+
 def test_simulate_p1_zero_is_usage_error(capsys):
     code, _, err = invoke(
         capsys, "simulate", "--n", "3", "--trials", "10", "--seed", "1",
@@ -524,7 +530,7 @@ def _columns_matrix(x, basis, order):
     labels = basis_order(x.n, order)
     at = {w: k for k, w in enumerate(labels)}
     rows = [[0] * len(labels) for _ in labels]
-    for w, column in perm_columns(family, rmul_columns(x, family)):
+    for w, column in perm_columns(family, lex_columns(x, family)):
         for v, c in column.items():
             rows[at[v]][at[w]] = c
     return labels, rows

@@ -58,12 +58,13 @@ def _cases() -> list[tuple[str, ...]]:
                         ("matrix", "--n", str(n), *flags, "--basis", basis, "--order", order, "--format", "json")
                     )
     uniform5 = ",".join(["1/5"] * 5)
-    for basis in ("a", "b"):
+    for basis in ("std", "a", "b"):
         for fmt in ("csv", "json"):
             cases.append(
                 ("matrix", "--n", "5", "--osc", uniform5, "--basis", basis, "--order", "qindex", "--format", fmt)
             )
-    cases.append(("matrix", "--n", "5", "--t", "2", "--basis", "b", "--order", "qindex-desc"))
+    for basis in ("std", "b"):
+        cases.append(("matrix", "--n", "5", "--t", "2", "--basis", basis, "--order", "qindex-desc"))
     for suite in ("triangularity", "duality"):
         cases.append(("verify", "--n", "6", "--suite", suite, "--format", "json"))
     for n in range(1, 6):
@@ -73,6 +74,9 @@ def _cases() -> list[tuple[str, ...]]:
                 cases.append(
                     ("simulate", "--n", str(n), "--trials", "400", "--seed", "11", *flags, "--format", fmt)
                 )
+    # --uniform names the default distribution
+    for fmt in ("text", "json"):
+        cases.append(("simulate", "--n", "5", "--trials", "400", "--seed", "11", "--uniform", "--format", fmt))
     cases.append(("simulate", "--n", "30", "--trials", "2000", "--seed", "11", "--fast", "--format", "json"))
     # the nulls of the simulate JSON: exact above n = 200, stderr at one trial
     cases.append(("simulate", "--n", "201", "--trials", "50", "--seed", "11", "--fast", "--format", "json"))
@@ -129,6 +133,11 @@ def golden() -> dict:
 
 def test_the_grid_is_the_recorded_grid(golden):
     assert sorted(golden) == sorted(_key(argv) for argv in _cases())
+
+
+def test_uniform_gives_the_bytes_of_the_default_distribution(golden):
+    uniform = [key for key in golden if " --uniform" in key]
+    assert uniform and all(golden[key] == golden[key.replace(" --uniform", "")] for key in uniform)
 
 
 @pytest.mark.parametrize("argv", _cases(), ids=_key)

@@ -1,13 +1,15 @@
-"""spectrum, filtration and the matrix JSON export stream their rows, and
-simulate --fast holds no array per stage: each guard runs in a fresh
-interpreter, so that no catalog, report, matrix or array built by another
-test is counted."""
+"""spectrum, filtration and the matrix exports stream their rows, the std
+and b rows drawn one at a time, and simulate --fast holds no array per
+stage: each guard runs in a fresh interpreter, so that no catalog, report,
+matrix or array built by another test is counted."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import cycleshuffles
 
@@ -101,6 +103,62 @@ def test_streamed_matrix_csv_holds_no_dense_matrix(tmp_path):
     assert peak < MATRIX_CSV_PEAK_BYTES, peak
     lines = target.read_text().splitlines()
     assert len(lines) == 721 and all(line.count(",") == 720 + 5 for line in lines[1:])
+
+
+ROWS_CSV_SCRIPT = """
+import json, sys, tracemalloc
+from cycleshuffles import cli
+
+argv = ["matrix", "--n", "7", "--t", "2", "--basis", sys.argv[2], "--order", "qindex-desc", "--format", "csv"]
+tracemalloc.start()
+code = cli.run([*argv, "--output", sys.argv[1]])
+print(json.dumps([code, tracemalloc.get_traced_memory()[1]]))
+"""
+
+# the 5,040 x 5,040 matrix, 50.8 MB of CSV: about 4.4 MB (std) and 7.7 MB (b)
+# when each row is drawn as it is written, about 20.2 MB and 23.1 MB when
+# every row is held, with one cached text per length of a run of zeros
+ROWS_CSV_PEAK_BYTES = 10_000_000
+
+
+@pytest.mark.parametrize("basis", ["std", "b"])
+def test_std_and_b_csv_exports_hold_no_row_behind_the_one_written(basis, tmp_path):
+    target = tmp_path / "matrix.csv"
+    code, peak = _fresh(ROWS_CSV_SCRIPT, str(target), basis)
+    assert code == 0
+    assert peak < ROWS_CSV_PEAK_BYTES, peak
+    with target.open() as lines:
+        assert sum(1 for _ in lines) == 5041
+
+
+FIRST_ROW_SCRIPT = """
+import json, sys
+from cycleshuffles import basis
+from cycleshuffles.shuffles import build_t
+
+products = []
+real = basis.rank_product
+
+
+def counted(*args):
+    products.append(1)
+    return real(*args)
+
+
+basis.rank_product = counted
+labels, den, rows = basis.rmul_rows(build_t(5, 2), sys.argv[1], "qindex-desc")
+drawn = [len(products)]
+for row in rows:
+    drawn.append(len(products))
+print(json.dumps([drawn, len(labels)]))
+"""
+
+
+@pytest.mark.parametrize("basis", ["std", "b"])
+def test_each_std_or_b_row_expands_one_column_when_it_is_drawn(basis):
+    drawn, labels = _fresh(FIRST_ROW_SCRIPT, basis)
+    assert labels == 120
+    assert drawn == list(range(121))  # none on the call, then one per row
 
 
 FAST_SCRIPT = """
