@@ -22,16 +22,16 @@ one C-level gather.  Peeling the first descent walks cyc_{ell..k} down to
 cyc_{ell..k-1} and cyc_{k..ell} down to cyc_{k..ell+1}, so the tables of
 the shuffles' supports are built from each other.
 
-Code that already holds integer vectors over lexicographic ranks (the basis
-columns, the annihilator, the Krylov sequence) multiplies them by an
-element with rank_factors and rank_product instead: the same gather
-tables, the denominator of the element cleared once, and no permutation
-tuples.  A dense vector times an integer combination of the shuffles
-t_ell, plus a multiple of 1, goes through shuffle_rank_product: the
-recursion t_ell = 1 + s_ell t_{ell+1} makes that n - 1 transposition
-gathers and a few list passes, against one multiply-add per entry and term
-of the element in rank_product.  It sits beside rank_product, not in its
-place, because rank_product takes any element and sparse rows.
+Code that already holds integer vectors over lexicographic ranks uses the
+same gather tables through rank_factors, the denominator of the element
+cleared once, and no permutation tuples.  A row of the permutation basis
+or of the a-basis, a plain sum of permutations, is a list of ranks, and
+rank_product multiplies it by any element, one add per rank and term.  A
+dense vector times an integer combination of the shuffles t_ell, plus a
+multiple of 1, goes through shuffle_rank_product: the recursion
+t_ell = 1 + s_ell t_{ell+1} makes that n - 1 transposition gathers and a
+few list passes.  It sits beside rank_product because rank_product takes
+any element and unit rows.
 """
 
 from __future__ import annotations
@@ -279,15 +279,15 @@ def rank_factors(terms: Mapping[Perm, Scalar], n: int) -> tuple[int, RankFactors
     return den, [(_ComposedRanks(n, v), b) for v, b in ys]
 
 
-def rank_product(row: Sequence[tuple[int, int]], factors: RankFactors) -> dict[int, int]:
-    """The integer vector row, as (rank, c) pairs, times d*y given by
+def rank_product(row: Sequence[int], factors: RankFactors) -> dict[int, int]:
+    """The sum of the permutations with the listed ranks times d*y given by
     rank_factors, keyed by rank; cancelled entries stay as zeros."""
     product: dict[int, int] = {}
     get = product.get
     for table, b in factors:
-        for u, a in row:
+        for u in row:
             k = table[u]
-            product[k] = get(k, 0) + a * b
+            product[k] = get(k, 0) + b
     return product
 
 

@@ -23,14 +23,14 @@ off the transposed incidence of the a-family, "which a_p contain w", built
 once per family: each w in the support of y adds y[w] to the few p with w
 in a_p, instead of one bilinear form per basis element.
 
-Each family -- the permutation basis, the a-basis or the b-basis -- keeps
-its elements as rows of (rank, integer) pairs, and the expansion of an
-integer vector over ranks back into the family, fixed where the family is
-built: none, the back-substitution over its own rows, or the incidence of
-its a-family.  One integer kernel, rmul_columns, draws the columns of
-right multiplication in a family, in the order its caller gives: the row
-of w times the integer numerators d * x through the gather tables of the
-algebra module, expanded by the family, as integers keyed by rank over d.
+Each family keeps its elements as rows over lexicographic ranks, and the
+expansion of an integer vector over ranks back into it: none, the
+back-substitution over its own rows, or the incidence of its a-family.
+Std and a-rows list the ranks their elements sum; b-rows, whose
+coefficients are not all 1, list (rank, integer) pairs.  rmul_columns
+draws the columns of right multiplication in the std or a family, in the
+order its caller gives: the ranks of the row of w times d * x through the
+algebra module's gather tables, expanded, as integers keyed by rank over d.
 rmul_rows, the one place that reads a basis by name, gives the rows of the
 matrix in the named order as the numerators of their nonzero entries,
 keyed by column position, over d.  Transposes come from the antipode S: as
@@ -123,25 +123,26 @@ class QIndexTable:
 
 class BasisFamily:
     """A basis of Q[S_n] -- the permutations ("std"), the a-basis ("a") or
-    its dual ("b") -- as integer rows over lexicographic ranks: rows[r]
-    lists (rank(v), [v] element) for the element indexed by the r-th
-    permutation.  ``expand`` maps an integer vector over ranks to its
-    coefficients in the family (None for the permutation basis).
+    its dual ("b") -- as rows over lexicographic ranks: rows[r] lists the
+    ranks summed in the element indexed by the r-th permutation, or for b
+    its (rank(v), [v] element) pairs.  ``expand`` maps an integer vector
+    over ranks to its coefficients in the family (None for std).
 
     ``perms`` holds the lexicographic order, the order in which the change
     of basis to the permutation basis is unitriangular.
     """
 
-    def __init__(self, n: int, rows: Sequence[Row], kind: str, expand: Expand | None):
+    def __init__(self, n: int, rows: Sequence[list[int]] | Sequence[Row], kind: str, expand: Expand | None):
         self.n = n
         self.perms: tuple[Perm, ...] = sn_index(n)[0]
-        self.rows: tuple[Row, ...] = tuple(rows)
+        self.rows = rows
         self.kind = kind
         self.expand = expand
 
     def __getitem__(self, w: Perm) -> AlgebraElement:
         perms, rank = sn_index(self.n)
-        return AlgebraElement(self.n, {perms[v]: c for v, c in self.rows[rank[w]]})
+        pairs = self.rows[rank[w]] if self.kind == "b" else ((v, 1) for v in self.rows[rank[w]])
+        return AlgebraElement(self.n, {perms[v]: c for v, c in pairs})
 
     @cached_property
     def containing(self) -> list[list[int]]:
@@ -151,32 +152,30 @@ class BasisFamily:
             raise ValueError("expansion in the dual basis needs the a-family")
         incidence: list[list[int]] = [[] for _ in self.perms]
         for p, row in enumerate(self.rows):
-            for v, _ in row:
+            for v in row:
                 incidence[v].append(p)
         return incidence
 
 
 def build_std_family(n: int, max_n: int | None = None) -> BasisFamily:
-    """The permutation basis: one unit row per permutation, no expansion."""
+    """The permutation basis: the row [r] of the r-th permutation, no expansion."""
     require_within_cap(n, max_n)
-    return BasisFamily(n, [[(r, 1)] for r in range(math.factorial(n))], kind="std", expand=None)
+    return BasisFamily(n, [[r] for r in range(math.factorial(n))], kind="std", expand=None)
 
 
 def build_a_family(n: int, max_n: int | None = None) -> BasisFamily:
-    """The a-basis, expanded by back-substitution over its own rows.  Every
-    entry is 1, so the rows share one (rank, 1) pair per rank.  The words of
-    a_w are listed for one member of each mirror pair (w, w0 w w0) and read
-    through the mirror map for the other, since a_{w0 w w0} = w0 a_w w0."""
+    """The a-basis: rows[r] lists the ranks of the Young words of a_r, r
+    first, the lists its back-substitution reads.  They are listed for one
+    member of each mirror pair (w, w0 w w0) and read through the mirror map
+    for the other, since a_{w0 w w0} = w0 a_w w0."""
     require_within_cap(n, max_n)
     perms, rank = sn_index(n)
     mirror = mirror_ranks(n)
-    a_ranks: list[list[int]] = []
+    rows: list[list[int]] = []
     for r, w in enumerate(perms):
         m = mirror[r]
-        a_ranks.append([mirror[v] for v in a_ranks[m]] if m < r else [rank[v] for v in _young_words(w)])
-    unit = [(r, 1) for r in range(len(perms))]
-    rows = [[unit[v] for v in words] for words in a_ranks]
-    return BasisFamily(n, rows, kind="a", expand=partial(_back_substitute, a_ranks, _inversion_levels(n)))
+        rows.append([mirror[v] for v in rows[m]] if m < r else [rank[v] for v in _young_words(w)])
+    return BasisFamily(n, rows, kind="a", expand=partial(_back_substitute, rows, _inversion_levels(n)))
 
 
 def _inversion_levels(n: int) -> list[int]:
@@ -259,7 +258,7 @@ def expand_in_a(x: AlgebraElement, family: BasisFamily) -> dict[Perm, Scalar]:
 
 
 def dual_basis(family: BasisFamily) -> BasisFamily:
-    """The basis (b_w) with bilinear_form(a_p, b_q) = [p = q].
+    """The basis (b_w) with bilinear_form(a_p, b_q) = [p = q], as (rank, c) rows.
 
     The a-expansion of each permutation v supplies one coefficient per b_q:
     if v = sum of c_q a_q then [v] b_q = c_q, i.e. the dual change of basis
@@ -315,13 +314,14 @@ def basis_order(n: int, order: str, max_n: int | None = None) -> tuple[Perm, ...
 def rmul_columns(
     x: AlgebraElement, family: BasisFamily, order: Sequence[int]
 ) -> tuple[int, Iterator[dict[int, int]]]:
-    """Right multiplication y -> y x in the family as (d, columns): d is a
-    common denominator of x, and columns yields the column of the r-th basis
-    vector for each lexicographic rank r in order, computed when it is drawn,
-    mapping each rank v to d times the coefficient of the v-th basis vector
-    in (r-th basis vector) * x; an entry may be a cancelled zero.  The degree
-    is checked on the call; the family passed the cap when it was built."""
+    """Right multiplication y -> y x in the std or a family as (d, columns),
+    the degree and family checked on the call: d is a common denominator of
+    x, and columns yields, for each rank r in order and as it is drawn, the
+    column of the r-th basis vector, d times the coefficient of the v-th
+    basis vector in (r-th basis vector) * x by rank v, maybe a cancelled zero."""
     _require_degree(family, x.n)
+    if family.kind == "b":
+        raise ValueError("b-columns are not drawn; expand b_q x with expand_in_b")
     den, factors = rank_factors(x.terms, x.n)
     products = (rank_product(family.rows[r], factors) for r in order)
     return den, products if family.expand is None else map(family.expand, products)

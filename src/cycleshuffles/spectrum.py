@@ -25,7 +25,6 @@ from .algebra import (
     divide_terms,
     integer_terms,
     rank_factors,
-    rank_product,
     shuffle_rank_product,
     sn_index,
 )
@@ -131,19 +130,18 @@ def annihilator_check(weights: WeightVector, *, max_n: int | None = None) -> tup
     Returns (True, zero) when the product vanishes exactly; otherwise the
     residual element is the witness.  The product is kept as a dense
     integer vector over lexicographic ranks times a rational scale: with d
-    the common denominator of the weights, which every d g_I shares, each
-    factor multiplies it by the integer combination d (t - g_I) of the t_ell
-    through shuffle_rank_product, and the content of the vector is divided
-    out after each step.
+    the common denominator of the weights, each factor, in catalog order,
+    multiplies it by the integer combination d (t - g_I) of the t_ell
+    through shuffle_rank_product, d g_I summed over the gaps of I from
+    gap_table, and the content of the vector is divided out after each step.
     """
     require_within_cap(len(weights), max_n)
-    report = full_spectrum(weights)
-    n = report.n
-    _, den, numerators = _exact_weights(report.weights)
+    _, den, numerators = _exact_weights(weights)
+    n = len(numerators)
+    cells = [[cell and ((), (), cell[1], 1) for cell in gaps] for gaps in gap_table(n, numerators)]
     vector, scale = [1] + [0] * (math.factorial(n) - 1), Fraction(1)  # the identity has lexicographic rank 0
-    for row in report.rows:
-        g = row.eigenvalue
-        vector = shuffle_rank_product(vector, numerators, -g.numerator * (den // g.denominator))
+    for _, _, g, _ in catalog_rows(n, cells):
+        vector = shuffle_rank_product(vector, numerators, -g)
         if not any(vector):
             return True, AlgebraElement.zero(n)
         content = math.gcd(*vector)
@@ -168,18 +166,20 @@ def _shuffle_weights(x: AlgebraElement) -> list[Scalar] | None:
 def _right_multiplier(x: AlgebraElement) -> tuple[int, Callable[[list[int]], list[int]]]:
     """A common denominator d of x and v -> v (d x) on dense integer vectors
     over lexicographic ranks: shuffle_rank_product when x is a combination
-    of the t_ell, and rank_product, which takes any element, otherwise."""
+    of the t_ell, and otherwise (v x)[w] = sum of x_y v[w y^-1], one gather
+    through the table of each term y^-1 of S(x)."""
     weights = _shuffle_weights(x)
     if weights is not None:
         den = integer_terms(x.terms)[0]
         numerators = [c.numerator * (den // c.denominator) for c in weights]
         return den, lambda vector: shuffle_rank_product(vector, numerators)
-    den, factors = rank_factors(x.terms, x.n)
-    size = math.factorial(x.n)
+    den, factors = rank_factors(x.antipode().terms, x.n)
 
     def times(vector: list[int]) -> list[int]:
-        product = rank_product([(r, a) for r, a in enumerate(vector) if a], factors)
-        return [product.get(r, 0) for r in range(size)]
+        total = [0] * len(vector)
+        for table, b in factors:
+            total = [a + b * c for a, c in zip(total, map(vector.__getitem__, table))]
+        return total
 
     return den, times
 

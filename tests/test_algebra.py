@@ -13,7 +13,6 @@ from cycleshuffles.algebra import (
     linear_combine,
     mirror_ranks,
     rank_factors,
-    rank_product,
     rmul_terms,
     shuffle_rank_product,
     sn_index,
@@ -36,6 +35,23 @@ def test_zero_coefficients_never_stored():
     x = AlgebraElement(3, {identity(3): 0, (2, 1, 3): 1})
     assert len(x) == 1
     assert x.coefficient(identity(3)) == 0
+
+
+def test_equal_elements_hash_equal_and_foreign_types_are_refused():
+    ints = AlgebraElement(3, {(2, 1, 3): 2, (1, 2, 3): -1})
+    fractions = AlgebraElement(3, {(2, 1, 3): Fraction(4, 2), (1, 2, 3): Fraction(-1)})
+    assert ints == fractions and hash(ints) == hash(fractions)
+    assert len({ints, fractions}) == 1
+    assert ints.__eq__((2, 1, 3)) is NotImplemented and ints != (2, 1, 3)
+    assert ints.__rmul__(1.5) is NotImplemented
+    with pytest.raises(TypeError):
+        1.5 * ints
+
+
+def test_repr():
+    assert repr(AlgebraElement.zero(3)) == "AlgebraElement.zero(3)"
+    x = AlgebraElement(3, {(2, 1, 3): Fraction(1, 2), (1, 2, 3): -3})
+    assert repr(x) == "-3*[1,2,3] + 1/2*[2,1,3]"
 
 
 def test_degree_validation():
@@ -274,11 +290,12 @@ def test_the_shuffles_tables_compose_only_the_adjacent_transpositions(monkeypatc
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_shuffle_rank_product_equals_rank_product(n):
-    """The recursion against the gather tables of every term of
+    """The recursion against the group-algebra product (rmul_terms) by
     sum of weights[ell-1] * t_ell + shift, on seeded dense integer vectors,
     with zero and negative weights and a shift."""
     rng = random.Random(900 + n)
     size = math.factorial(n)
+    perms = sn_index(n)[0]
     cases = [
         [1] * n,
         [rng.randint(-9, 9) for _ in range(n)],
@@ -289,12 +306,10 @@ def test_shuffle_rank_product_equals_rank_product(n):
     for weights in cases:
         for shift in (0, -7, 3):
             x = combine(weights) + shift
-            den, factors = rank_factors(x.terms, n)
-            assert den == 1
             for _ in range(3):
                 vector = [rng.choice((0, rng.randint(-20, 20))) for _ in range(size)]
-                product = rank_product([(r, a) for r, a in enumerate(vector) if a], factors)
-                expected = [product.get(r, 0) for r in range(size)]
+                product = rmul_terms({perms[r]: a for r, a in enumerate(vector) if a}, x.terms, n)
+                expected = [product.get(w, 0) for w in perms]
                 assert shuffle_rank_product(vector, weights, shift) == expected
 
 

@@ -449,14 +449,23 @@ def test_rmul_columns_draws_the_given_order_one_column_at_a_time(basis_name, mon
         monkeypatch.setattr(basis, name, counted(name, getattr(basis, name)))
     if family.expand is not None:
         family.expand = counted("expand", family.expand)
-    d, columns = rmul_columns(x, family, order)
-    assert made == ["rank_factors"] and d == 1  # the factors of x and d on the call, no column drawn
+    if basis_name == "b":
+        # b-rows are (rank, coefficient) pairs, not unit rows: refused on the
+        # call, and the columns are those lex_columns builds and expands
+        with pytest.raises(ValueError, match="expand_in_b"):
+            rmul_columns(x, family, order)
+        assert made == []
+        d, columns = 1, (lex[r] for r in order)
+    else:
+        d, columns = rmul_columns(x, family, order)
+        assert made == ["rank_factors"] and d == 1  # the factors of x and d on the call, no column drawn
     drawn = []
     for k, column in enumerate(columns, start=1):
         # one product (and one expansion) per draw
-        assert made.count("rank_factors") == 1
-        assert made.count("rank_product") == k
-        assert made.count("expand") == (0 if basis_name == "std" else k)
+        if basis_name != "b":
+            assert made.count("rank_factors") == 1
+            assert made.count("rank_product") == k
+            assert made.count("expand") == (0 if basis_name == "std" else k)
         assert all(type(c) is int and 0 <= v < 24 for v, c in column.items())
         drawn.append(column)
     assert drawn == [lex[r] for r in order] and family.perms == tuple(all_permutations(4))
@@ -547,9 +556,9 @@ def _sparse_rows(labels, entries):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_b_rows_equal_the_rows_of_the_dual_basis_columns(n):
-    """Oracle: the b-matrix of R(x) read off the b-columns that rmul_columns
-    draws through dual_basis, the path the export took before its rows came
-    from the a-columns of R(S(x))."""
+    """Oracle: the b-matrix of R(x) read off its b-columns, each b_q x built
+    in the group algebra and expanded through dual_basis, against the rows
+    the export reads off the a-columns of R(S(x))."""
     b_family = dual_basis(build_a_family(n))
     perms = b_family.perms
     for label, x in _oracle_elements(n):
@@ -594,7 +603,8 @@ def test_no_matrix_builds_a_dual_basis(basis_name, monkeypatch):
 
 def sorted_back_substitute(a_rows, work):
     """a-coefficients of the integer vector work (rank -> int), which is used
-    up: the oracle for the level order of basis._back_substitute.  The
+    up, from the a-rows as rank lists: the oracle for the level order of
+    basis._back_substitute.  The
     largest surviving rank r must be carried by a_r, since every other a_v
     holding r has v > r; the pending ranks are kept sorted, and every rank
     a_r adds is below r, so the largest is always the last."""
@@ -606,11 +616,11 @@ def sorted_back_substitute(a_rows, work):
         if not c:
             continue
         out[r] = c
-        for v, av in a_rows[r]:
+        for v in a_rows[r]:
             if v in work:
-                work[v] -= c * av
+                work[v] -= c
             else:
-                work[v] = -c * av
+                work[v] = -c
                 bisect.insort(pending, v)
     return out
 
@@ -634,8 +644,9 @@ def test_a_rows_are_the_young_words_and_mirror_onto_each_other(n):
     assert all(levels[v] < levels[r] for r, row in enumerate(words) for v in row[1:])
     assert [{mirror[v] for v in words[m]} for m in mirror] == [set(row) for row in words]
     family = build_a_family(n)
-    assert [row[0] for row in family.rows] == [(r, 1) for r in range(len(perms))]
-    assert [sorted(row) for row in family.rows] == [sorted((v, 1) for v in row) for row in words]
+    assert [row[0] for row in family.rows] == list(range(len(perms)))
+    assert [sorted(row) for row in family.rows] == [sorted(row) for row in words]
+    assert family.expand.args[0] is family.rows  # the back-substitution reads the same lists
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

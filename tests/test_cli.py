@@ -523,8 +523,9 @@ def test_matrix_rendering_is_byte_identical_to_fraction_rendering(fmt, capsys):
 
 def _columns_matrix(x, basis, order):
     """(labels, rows) of the matrix of y -> y x, each cell set from the
-    integer columns of rmul_columns as a Fraction, rows and columns in the
-    named order."""
+    integer columns of lex_columns as a Fraction, rows and columns in the
+    named order: those of rmul_columns for std and a, and for b those of
+    b_q x built in the group algebra and expanded."""
     a_family = build_a_family(x.n)
     family = {"std": build_std_family(x.n), "a": a_family, "b": dual_basis(a_family)}[basis]
     labels = basis_order(x.n, order)

@@ -20,6 +20,20 @@ def test_arithmetic():
     assert p + q == Polynomial((0, 2))
     assert p - p == Polynomial.zero()
     assert 3 * p == Polynomial((3, 3))
+    # a shorter left operand: the longer one is copied and the shorter added in
+    assert Polynomial((2,)) + Polynomial((1, 0, 1)) == Polynomial((3, 0, 1))
+
+
+def test_equal_polynomials_hash_equal_and_foreign_types_compare_unequal():
+    assert hash(Polynomial((1, 2))) == hash(Polynomial((Fraction(1), Fraction(2))))
+    assert len({Polynomial((Fraction(-3, 3), 0, 4)), Polynomial((-1, 0, 4))}) == 1
+    assert Polynomial.one().__eq__(1) is NotImplemented
+    assert Polynomial.one() != 1
+
+
+def test_repr():
+    assert repr(Polynomial.zero()) == "Polynomial(0)"
+    assert repr(Polynomial((Fraction(-1, 2), 0, 1))) == "Polynomial(-1/2 + 1*x^2)"
 
 
 def test_from_roots_and_call():
@@ -46,6 +60,7 @@ def test_gcd_lcm():
     b = Polynomial.from_roots([(1, 1), (3, 1)])
     assert poly_gcd(a, b) == Polynomial.x_minus(1)
     assert poly_lcm(a, b) == Polynomial.from_roots([(1, 2), (2, 1), (3, 1)])
+    assert poly_lcm(a, Polynomial.zero()).is_zero() and poly_lcm(Polynomial.zero(), b).is_zero()
 
 
 def test_monic():

@@ -275,7 +275,14 @@ def test_annihilator_residual_is_the_exact_partial_product(n, drop, monkeypatch)
     report = full_spectrum(weights)
     rows = list(report.rows)
     del rows[drop]
-    monkeypatch.setattr(spectrum, "full_spectrum", lambda w: report._replace(rows=tuple(rows)))
+    real = spectrum.catalog_rows
+
+    def dropped(*args):
+        walked = list(real(*args))
+        del walked[drop]
+        return iter(walked)
+
+    monkeypatch.setattr(spectrum, "catalog_rows", dropped)
     t = combine(report.weights)
     product = AlgebraElement.one(n)
     for row in rows:
@@ -315,7 +322,7 @@ def off_the_shuffles(n):
     return {"t1_t2": build_t(n, 1) * build_t(n, 2), "scattered": scattered}
 
 
-@pytest.mark.parametrize("path", ["shuffle_recursion", "rank_product"])
+@pytest.mark.parametrize("path", ["shuffle_recursion", "term_gathers"])
 def test_minimal_polynomial_rejects_a_relation_that_does_not_annihilate(path, monkeypatch):
     if path == "shuffle_recursion":
         x = combine(ones(4))
@@ -326,7 +333,7 @@ def test_minimal_polynomial_rejects_a_relation_that_does_not_annihilate(path, mo
         # the minimal polynomial has the root 0; without it the relation is too short
         wrong, remainder = minimal_polynomial(x).divmod(Polynomial.x_minus(0))
         assert remainder.is_zero()
-    assert (spectrum._shuffle_weights(x) is None) == (path == "rank_product")
+    assert (spectrum._shuffle_weights(x) is None) == (path == "term_gathers")
     monkeypatch.setattr(spectrum, "_krylov_annihilator", lambda x: wrong)
     with pytest.raises(RuntimeError):
         minimal_polynomial(x)
@@ -335,7 +342,7 @@ def test_minimal_polynomial_rejects_a_relation_that_does_not_annihilate(path, mo
 @pytest.mark.parametrize("n", [4, 5])
 @pytest.mark.parametrize("name", ["t1_t2", "scattered"])
 def test_minimal_polynomial_off_the_shuffles_equals_the_fraction_krylov(n, name, monkeypatch):
-    """Elements outside the span of the t_ell take the rank_product path."""
+    """Elements outside the span of the t_ell take one gather per term."""
     x = off_the_shuffles(n)[name]
     assert spectrum._shuffle_weights(x) is None
 
@@ -346,11 +353,26 @@ def test_minimal_polynomial_off_the_shuffles_equals_the_fraction_krylov(n, name,
     assert minimal_polynomial(x) == fraction_krylov(x)
 
 
+@pytest.mark.parametrize("size", [5, 90])
+def test_right_multiplier_off_the_shuffles_equals_rmul_terms(size):
+    """One gather per term of S(x), through the cached tables and, past
+    algebra._GATHER_TABLES terms, through maps composed on lookup, against
+    the group-algebra product of the vector and d x."""
+    rng = random.Random(70 + size)
+    perms = list(all_permutations(5))
+    x = AlgebraElement(5, {w: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3)) for w in rng.sample(perms, size)})
+    assert spectrum._shuffle_weights(x) is None
+    den, times = spectrum._right_multiplier(x)
+    vector = [rng.randint(-9, 9) for _ in perms]
+    product = AlgebraElement(5, {w: c for w, c in zip(perms, vector) if c}) * (x * den)
+    assert times(vector) == [product.coefficient(w) for w in perms]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_combinations_of_the_shuffles_take_the_recursion(n, monkeypatch):
     """The weights read off combine(weights), a shift by 1 included, are the
     weights; the Krylov sequence and the P(x) = 0 check then need no
-    rank_product."""
+    gather tables of the terms of x."""
     weights = list(pseudo_random_weights(n))
     weights[0] = 0
     x = combine(weights)
@@ -360,9 +382,9 @@ def test_combinations_of_the_shuffles_take_the_recursion(n, monkeypatch):
     assert spectrum._shuffle_weights(x + 1) == shifted
 
     def refuse(*args):
-        raise AssertionError("rank_product ran on a combination of the shuffles")
+        raise AssertionError("the term gathers ran on a combination of the shuffles")
 
-    monkeypatch.setattr(spectrum, "rank_product", refuse)
+    monkeypatch.setattr(spectrum, "rank_factors", refuse)
     assert minimal_polynomial(x) == fraction_krylov(x)
 
 

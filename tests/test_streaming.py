@@ -1,7 +1,8 @@
 """spectrum, filtration and the matrix exports stream their rows, the std
-and b rows drawn one at a time, and simulate --fast holds no array per
-stage: each guard runs in a fresh interpreter, so that no catalog, report,
-matrix or array built by another test is counted."""
+and b rows drawn one at a time, the a-family holds each row once, and
+simulate --fast holds no array per stage: each guard runs in a fresh
+interpreter, so that no catalog, report, matrix or array built by another
+test is counted."""
 
 import json
 import os
@@ -78,13 +79,11 @@ code = cli.run([*argv, "--output", sys.argv[1]])
 print(json.dumps([code, tracemalloc.get_traced_memory()[1]]))
 """
 
-# the 720 x 720 matrix and its 5.7 MB of JSON peak at about 17.5 MB when the
-# rows stream, and at about 47.8 MB when the whole payload of row lists is
-# built and encoded in one text
-MATRIX_PEAK_BYTES = 30_000_000
-# its 1.05 MB of CSV: about 12.4 MB from a dense matrix of Fractions written
-# by csv.writer, about 2.7 MB from the sparse integer rows
-MATRIX_CSV_PEAK_BYTES = 6_000_000
+# the 720 x 720 matrix, 5.73 MB of JSON or 1.06 MB of CSV, peaks at about
+# 1.8 MB in either format when the rows stream; joining the JSON payload into
+# one text adds its 5.73 MB, and a dense matrix of Fractions (or of ints, whose
+# 720 row lists alone take 4.2 MB) adds more than 4 MB to the CSV
+MATRIX_PEAK_BYTES = 4_000_000
 
 
 def test_streamed_matrix_json_holds_no_whole_payload(tmp_path):
@@ -100,7 +99,7 @@ def test_streamed_matrix_csv_holds_no_dense_matrix(tmp_path):
     target = tmp_path / "matrix.csv"
     code, peak = _fresh(MATRIX_SCRIPT, str(target), "csv")
     assert code == 0
-    assert peak < MATRIX_CSV_PEAK_BYTES, peak
+    assert peak < MATRIX_PEAK_BYTES, peak
     lines = target.read_text().splitlines()
     assert len(lines) == 721 and all(line.count(",") == 720 + 5 for line in lines[1:])
 
@@ -159,6 +158,28 @@ def test_each_std_or_b_row_expands_one_column_when_it_is_drawn(basis):
     drawn, labels = _fresh(FIRST_ROW_SCRIPT, basis)
     assert labels == 120
     assert drawn == list(range(121))  # none on the call, then one per row
+
+
+A_FAMILY_SCRIPT = """
+import json, tracemalloc
+from cycleshuffles import algebra
+from cycleshuffles.basis import build_a_family
+
+algebra.sn_index(7), algebra.mirror_ranks(7)
+tracemalloc.start()
+family = build_a_family(7)
+print(json.dumps(tracemalloc.get_traced_memory()[0]))
+"""
+
+# the 5,040 a-rows at n = 7 hold 2.07 MB as rank lists that the
+# back-substitution also reads, and 3.70 MB with a second copy of each row as
+# (rank, 1) pairs
+A_FAMILY_HELD_BYTES = 2_800_000
+
+
+def test_the_a_family_holds_each_row_once():
+    held = _fresh(A_FAMILY_SCRIPT)
+    assert held < A_FAMILY_HELD_BYTES, held
 
 
 FAST_SCRIPT = """
