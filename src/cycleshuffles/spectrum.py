@@ -6,28 +6,22 @@ algebraic multiplicity delta_i = #{w : Qind w = i} given in closed form by a
 multinomial product.  Both split over the gaps of I, so each row is one
 walk over its members (lacunar.walk_gaps, carried down the catalog's
 recursion by lacunar.catalog_rows), and the whole spectrum scales with the
-Fibonacci catalog, not with n!.  Exact dense-matrix routines
-(characteristic and minimal polynomials) provide independent oracles at
-small n.  The annihilator check, the Krylov sequence of the minimal
-polynomial and its P(x) = 0 check hold dense integer vectors over
-lexicographic ranks of S_n, and multiply them by a combination of the
-t_ell in n - 1 transposition gathers (algebra.shuffle_rank_product).
+Fibonacci catalog, not with n!.  The exact characteristic polynomial of
+a dense matrix provides an independent oracle at small n.  The annihilator
+check and the minimal polynomial, whose roots are the same catalog's
+eigenvalues, hold dense integer vectors over lexicographic ranks of S_n,
+and multiply them by a combination of the t_ell in n - 1 transposition
+gathers (algebra.shuffle_rank_product).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .algebra import (
-    AlgebraElement,
-    divide_terms,
-    integer_terms,
-    rank_factors,
-    shuffle_rank_product,
-    sn_index,
-)
+from .algebra import AlgebraElement, divide_terms, shuffle_rank_product, sn_index
 from .inputs import Scalar, WeightVector, _exact_weights, require_within_cap
 from .lacunar import LacunarCatalog, catalog_rows, gap_table, is_lacunar, walk_gaps
 from .perms import cycle, identity
@@ -163,94 +157,93 @@ def _shuffle_weights(x: AlgebraElement) -> list[Scalar] | None:
     return weights if combine(weights) == x else None
 
 
-def _right_multiplier(x: AlgebraElement) -> tuple[int, Callable[[list[int]], list[int]]]:
-    """A common denominator d of x and v -> v (d x) on dense integer vectors
-    over lexicographic ranks: shuffle_rank_product when x is a combination
-    of the t_ell, and otherwise (v x)[w] = sum of x_y v[w y^-1], one gather
-    through the table of each term y^-1 of S(x)."""
-    weights = _shuffle_weights(x)
-    if weights is not None:
-        den = integer_terms(x.terms)[0]
-        numerators = [c.numerator * (den // c.denominator) for c in weights]
-        return den, lambda vector: shuffle_rank_product(vector, numerators)
-    den, factors = rank_factors(x.antipode().terms, x.n)
-
-    def times(vector: list[int]) -> list[int]:
-        total = [0] * len(vector)
-        for table, b in factors:
-            total = [a + b * c for a, c in zip(total, map(vector.__getitem__, table))]
-        return total
-
-    return den, times
-
-
-def _krylov_annihilator(x: AlgebraElement) -> Polynomial:
-    """Monic annihilator of the identity under repeated right multiplication
-    by x, via incremental fraction-free elimination on the Krylov sequence.
-
-    With d a common denominator of x, the sequence (d x)^k is kept as
-    integer vectors over lexicographic ranks (see _right_multiplier).  Each
-    new vector is reduced against the stored pivots by
-    vec <- (lead/g) vec - (c/g) pivot_vec, with g = gcd(lead, c), together
-    with its combination over the powers, and the content of both is
-    divided out after each step.  The first vector that reduces to zero
-    gives sum of combo[k] (d x)^k = 0, so the polynomial has coefficients
-    combo[k] d^k.
-    """
-    den, times = _right_multiplier(x)
-    current = [1] + [0] * (math.factorial(x.n) - 1)  # the identity has lexicographic rank 0
-    pivots: list[tuple[int, list[int], list[int]]] = []  # (rank, vector, combination)
-    while True:
-        vec, combo = current, [0] * len(pivots) + [1]
-        for pivot, pvec, pcombo in pivots:
-            c = vec[pivot]
-            if not c:
-                continue
-            g = math.gcd(pvec[pivot], c)
-            lead, c = pvec[pivot] // g, c // g
-            vec = [lead * v - c * pv for v, pv in zip(vec, pvec)]
-            combo = [lead * v for v in combo]
-            for k, pc in enumerate(pcombo):
-                combo[k] -= c * pc
-            content = math.gcd(*vec, *combo)
-            if content > 1:
-                vec = [v // content for v in vec]
-                combo = [v // content for v in combo]
-        pivot = next((r for r, v in enumerate(vec) if v), None)
-        if pivot is None:
-            return Polynomial([c * den**k for k, c in enumerate(combo)]).monic()
-        pivots.append((pivot, vec, combo))
-        current = times(current)
-
-
-def _annihilates(poly: Polynomial, x: AlgebraElement) -> bool:
-    """Whether P(x) = 0, by Horner over the integers on the dense vector of
-    the identity: with d a common denominator of x and L one of the
-    coefficients p_k, L d^deg P(x) is the sum of the integers
-    L p_k d^(deg-k) times (d x)^k."""
-    den, times = _right_multiplier(x)
-    lcd = math.lcm(*(c.denominator for c in poly.coeffs))
+def _annihilates(poly: Polynomial, den: int, numerators: Sequence[int]) -> bool:
+    """Whether P(x) = 0 for x the combination of the t_ell with the
+    integer weights numerators / den, by Horner over the integers on the
+    dense vector of the identity: with L a common denominator of the
+    p_k d^(deg-k), L d^deg P(x) is the sum of the integers
+    L p_k d^(deg-k) times (d x)^k.  L is 1 when the roots are over d."""
     deg = poly.degree
-    coeffs = [c.numerator * (lcd // c.denominator) * den ** (deg - k) for k, c in enumerate(poly.coeffs)]
-    vector = [coeffs[-1]] + [0] * (math.factorial(x.n) - 1)
+    scaled = [c * den ** (deg - k) for k, c in enumerate(poly.coeffs)]
+    lcd = math.lcm(*(c.denominator for c in scaled))
+    coeffs = [c.numerator * (lcd // c.denominator) for c in scaled]
+    vector = [coeffs[-1]] + [0] * (math.factorial(len(numerators)) - 1)
     for c in reversed(coeffs[:-1]):
-        vector = times(vector)
+        vector = shuffle_rank_product(vector, numerators)
         vector[0] += c
     return not any(vector)
 
 
 def minimal_polynomial(x: AlgebraElement, max_n: int | None = None) -> Polynomial:
-    """Monic minimal polynomial of right multiplication by x.
+    """Monic minimal polynomial of right multiplication by x, a combination
+    of the t_ell, from its eigenvalues.
 
-    Krylov iteration seeded at the identity yields the minimal polynomial of
-    x itself, which annihilates the whole right-multiplication matrix since
-    w * P(x) = 0 for every permutation w once P(x) = 0.  The evaluation
-    P(x) = 0 is verified after the fact, over the integers (_annihilates).
+    The minimal polynomial of x itself annihilates the whole
+    right-multiplication matrix, since w * P(x) = 0 for every permutation w
+    once P(x) = 0.  The product of (x - g_I) over the lacunar I vanishes
+    (annihilator_check), so the minimal polynomial is the product of
+    (t - g)^k_g over the distinct g, with 1 <= k_g <= c_g, c_g the number
+    of catalog rows with eigenvalue g.  The premise k_g >= 1 is that every
+    g_I is an eigenvalue: delta_I >= 1, because each gap of a lacunar I
+    after the first is at least 2.  So a root met once has k_g = 1.  With
+    d the common denominator of the weights, the integer factors
+    d (x - g) act on the identity's dense integer vector over lexicographic
+    ranks through shuffle_rank_product, the content divided out after each
+    factor.  When the product of one factor per distinct g vanishes, every
+    k_g is 1.  Otherwise each repeated root's k_g is the least k for which
+    (x - g)^k times the full power (x - h)^c_h of every other root
+    vanishes.  The repeated roots are split in halves, recursively: the
+    second half's full powers are applied once for the whole first half,
+    and then the first half's exponents, found by then, once for the
+    second (the least k stays k_g while every other exponent is at least
+    its k_h).  A k_g past c_g means the annihilator fails and raises
+    RuntimeError.  P(x) = 0 is verified after the fact, over the integers
+    (_annihilates).
     """
     require_within_cap(x.n, max_n)
-    poly = _krylov_annihilator(x)
-    if not _annihilates(poly, x):
-        raise RuntimeError(f"Krylov relation {poly} does not annihilate x; elimination broken")
+    weights = _shuffle_weights(x)
+    if weights is None:
+        raise ValueError("minimal_polynomial takes an element of the span of the t_ell")
+    _, den, numerators = _exact_weights(weights)
+    n = len(numerators)
+    cells = [[cell and ((), (), cell[1], 1) for cell in gaps] for gaps in gap_table(n, numerators)]
+    counts = Counter(g for _, _, g, _ in catalog_rows(n, cells))  # d g -> c_g
+    exponents = dict.fromkeys(counts, 1)
+
+    def times(vector: list[int], roots: Iterable[int]) -> list[int]:
+        for g in roots:
+            vector = shuffle_rank_product(vector, numerators, -g)
+            content = math.gcd(*vector)
+            if content > 1:
+                vector = [c // content for c in vector]
+        return vector
+
+    def search(vector: list[int], roots: list[int]) -> None:
+        # vector: the identity times, for every root but these, its full
+        # power or its exponent once found
+        if len(roots) > 1:
+            half = len(roots) // 2
+            low, high = roots[:half], roots[half:]
+            search(times(vector, (g for g in high for _ in range(counts[g]))), low)
+            search(times(vector, (g for g in low for _ in range(exponents[g]))), high)
+            return
+        (g,) = roots
+        for k in range(1, counts[g] + 1):
+            vector = times(vector, (g,))
+            if not any(vector):
+                exponents[g] = k
+                return
+        raise RuntimeError(f"(x - {Fraction(g, den)})^{counts[g]} and the other factors do not annihilate x")
+
+    repeated = [g for g, c in counts.items() if c > 1]
+    vector = times([1] + [0] * (math.factorial(n) - 1), (g for g, c in counts.items() if c == 1))
+    if any(times(vector, repeated)):
+        if not repeated:
+            raise RuntimeError("the product of (x - g_I) over the lacunar I does not annihilate x")
+        search(vector, repeated)
+    poly = Polynomial.from_roots((Fraction(g, den), k) for g, k in exponents.items()).monic()
+    if not _annihilates(poly, den, numerators):
+        raise RuntimeError(f"{poly} does not annihilate x; the roots were assembled wrongly")
     return poly
 
 

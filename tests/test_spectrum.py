@@ -313,66 +313,56 @@ def test_minimal_polynomial_cap(monkeypatch, forbid_enumeration_above):
     minimal_polynomial(x6, max_n=6)
 
 
-def off_the_shuffles(n):
-    """Elements that are no combination of the t_ell: t_1 t_2, and seeded
-    Fraction coefficients on a random support."""
-    rng = random.Random(40 + n)
-    support = rng.sample(list(all_permutations(n)), 5)
-    scattered = AlgebraElement(n, {w: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4)) for w in support})
-    return {"t1_t2": build_t(n, 1) * build_t(n, 2), "scattered": scattered}
+def test_minimal_polynomial_refuses_an_element_off_the_shuffles():
+    """t_1 t_2, and seeded Fraction coefficients on a random support, are
+    no combination of the t_ell."""
+    for n in (4, 5):
+        rng = random.Random(40 + n)
+        support = rng.sample(list(all_permutations(n)), 5)
+        scattered = AlgebraElement(n, {w: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4)) for w in support})
+        for x in (build_t(n, 1) * build_t(n, 2), scattered):
+            assert spectrum._shuffle_weights(x) is None
+            with pytest.raises(ValueError, match="span of the t_ell"):
+                minimal_polynomial(x)
 
 
-@pytest.mark.parametrize("path", ["shuffle_recursion", "term_gathers"])
-def test_minimal_polynomial_rejects_a_relation_that_does_not_annihilate(path, monkeypatch):
-    if path == "shuffle_recursion":
-        x = combine(ones(4))
+def test_minimal_polynomial_rejects_a_relation_that_does_not_annihilate(monkeypatch):
+    x = combine(ones(4))
+    real = spectrum.Polynomial.from_roots
+
+    def simple(roots):
         # (x - 10)(x - 6)(x - 4)(x - 2) misses the repeated eigenvalue 4 at n = 4
-        wrong = Polynomial.from_roots([(10, 1), (6, 1), (4, 1), (2, 1)])
-    else:
-        x = off_the_shuffles(4)["t1_t2"]
-        # the minimal polynomial has the root 0; without it the relation is too short
-        wrong, remainder = minimal_polynomial(x).divmod(Polynomial.x_minus(0))
-        assert remainder.is_zero()
-    assert (spectrum._shuffle_weights(x) is None) == (path == "term_gathers")
-    monkeypatch.setattr(spectrum, "_krylov_annihilator", lambda x: wrong)
-    with pytest.raises(RuntimeError):
+        return real((root, 1) for root, _ in roots)
+
+    monkeypatch.setattr(spectrum.Polynomial, "from_roots", simple)
+    with pytest.raises(RuntimeError, match="does not annihilate"):
         minimal_polynomial(x)
 
 
 @pytest.mark.parametrize("n", [4, 5])
-@pytest.mark.parametrize("name", ["t1_t2", "scattered"])
-def test_minimal_polynomial_off_the_shuffles_equals_the_fraction_krylov(n, name, monkeypatch):
-    """Elements outside the span of the t_ell take one gather per term."""
-    x = off_the_shuffles(n)[name]
-    assert spectrum._shuffle_weights(x) is None
+def test_minimal_polynomial_refuses_a_catalog_with_a_row_dropped(n, monkeypatch):
+    """The unweighted minimal polynomial at n = 4, 5 has one factor per
+    catalog row; with any row left out some k_g passes c_g."""
+    x = combine(unweighted_weights(n))
+    assert minimal_polynomial(x).degree == len(enumerate_lacunar(n))
+    real = spectrum.catalog_rows
+    for drop in range(len(enumerate_lacunar(n))):
 
-    def refuse(*args):
-        raise AssertionError("the shuffle recursion ran on an element off the shuffles")
+        def dropped(*args):
+            walked = list(real(*args))
+            del walked[drop]
+            return iter(walked)
 
-    monkeypatch.setattr(spectrum, "shuffle_rank_product", refuse)
-    assert minimal_polynomial(x) == fraction_krylov(x)
-
-
-@pytest.mark.parametrize("size", [5, 90])
-def test_right_multiplier_off_the_shuffles_equals_rmul_terms(size):
-    """One gather per term of S(x), through the cached tables and, past
-    algebra._GATHER_TABLES terms, through maps composed on lookup, against
-    the group-algebra product of the vector and d x."""
-    rng = random.Random(70 + size)
-    perms = list(all_permutations(5))
-    x = AlgebraElement(5, {w: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3)) for w in rng.sample(perms, size)})
-    assert spectrum._shuffle_weights(x) is None
-    den, times = spectrum._right_multiplier(x)
-    vector = [rng.randint(-9, 9) for _ in perms]
-    product = AlgebraElement(5, {w: c for w, c in zip(perms, vector) if c}) * (x * den)
-    assert times(vector) == [product.coefficient(w) for w in perms]
+        monkeypatch.setattr(spectrum, "catalog_rows", dropped)
+        with pytest.raises(RuntimeError, match="annihilate"):
+            minimal_polynomial(x)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_combinations_of_the_shuffles_take_the_recursion(n, monkeypatch):
+def test_combinations_of_the_shuffles_take_the_recursion(n):
     """The weights read off combine(weights), a shift by 1 included, are the
-    weights; the Krylov sequence and the P(x) = 0 check then need no
-    gather tables of the terms of x."""
+    weights, and the minimal polynomial of x and of x + 1 is the Fraction
+    Krylov oracle's."""
     weights = list(pseudo_random_weights(n))
     weights[0] = 0
     x = combine(weights)
@@ -380,18 +370,14 @@ def test_combinations_of_the_shuffles_take_the_recursion(n, monkeypatch):
     shifted = list(weights)
     shifted[-1] += 1  # t_n = 1
     assert spectrum._shuffle_weights(x + 1) == shifted
-
-    def refuse(*args):
-        raise AssertionError("the term gathers ran on a combination of the shuffles")
-
-    monkeypatch.setattr(spectrum, "rank_factors", refuse)
     assert minimal_polynomial(x) == fraction_krylov(x)
+    assert minimal_polynomial(x + 1) == fraction_krylov(x + 1)
 
 
 def fraction_krylov(x):
-    """The Fraction elimination the fraction-free _krylov_annihilator
-    replaced: Gauss-Jordan on the Krylov sequence of x as Perm-keyed
-    Fraction vectors, each new pivot normalized to 1."""
+    """The minimal polynomial by Gauss-Jordan elimination on the Krylov
+    sequence of x as Perm-keyed Fraction vectors, each new pivot
+    normalized to 1: an oracle that never consults the eigenvalues."""
     pivots = []  # (pivot perm, reduced vector, combination over powers)
     current = {tuple(range(1, x.n + 1)): 1}
     power = 0
@@ -424,36 +410,32 @@ def fraction_krylov(x):
 
 KRYLOV_CASES = [
     (n, name, weights)
-    for n in range(1, 6)
+    for n in range(1, 7)
     for name, weights in (
         ("r2b", r2b_weights),
         ("t2r", t2r_weights),
         ("unweighted", unweighted_weights),
         ("signed", pseudo_random_weights),
     )
-] + [(6, "r2b", r2b_weights)]
+] + [(7, "t2r", t2r_weights)]
 
 
 @pytest.mark.parametrize(
     "n, name, weights", KRYLOV_CASES, ids=[f"{name}-{n}" for n, name, _ in KRYLOV_CASES]
 )
 def test_fraction_free_krylov_matches_the_fraction_elimination(n, name, weights):
-    from cycleshuffles import spectrum
-
     x = combine(weights(n))
     expected = fraction_krylov(x)
-    got = spectrum._krylov_annihilator(x)
+    got = minimal_polynomial(x, max_n=n)
     assert got == expected
     assert [str(c) for c in got.coeffs] == [str(c) for c in expected.coeffs]
-    assert minimal_polynomial(x, max_n=n) == expected
+    assert all(type(c) is Fraction for c in got.coeffs)
 
 
 def test_fraction_free_krylov_of_zero_and_one():
-    from cycleshuffles import spectrum
-
     for n in (1, 3):
-        assert spectrum._krylov_annihilator(AlgebraElement.zero(n)) == Polynomial((0, 1))
-        assert spectrum._krylov_annihilator(AlgebraElement.one(n)) == Polynomial.x_minus(1)
+        assert minimal_polynomial(AlgebraElement.zero(n)) == Polynomial((0, 1))
+        assert minimal_polynomial(AlgebraElement.one(n)) == Polynomial.x_minus(1)
 
 
 def test_minimal_polynomial_divides_annihilator():
