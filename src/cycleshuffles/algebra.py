@@ -5,26 +5,23 @@ precision, always reduced).  Zero coefficients are never stored, so equality
 of elements is equality of their term dictionaries and an identity check
 reduces to emptiness of a difference.
 
-Every product goes through one right-multiplication kernel, rmul_terms.
-It clears the denominators of both factors once, so the inner loop is pure
-integer multiply-add, and divides once per output term.  When the left
-factor covers at least a quarter of S_n and the right factor is sparse,
-the kernel indexes S_n by lexicographic rank and reads u*v off one gather
-table rank(u) -> rank(u*v) per right term v; the rank index and the tables
-are built on first use, never at import, and at most _GATHER_TABLES tables
-are kept.  Otherwise it composes the permutation tuples directly, so
-sparse products never touch an n!-sized table.
+The product of two elements, rmul_terms, clears the denominators of both
+factors once, composes the permutation tuples in a pure integer
+multiply-add loop, and divides once per output term; it never indexes S_n.
 
-Only the n - 1 adjacent transpositions s_k have their gather tables
-composed from permutation tuples.  Any other v has a first descent k, and
-v = (v s_k) s_k, so its table is that of v s_k read through that of s_k:
-one C-level gather.  Peeling the first descent walks cyc_{ell..k} down to
-cyc_{ell..k-1} and cyc_{k..ell} down to cyc_{k..ell+1}, so the tables of
-the shuffles' supports are built from each other.
+Code that holds integer vectors over lexicographic ranks of S_n reads u*v
+off a gather table rank(u) -> rank(u*v) per right term v instead.  The
+rank index and the tables are built on first use, never at import, and at
+most _GATHER_TABLES tables are kept.  Only the n - 1 adjacent
+transpositions s_k have their gather tables composed from permutation
+tuples.  Any other v has a first descent k, and v = (v s_k) s_k, so its
+table is that of v s_k read through that of s_k: one C-level gather.
+Peeling the first descent walks cyc_{ell..k} down to cyc_{ell..k-1} and
+cyc_{k..ell} down to cyc_{k..ell+1}, so the tables of the shuffles'
+supports are built from each other.
 
-Code that already holds integer vectors over lexicographic ranks uses the
-same gather tables through rank_factors, the denominator of the element
-cleared once, and no permutation tuples.  A row of the permutation basis
+Such code takes the tables of an element's terms from rank_factors, its
+denominator cleared once, and no permutation tuples.  A row of the permutation basis
 or of the a-basis, a plain sum of permutations, is a list of ranks, and
 rank_product multiplies it by any element, one add per rank and term.  A
 dense vector times an integer combination of the shuffles t_ell, plus a
@@ -54,6 +51,11 @@ from .perms import (
 )
 
 
+def _require_scalar(c: object) -> None:
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"{c!r} is not an exact scalar: expected an int or a Fraction")
+
+
 class AlgebraElement:
     """An element of Q[S_n], stored as a sparse permutation -> coefficient map.
 
@@ -71,6 +73,7 @@ class AlgebraElement:
                 if len(w) != n:
                     raise ValueError(f"permutation {w} has degree {len(w)}, expected {n}")
                 _require_permutation(w, n)
+                _require_scalar(c)
                 if c:
                     clean[w] = c
         self._terms = clean
@@ -116,9 +119,13 @@ class AlgebraElement:
         """self + other, a rational scalar c standing for c * 1."""
         if isinstance(other, (int, Fraction)):
             other = AlgebraElement.one(self.n).scale(other)
+        elif not isinstance(other, AlgebraElement):
+            return NotImplemented
         return linear_combine([(1, self), (1, other)])
 
     def __sub__(self, other: "AlgebraElement | Scalar") -> "AlgebraElement":
+        if not isinstance(other, (int, Fraction, AlgebraElement)):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "AlgebraElement":
@@ -135,9 +142,11 @@ class AlgebraElement:
     def __mul__(self, other: "AlgebraElement | Scalar") -> "AlgebraElement":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         if self.n != other.n:
             raise ValueError(f"degree mismatch: {self.n} vs {other.n}")
-        return _raw(self.n, rmul_terms(self._terms, other._terms, self.n))
+        return _raw(self.n, rmul_terms(self._terms, other._terms))
 
     def __pow__(self, exponent: int) -> "AlgebraElement":
         """Power by repeated squaring (commutator powers are dense)."""
@@ -179,8 +188,8 @@ def _raw(n: int, terms: dict[Perm, Scalar]) -> AlgebraElement:
     return el
 
 
-# Gather tables kept across products: enough for the supports of every t_ell,
-# t'_ell and osc at n <= 8, and at most 64 * 8! references in memory.
+# Gather tables kept for rank_factors and shuffle_rank_product: enough for the
+# supports of every t_ell, t'_ell and osc at n <= 8, at most 64 * 8! references.
 _GATHER_TABLES = 64
 
 
@@ -316,39 +325,23 @@ def shuffle_rank_product(vector: Sequence[int], weights: Sequence[int], shift: i
     return total
 
 
-def rmul_terms(
-    x_terms: Mapping[Perm, Scalar], y_terms: Mapping[Perm, Scalar], n: int
-) -> dict[Perm, Scalar]:
-    """Term dict of the product x*y, zero terms pruned.
-
-    The coefficient of w is the sum of x[u]*y[v] over u*v = w.  The
-    coefficients are ints when every coefficient of both factors is
+def rmul_terms(x_terms: Mapping[Perm, Scalar], y_terms: Mapping[Perm, Scalar]) -> dict[Perm, Scalar]:
+    """Term dict of the product x*y, zero terms pruned: the coefficient of
+    w is the sum of x[u]*y[v] over u*v = w, one composition per term pair.
+    The coefficients are ints when every coefficient of both factors is
     integral, and reduced Fractions otherwise.
 
-    >>> rmul_terms({(2, 1, 3): 1}, {(1, 3, 2): Fraction(1, 2)}, 3)
+    >>> rmul_terms({(2, 1, 3): 1}, {(1, 3, 2): Fraction(1, 2)})
     {(2, 3, 1): Fraction(1, 2)}
     """
-    if not x_terms or not y_terms:
-        return {}
     x_den, xs = integer_terms(x_terms)
     y_den, ys = integer_terms(y_terms)
-    size = math.factorial(n)
-    if 4 * len(xs) >= size and len(ys) <= _GATHER_TABLES:
-        perms, rank = sn_index(n)
-        xr = [(rank[u], a) for u, a in xs]
-        dense = [0] * size
-        for v, b in ys:
-            table = _gather_table(n, v)
-            for ru, a in xr:
-                dense[table[ru]] += a * b
-        acc = {perms[k]: c for k, c in enumerate(dense) if c}
-    else:
-        right = [(_composer(v), b) for v, b in ys]
-        acc = {}
-        for u, a in xs:
-            for times_v, b in right:
-                w = times_v(u)
-                acc[w] = acc.get(w, 0) + a * b
+    right = [(_composer(v), b) for v, b in ys]
+    acc: dict[Perm, int] = {}
+    for u, a in xs:
+        for times_v, b in right:
+            w = times_v(u)
+            acc[w] = acc.get(w, 0) + a * b
     return divide_terms(acc, x_den * y_den)
 
 
@@ -368,6 +361,7 @@ def linear_combine(pairs: Iterable[tuple[Scalar, AlgebraElement]]) -> AlgebraEle
     for c, x in pairs:
         if x.n != n:
             raise ValueError(f"degree mismatch: {n} vs {x.n}")
+        _require_scalar(c)
         if not c:
             continue
         items = x.terms.items() if c == 1 else [(w, c * cw) for w, cw in x.terms.items()]

@@ -8,10 +8,10 @@ walk over its members (lacunar.walk_gaps, carried down the catalog's
 recursion by lacunar.catalog_rows), and the whole spectrum scales with the
 Fibonacci catalog, not with n!.  The exact characteristic polynomial of
 a dense matrix provides an independent oracle at small n.  The annihilator
-check and the minimal polynomial, whose roots are the same catalog's
-eigenvalues, hold dense integer vectors over lexicographic ranks of S_n,
-and multiply them by a combination of the t_ell in n - 1 transposition
-gathers (algebra.shuffle_rank_product).
+check, the minimal polynomial and the diagonalizability certificate read
+one root list, the same catalog's eigenvalues; the first two multiply the
+identity's dense integer vector over lexicographic ranks of S_n by their
+factors in one loop (algebra.shuffle_rank_product).
 """
 
 from __future__ import annotations
@@ -118,30 +118,47 @@ def full_spectrum(weights: WeightVector) -> SpectrumReport:
     return SpectrumReport(n, weights, tuple(rows), aggregate)
 
 
+def _roots(weights: WeightVector) -> tuple[int, tuple[int, ...], list[int]]:
+    """d, the common denominator of the weights, the integers d * weight and
+    the integers d g_I over the lacunar I in catalog order (catalog_rows)."""
+    _, den, numerators = _exact_weights(weights)
+    n = len(numerators)
+    cells = [[cell and ((), (), cell[1], 1) for cell in gaps] for gaps in gap_table(n, numerators)]
+    return den, numerators, [g for _, _, g, _ in catalog_rows(n, cells)]
+
+
+def _times(vector: list[int], numerators: Sequence[int], roots: Iterable[int]) -> tuple[list[int], int]:
+    """The dense integer vector times d x - g for each root g in turn, d x the
+    t_ell weighted by numerators, its content divided out after each factor;
+    and the product of those contents.  Stops once the vector vanishes."""
+    contents = 1
+    for g in roots:
+        vector = shuffle_rank_product(vector, numerators, -g)
+        content = math.gcd(*vector)
+        if not content:
+            break
+        if content > 1:
+            vector = [c // content for c in vector]
+            contents *= content
+    return vector, contents
+
+
 def annihilator_check(weights: WeightVector, *, max_n: int | None = None) -> tuple[bool, AlgebraElement]:
     """Evaluate the product of (t - g_I) over all lacunar I in the group algebra.
 
     Returns (True, zero) when the product vanishes exactly; otherwise the
-    residual element is the witness.  The product is kept as a dense
-    integer vector over lexicographic ranks times a rational scale: with d
-    the common denominator of the weights, each factor, in catalog order,
-    multiplies it by the integer combination d (t - g_I) of the t_ell
-    through shuffle_rank_product, d g_I summed over the gaps of I from
-    gap_table, and the content of the vector is divided out after each step.
+    residual is the witness: the factors d (t - g_I), d the common
+    denominator of the weights, act in catalog order on the identity's
+    dense integer vector (_times), and the residual is that vector times
+    the contents divided out, over d to the number of factors.
     """
     require_within_cap(len(weights), max_n)
-    _, den, numerators = _exact_weights(weights)
+    den, numerators, roots = _roots(weights)
     n = len(numerators)
-    cells = [[cell and ((), (), cell[1], 1) for cell in gaps] for gaps in gap_table(n, numerators)]
-    vector, scale = [1] + [0] * (math.factorial(n) - 1), Fraction(1)  # the identity has lexicographic rank 0
-    for _, _, g, _ in catalog_rows(n, cells):
-        vector = shuffle_rank_product(vector, numerators, -g)
-        if not any(vector):
-            return True, AlgebraElement.zero(n)
-        content = math.gcd(*vector)
-        if content > 1:
-            vector = [c // content for c in vector]
-        scale *= Fraction(content, den)
+    vector, contents = _times([1] + [0] * (math.factorial(n) - 1), numerators, roots)  # the identity: rank 0
+    if not any(vector):
+        return True, AlgebraElement.zero(n)
+    scale = Fraction(contents, den ** len(roots))
     perms = sn_index(n)[0]
     residual = {perms[r]: c * scale.numerator for r, c in enumerate(vector) if c}
     return False, AlgebraElement(n, divide_terms(residual, scale.denominator))
@@ -178,45 +195,33 @@ def minimal_polynomial(x: AlgebraElement, max_n: int | None = None) -> Polynomia
     """Monic minimal polynomial of right multiplication by x, a combination
     of the t_ell, from its eigenvalues.
 
-    The minimal polynomial of x itself annihilates the whole
-    right-multiplication matrix, since w * P(x) = 0 for every permutation w
-    once P(x) = 0.  The product of (x - g_I) over the lacunar I vanishes
-    (annihilator_check), so the minimal polynomial is the product of
-    (t - g)^k_g over the distinct g, with 1 <= k_g <= c_g, c_g the number
-    of catalog rows with eigenvalue g.  The premise k_g >= 1 is that every
-    g_I is an eigenvalue: delta_I >= 1, because each gap of a lacunar I
-    after the first is at least 2.  So a root met once has k_g = 1.  With
-    d the common denominator of the weights, the integer factors
-    d (x - g) act on the identity's dense integer vector over lexicographic
-    ranks through shuffle_rank_product, the content divided out after each
-    factor.  When the product of one factor per distinct g vanishes, every
-    k_g is 1.  Otherwise each repeated root's k_g is the least k for which
-    (x - g)^k times the full power (x - h)^c_h of every other root
-    vanishes.  The repeated roots are split in halves, recursively: the
-    second half's full powers are applied once for the whole first half,
-    and then the first half's exponents, found by then, once for the
-    second (the least k stays k_g while every other exponent is at least
-    its k_h).  A k_g past c_g means the annihilator fails and raises
-    RuntimeError.  P(x) = 0 is verified after the fact, over the integers
-    (_annihilates).
+    Once P(x) = 0, w * P(x) = 0 for every permutation w, so the minimal
+    polynomial of x is that of its right-multiplication matrix.  The
+    product of (x - g_I) over the lacunar I vanishes (annihilator_check),
+    so the minimal polynomial is the product of (t - g)^k_g over the
+    distinct g, with 1 <= k_g <= c_g, c_g the number of catalog rows with
+    eigenvalue g.  The premise k_g >= 1 is that every g_I is an
+    eigenvalue: delta_I >= 1, because each gap of a lacunar I after the
+    first is at least 2.  So a root met once has k_g = 1.  The factors
+    d (x - g), d the common denominator of the weights, act on the
+    identity's dense integer vector (_times).  When the product of one
+    factor per distinct g vanishes, every k_g is 1.  Otherwise each
+    repeated root's k_g is the least k for which (x - g)^k times the full
+    power (x - h)^c_h of every other root vanishes.  The repeated roots
+    are split in halves, recursively: the second half's full powers are
+    applied once for the whole first half, and then the first half's
+    exponents, found by then, once for the second (the least k stays k_g
+    while every other exponent is at least its k_h).  A k_g past c_g
+    means the annihilator fails and raises RuntimeError.  P(x) = 0 is
+    verified after the fact, over the integers (_annihilates).
     """
     require_within_cap(x.n, max_n)
     weights = _shuffle_weights(x)
     if weights is None:
         raise ValueError("minimal_polynomial takes an element of the span of the t_ell")
-    _, den, numerators = _exact_weights(weights)
-    n = len(numerators)
-    cells = [[cell and ((), (), cell[1], 1) for cell in gaps] for gaps in gap_table(n, numerators)]
-    counts = Counter(g for _, _, g, _ in catalog_rows(n, cells))  # d g -> c_g
+    den, numerators, roots = _roots(weights)
+    counts = Counter(roots)  # d g -> c_g
     exponents = dict.fromkeys(counts, 1)
-
-    def times(vector: list[int], roots: Iterable[int]) -> list[int]:
-        for g in roots:
-            vector = shuffle_rank_product(vector, numerators, -g)
-            content = math.gcd(*vector)
-            if content > 1:
-                vector = [c // content for c in vector]
-        return vector
 
     def search(vector: list[int], roots: list[int]) -> None:
         # vector: the identity times, for every root but these, its full
@@ -224,20 +229,21 @@ def minimal_polynomial(x: AlgebraElement, max_n: int | None = None) -> Polynomia
         if len(roots) > 1:
             half = len(roots) // 2
             low, high = roots[:half], roots[half:]
-            search(times(vector, (g for g in high for _ in range(counts[g]))), low)
-            search(times(vector, (g for g in low for _ in range(exponents[g]))), high)
+            search(_times(vector, numerators, (g for g in high for _ in range(counts[g])))[0], low)
+            search(_times(vector, numerators, (g for g in low for _ in range(exponents[g])))[0], high)
             return
         (g,) = roots
         for k in range(1, counts[g] + 1):
-            vector = times(vector, (g,))
+            vector = _times(vector, numerators, (g,))[0]
             if not any(vector):
                 exponents[g] = k
                 return
         raise RuntimeError(f"(x - {Fraction(g, den)})^{counts[g]} and the other factors do not annihilate x")
 
     repeated = [g for g, c in counts.items() if c > 1]
-    vector = times([1] + [0] * (math.factorial(n) - 1), (g for g, c in counts.items() if c == 1))
-    if any(times(vector, repeated)):
+    identity_vector = [1] + [0] * (math.factorial(x.n) - 1)
+    vector = _times(identity_vector, numerators, (g for g, c in counts.items() if c == 1))[0]
+    if any(_times(vector, numerators, repeated)[0]):
         if not repeated:
             raise RuntimeError("the product of (x - g_I) over the lacunar I does not annihilate x")
         search(vector, repeated)
@@ -320,7 +326,5 @@ def diagonalizable_certificate(weights: WeightVector) -> str:
     """"certified_diagonalizable" when all row eigenvalues are pairwise
     distinct, else "inconclusive" (distinctness is sufficient but not
     necessary, so no negative verdict is ever issued)."""
-    report = full_spectrum(weights)
-    if len(report.aggregate) == len(report.rows):
-        return CERTIFIED_DIAGONALIZABLE
-    return INCONCLUSIVE
+    roots = _roots(weights)[2]
+    return CERTIFIED_DIAGONALIZABLE if len(set(roots)) == len(roots) else INCONCLUSIVE

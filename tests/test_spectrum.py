@@ -423,7 +423,7 @@ KRYLOV_CASES = [
 @pytest.mark.parametrize(
     "n, name, weights", KRYLOV_CASES, ids=[f"{name}-{n}" for n, name, _ in KRYLOV_CASES]
 )
-def test_fraction_free_krylov_matches_the_fraction_elimination(n, name, weights):
+def test_minimal_polynomial_matches_the_fraction_krylov_oracle(n, name, weights):
     x = combine(weights(n))
     expected = fraction_krylov(x)
     got = minimal_polynomial(x, max_n=n)
@@ -432,7 +432,7 @@ def test_fraction_free_krylov_matches_the_fraction_elimination(n, name, weights)
     assert all(type(c) is Fraction for c in got.coeffs)
 
 
-def test_fraction_free_krylov_of_zero_and_one():
+def test_minimal_polynomial_of_zero_and_one():
     for n in (1, 3):
         assert minimal_polynomial(AlgebraElement.zero(n)) == Polynomial((0, 1))
         assert minimal_polynomial(AlgebraElement.one(n)) == Polynomial.x_minus(1)
@@ -662,6 +662,33 @@ def test_diagonalizable_certificate_examples():
     for n in range(4, 8):
         t2r = (Fraction(1),) + tuple(Fraction(0) for _ in range(n - 1))
         assert diagonalizable_certificate(t2r) == INCONCLUSIVE
+
+
+CERTIFICATE_LAWS = {
+    "r2b": r2b_weights,
+    "paper-r2b": paper_r2b_weights,
+    "t2r": t2r_weights,
+    "unweighted": unweighted_weights,
+    "signed": pseudo_random_weights,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_LAWS))
+def test_diagonalizable_certificate_follows_the_report_rule(name, monkeypatch):
+    """The certificate counts distinct roots against rows, as the report's
+    aggregate does against its rows, at every n <= 14, and builds no
+    report."""
+    cases = [CERTIFICATE_LAWS[name](n) for n in range(1, 15)]
+    expected = []
+    for weights in cases:
+        report = full_spectrum(weights)
+        expected.append(CERTIFIED_DIAGONALIZABLE if len(report.aggregate) == len(report.rows) else INCONCLUSIVE)
+
+    def no_report(weights):
+        raise AssertionError("diagonalizable_certificate built a SpectrumReport")
+
+    monkeypatch.setattr(spectrum, "full_spectrum", no_report)
+    assert [diagonalizable_certificate(weights) for weights in cases] == expected
 
 
 def test_top_to_random_spectrum_via_m_values():
