@@ -73,6 +73,7 @@ _EXPORTS = {
     "diagonalizable_certificate": "spectrum",
     "eigenvalue_for_set": "spectrum",
     "full_spectrum": "spectrum",
+    "jordan_exponents": "spectrum",
     "minimal_polynomial": "spectrum",
 }
 

@@ -39,7 +39,7 @@ from fractions import Fraction
 from operator import add, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .inputs import Scalar
+from .inputs import Scalar, _require_scalar
 from .perms import (
     Perm,
     _require_permutation,
@@ -49,11 +49,6 @@ from .perms import (
     inverse,
     transposition,
 )
-
-
-def _require_scalar(c: object) -> None:
-    if not isinstance(c, (int, Fraction)):
-        raise TypeError(f"{c!r} is not an exact scalar: expected an int or a Fraction")
 
 
 class AlgebraElement:

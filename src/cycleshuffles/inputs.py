@@ -82,16 +82,22 @@ def unweighted_weights(n: int) -> tuple[Fraction, ...]:
     return osc_weights([Fraction(2 * (n - i + 1), n * (n + 1)) for i in range(1, n + 1)])
 
 
+def _require_scalar(c: object) -> Scalar:
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"{c!r} is not an exact scalar: expected an int or a Fraction")
+    return c
+
+
 def _exact_weights(weights: WeightVector) -> tuple[tuple[Fraction, ...], int, tuple[int, ...]]:
     """The weights as Fractions, a common denominator d of them and the
     integers d * weight.  Their count is the degree, so only an empty
-    vector is refused.
+    vector is refused; a float weight is a TypeError, as in the algebra.
 
     >>> _exact_weights((Fraction(1, 2), Fraction(1, 3)))
     ((Fraction(1, 2), Fraction(1, 3)), 6, (3, 2))
     """
     if not weights:
         raise ValueError("degree must be at least 1, got 0")
-    exact = tuple(Fraction(c) for c in weights)
+    exact = tuple(Fraction(_require_scalar(c)) for c in weights)
     den = math.lcm(*(c.denominator for c in exact))
     return exact, den, tuple(c.numerator * (den // c.denominator) for c in exact)

@@ -8,10 +8,11 @@ walk over its members (lacunar.walk_gaps, carried down the catalog's
 recursion by lacunar.catalog_rows), and the whole spectrum scales with the
 Fibonacci catalog, not with n!.  The exact characteristic polynomial of
 a dense matrix provides an independent oracle at small n.  The annihilator
-check, the minimal polynomial and the diagonalizability certificate read
+check, the Jordan exponents and the diagonalizability certificate read
 one root list, the same catalog's eigenvalues; the first two multiply the
 identity's dense integer vector over lexicographic ranks of S_n by their
-factors in one loop (algebra.shuffle_rank_product).
+factors in one loop (algebra.shuffle_rank_product), and the last product
+of the Jordan exponents to vanish is the minimal polynomial's proof.
 """
 
 from __future__ import annotations
@@ -174,51 +175,29 @@ def _shuffle_weights(x: AlgebraElement) -> list[Scalar] | None:
     return weights if combine(weights) == x else None
 
 
-def _annihilates(poly: Polynomial, den: int, numerators: Sequence[int]) -> bool:
-    """Whether P(x) = 0 for x the combination of the t_ell with the
-    integer weights numerators / den, by Horner over the integers on the
-    dense vector of the identity: with L a common denominator of the
-    p_k d^(deg-k), L d^deg P(x) is the sum of the integers
-    L p_k d^(deg-k) times (d x)^k.  L is 1 when the roots are over d."""
-    deg = poly.degree
-    scaled = [c * den ** (deg - k) for k, c in enumerate(poly.coeffs)]
-    lcd = math.lcm(*(c.denominator for c in scaled))
-    coeffs = [c.numerator * (lcd // c.denominator) for c in scaled]
-    vector = [coeffs[-1]] + [0] * (math.factorial(len(numerators)) - 1)
-    for c in reversed(coeffs[:-1]):
-        vector = shuffle_rank_product(vector, numerators)
-        vector[0] += c
-    return not any(vector)
+def jordan_exponents(weights: WeightVector, *, max_n: int | None = None) -> dict[Fraction, int]:
+    """Each distinct eigenvalue g of x = sum of weights[ell] * t_ell, in
+    descending order, with its exponent k_g in the minimal polynomial P of
+    right multiplication by x, the size of its largest Jordan block; x is
+    diagonalizable exactly when every k_g is 1.
 
+    The product of (x - g_I) over the lacunar I vanishes (annihilator_check) and
+    every g_I is an eigenvalue (delta_I >= 1: each gap of a lacunar I after the
+    first is at least 2), so 1 <= k_g <= c_g, the number of rows with eigenvalue
+    g.  The factors d (x - g), d the weights' common denominator, act on the
+    identity's integer vector (_times).  When the product of one per distinct g
+    vanishes, every k_g is 1.  Else each repeated root's k_g is the least k for
+    which (x - g)^k times the full power (x - h)^c_h of every other root
+    vanishes, found by halving: the second half's full powers are applied once
+    for the first half, then the first half's exponents once for the second (the
+    least k stays k_g while every other exponent is at least its k_h).  A k_g
+    past c_g raises RuntimeError.  The last product to vanish, the squarefree
+    one or the last repeated root's, holds every root at its k_g, so P(x) = 0.
 
-def minimal_polynomial(x: AlgebraElement, max_n: int | None = None) -> Polynomial:
-    """Monic minimal polynomial of right multiplication by x, a combination
-    of the t_ell, from its eigenvalues.
-
-    Once P(x) = 0, w * P(x) = 0 for every permutation w, so the minimal
-    polynomial of x is that of its right-multiplication matrix.  The
-    product of (x - g_I) over the lacunar I vanishes (annihilator_check),
-    so the minimal polynomial is the product of (t - g)^k_g over the
-    distinct g, with 1 <= k_g <= c_g, c_g the number of catalog rows with
-    eigenvalue g.  The premise k_g >= 1 is that every g_I is an
-    eigenvalue: delta_I >= 1, because each gap of a lacunar I after the
-    first is at least 2.  So a root met once has k_g = 1.  The factors
-    d (x - g), d the common denominator of the weights, act on the
-    identity's dense integer vector (_times).  When the product of one
-    factor per distinct g vanishes, every k_g is 1.  Otherwise each
-    repeated root's k_g is the least k for which (x - g)^k times the full
-    power (x - h)^c_h of every other root vanishes.  The repeated roots
-    are split in halves, recursively: the second half's full powers are
-    applied once for the whole first half, and then the first half's
-    exponents, found by then, once for the second (the least k stays k_g
-    while every other exponent is at least its k_h).  A k_g past c_g
-    means the annihilator fails and raises RuntimeError.  P(x) = 0 is
-    verified after the fact, over the integers (_annihilates).
+    >>> jordan_exponents((Fraction(1, 4), Fraction(1, 8), 0))  # positions 3/4, 1/4, 0
+    {Fraction(1, 1): 1, Fraction(1, 4): 2}
     """
-    require_within_cap(x.n, max_n)
-    weights = _shuffle_weights(x)
-    if weights is None:
-        raise ValueError("minimal_polynomial takes an element of the span of the t_ell")
+    require_within_cap(len(weights), max_n)
     den, numerators, roots = _roots(weights)
     counts = Counter(roots)  # d g -> c_g
     exponents = dict.fromkeys(counts, 1)
@@ -241,14 +220,31 @@ def minimal_polynomial(x: AlgebraElement, max_n: int | None = None) -> Polynomia
         raise RuntimeError(f"(x - {Fraction(g, den)})^{counts[g]} and the other factors do not annihilate x")
 
     repeated = [g for g, c in counts.items() if c > 1]
-    identity_vector = [1] + [0] * (math.factorial(x.n) - 1)
-    vector = _times(identity_vector, numerators, (g for g, c in counts.items() if c == 1))[0]
+    vector = [1] + [0] * (math.factorial(len(numerators)) - 1)  # the identity: rank 0
+    vector = _times(vector, numerators, (g for g, c in counts.items() if c == 1))[0]
     if any(_times(vector, numerators, repeated)[0]):
         if not repeated:
             raise RuntimeError("the product of (x - g_I) over the lacunar I does not annihilate x")
         search(vector, repeated)
-    poly = Polynomial.from_roots((Fraction(g, den), k) for g, k in exponents.items()).monic()
-    if not _annihilates(poly, den, numerators):
+    return {Fraction(g, den): exponents[g] for g in sorted(exponents, reverse=True)}
+
+
+def minimal_polynomial(x: AlgebraElement, max_n: int | None = None) -> Polynomial:
+    """Monic minimal polynomial of right multiplication by x, a combination
+    of the t_ell: the product of (t - g)^k_g over jordan_exponents, whose
+    last vanishing product proves P(x) = 0, so w * P(x) = 0 for every w.
+    The expanded P divided by (t - g) k_g times for each root must leave
+    no remainder and the quotient 1, or RuntimeError is raised."""
+    weights = _shuffle_weights(x)
+    if weights is None:
+        raise ValueError("minimal_polynomial takes an element of the span of the t_ell")
+    exponents = jordan_exponents(weights, max_n=max_n)
+    poly = quotient = Polynomial.from_roots(exponents.items()).monic()
+    exact = True
+    for g in Counter(exponents).elements():
+        quotient, remainder = quotient.divmod(Polynomial.x_minus(g))
+        exact = exact and remainder.is_zero()
+    if not exact or quotient != Polynomial.one():
         raise RuntimeError(f"{poly} does not annihilate x; the roots were assembled wrongly")
     return poly
 

@@ -8,7 +8,7 @@ from cycleshuffles import spectrum
 from cycleshuffles.algebra import AlgebraElement
 from cycleshuffles.basis import QIndexTable, filtration_dimensions, rmul_matrix
 from cycleshuffles.checks import pseudo_random_weights, run_suite
-from cycleshuffles.inputs import _exact_weights, r2b_weights, t2r_weights, unweighted_weights
+from cycleshuffles.inputs import _exact_weights, osc_weights, r2b_weights, t2r_weights, unweighted_weights
 from cycleshuffles.lacunar import LacunarCatalog, enumerate_lacunar, gap_table, m_vector, walk_gaps
 from cycleshuffles.perms import all_permutations
 from cycleshuffles.polys import Polynomial
@@ -23,6 +23,7 @@ from cycleshuffles.spectrum import (
     diagonalizable_certificate,
     eigenvalue_for_set,
     full_spectrum,
+    jordan_exponents,
     minimal_polynomial,
 )
 
@@ -206,6 +207,7 @@ SPECTRAL = {
     "annihilator_check": annihilator_check,
     "diagonalizable_certificate": diagonalizable_certificate,
     "eigenvalue_for_set": lambda weights: eigenvalue_for_set(weights, ()),
+    "jordan_exponents": jordan_exponents,
 }
 
 
@@ -214,6 +216,14 @@ def test_an_empty_weight_vector_is_refused(name):
     # the weights give the degree, so no count can disagree with it; none is degree 0
     with pytest.raises(ValueError, match="^degree must be at least 1, got 0$"):
         SPECTRAL[name](())
+
+
+@pytest.mark.parametrize("name", SPECTRAL)
+def test_a_float_weight_is_refused(name):
+    """A float is refused as the group algebra refuses it, not read as its
+    binary expansion (0.1 is not 1/10)."""
+    with pytest.raises(TypeError, match="0.1 is not an exact scalar"):
+        SPECTRAL[name]((Fraction(1, 5), 0.1))
 
 
 def test_the_spectral_functions_build_no_catalog(monkeypatch):
@@ -310,6 +320,8 @@ def test_minimal_polynomial_cap(monkeypatch, forbid_enumeration_above):
         minimal_polynomial(x9)
     with pytest.raises(ValueError, match="degree 6 exceeds the full-algebra cap 5"):
         minimal_polynomial(x6, max_n=5)
+    with pytest.raises(ValueError, match="degree 6 exceeds the full-algebra cap 5"):
+        jordan_exponents(ones(6), max_n=5)
     minimal_polynomial(x6, max_n=6)
 
 
@@ -337,6 +349,60 @@ def test_minimal_polynomial_rejects_a_relation_that_does_not_annihilate(monkeypa
     monkeypatch.setattr(spectrum.Polynomial, "from_roots", simple)
     with pytest.raises(RuntimeError, match="does not annihilate"):
         minimal_polynomial(x)
+
+    def swapped(roots):
+        # the degree is kept: an exponent-3 root gets 2 and an exponent-2 root 3
+        roots = list(roots)
+        three, two = (next(i for i, (_, k) in enumerate(roots) if k == e) for e in (3, 2))
+        roots[three], roots[two] = (roots[three][0], 2), (roots[two][0], 3)
+        return real(roots)
+
+    monkeypatch.setattr(spectrum.Polynomial, "from_roots", swapped)
+    x = combine(unweighted_weights(7))
+    with pytest.raises(RuntimeError, match="does not annihilate"):
+        minimal_polynomial(x, max_n=7)
+
+
+def test_minimal_polynomial_applies_each_factor_once(monkeypatch):
+    """The r2b roots at n = 5 are 8 distinct ones, and the vanishing product
+    of their factors is the proof of P(x) = 0: one product per root."""
+    real = spectrum.shuffle_rank_product
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(spectrum, "shuffle_rank_product", counted)
+    assert minimal_polynomial(combine(r2b_weights(5))).degree == 8
+    assert len(calls) == 8
+
+
+def test_jordan_exponents_of_the_max_gap_law():
+    """P = (3/4, 1/4, 0) at n = 3: the root 1/4 has a Jordan block of size
+    2, so x is not diagonalizable, where the certificate is inconclusive."""
+    weights = osc_weights([Fraction(3, 4), Fraction(1, 4), 0])
+    exponents = jordan_exponents(weights)
+    assert exponents == {Fraction(1): 1, Fraction(1, 4): 2}
+    assert list(exponents) == [1, Fraction(1, 4)]
+    assert diagonalizable_certificate(weights) == INCONCLUSIVE
+    assert minimal_polynomial(combine(weights)) == Polynomial.from_roots(exponents.items())
+
+
+def test_jordan_exponents_of_the_unweighted_shuffle():
+    """At n = 7 every one of the 21 catalog rows is a factor of the minimal
+    polynomial: 11 roots with exponents 3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1."""
+    exponents = jordan_exponents(unweighted_weights(7), max_n=7)
+    assert sorted(exponents.values(), reverse=True) == [3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1]
+    assert list(exponents) == [g for g, _ in full_spectrum(unweighted_weights(7)).aggregate]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_jordan_exponents_of_random_to_below_are_one(n):
+    exponents = jordan_exponents(r2b_weights(n), max_n=n)
+    assert all(type(g) is Fraction for g in exponents)
+    assert list(exponents) == [g for g, _ in full_spectrum(r2b_weights(n)).aggregate]
+    assert set(exponents.values()) == {1}
 
 
 @pytest.mark.parametrize("n", [4, 5])
