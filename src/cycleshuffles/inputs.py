@@ -32,7 +32,7 @@ def require_within_cap(n: int, max_n: int | None = None) -> None:
 
 
 def validate_distribution(probabilities: Sequence[Scalar]) -> tuple[Fraction, ...]:
-    probs = tuple(Fraction(p) for p in probabilities)
+    probs = tuple(Fraction(_require_scalar(p)) for p in probabilities)
     for position, p in enumerate(probs, start=1):
         if p < 0:
             raise ValueError(f"negative probability {p} at position {position}")

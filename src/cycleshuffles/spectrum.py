@@ -185,14 +185,16 @@ def jordan_exponents(weights: WeightVector, *, max_n: int | None = None) -> dict
     every g_I is an eigenvalue (delta_I >= 1: each gap of a lacunar I after the
     first is at least 2), so 1 <= k_g <= c_g, the number of rows with eigenvalue
     g.  The factors d (x - g), d the weights' common denominator, act on the
-    identity's integer vector (_times).  When the product of one per distinct g
-    vanishes, every k_g is 1.  Else each repeated root's k_g is the least k for
-    which (x - g)^k times the full power (x - h)^c_h of every other root
-    vanishes, found by halving: the second half's full powers are applied once
-    for the first half, then the first half's exponents once for the second (the
-    least k stays k_g while every other exponent is at least its k_h).  A k_g
-    past c_g raises RuntimeError.  The last product to vanish, the squarefree
-    one or the last repeated root's, holds every root at its k_g, so P(x) = 0.
+    identity's integer vector (_times), and the repeated roots are searched by
+    halving from one node: the product of one factor per distinct g.  A node
+    returns once its vector vanishes, P then dividing its product, so each of
+    its roots has k_g = 1.  Else the first half's vector takes the c_h - 1
+    further factors of each root h of the second half, and, once the first
+    half is found, the second half's takes its k_h - 1 (the least k stays k_g
+    while every other power is at least its k_h).  A leaf takes x - g again for
+    k = 2, ..., c_g until its vector vanishes; a k_g past c_g raises
+    RuntimeError.  The last node visited holds every root at its k_g, so its
+    vanished vector is the proof of P(x) = 0.
 
     >>> jordan_exponents((Fraction(1, 4), Fraction(1, 8), 0))  # positions 3/4, 1/4, 0
     {Fraction(1, 1): 1, Fraction(1, 4): 2}
@@ -203,29 +205,26 @@ def jordan_exponents(weights: WeightVector, *, max_n: int | None = None) -> dict
     exponents = dict.fromkeys(counts, 1)
 
     def search(vector: list[int], roots: list[int]) -> None:
-        # vector: the identity times, for every root but these, its full
-        # power or its exponent once found
+        # vector: the identity times x - g once for each of these roots, and
+        # for every other root its full power or its exponent once found
+        if not any(vector):
+            return
         if len(roots) > 1:
             half = len(roots) // 2
             low, high = roots[:half], roots[half:]
-            search(_times(vector, numerators, (g for g in high for _ in range(counts[g])))[0], low)
-            search(_times(vector, numerators, (g for g in low for _ in range(exponents[g])))[0], high)
+            search(_times(vector, numerators, (g for g in high for _ in range(counts[g] - 1)))[0], low)
+            search(_times(vector, numerators, (g for g in low for _ in range(exponents[g] - 1)))[0], high)
             return
-        (g,) = roots
-        for k in range(1, counts[g] + 1):
-            vector = _times(vector, numerators, (g,))[0]
-            if not any(vector):
-                exponents[g] = k
-                return
-        raise RuntimeError(f"(x - {Fraction(g, den)})^{counts[g]} and the other factors do not annihilate x")
+        for g in roots:  # a leaf, or no repeated root at all
+            for k in range(2, counts[g] + 1):
+                vector = _times(vector, numerators, (g,))[0]
+                if not any(vector):
+                    exponents[g] = k
+                    return
+        raise RuntimeError("the product of (x - g_I) over the lacunar I does not annihilate x")
 
-    repeated = [g for g, c in counts.items() if c > 1]
     vector = [1] + [0] * (math.factorial(len(numerators)) - 1)  # the identity: rank 0
-    vector = _times(vector, numerators, (g for g, c in counts.items() if c == 1))[0]
-    if any(_times(vector, numerators, repeated)[0]):
-        if not repeated:
-            raise RuntimeError("the product of (x - g_I) over the lacunar I does not annihilate x")
-        search(vector, repeated)
+    search(_times(vector, numerators, counts)[0], [g for g, c in counts.items() if c > 1])
     return {Fraction(g, den): exponents[g] for g in sorted(exponents, reverse=True)}
 
 

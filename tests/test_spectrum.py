@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,8 @@ from cycleshuffles.inputs import _exact_weights, osc_weights, r2b_weights, t2r_w
 from cycleshuffles.lacunar import LacunarCatalog, enumerate_lacunar, gap_table, m_vector, walk_gaps
 from cycleshuffles.perms import all_permutations
 from cycleshuffles.polys import Polynomial
-from cycleshuffles.shuffles import build_t, combine
+from cycleshuffles.shuffles import build_osc, build_t, combine
+from cycleshuffles.simulate import exact_expected_tau, fast_bookmark_sim, simulate_sst, stage_probabilities
 from cycleshuffles.spectrum import (
     CERTIFIED_DIAGONALIZABLE,
     CHAR_POLY_MAX_DIM,
@@ -218,12 +220,29 @@ def test_an_empty_weight_vector_is_refused(name):
         SPECTRAL[name](())
 
 
-@pytest.mark.parametrize("name", SPECTRAL)
+DISTRIBUTIONS = {
+    "osc_weights": osc_weights,
+    "build_osc": build_osc,
+    "stage_probabilities": stage_probabilities,
+    "exact_expected_tau": exact_expected_tau,
+    "simulate_sst": lambda probabilities: simulate_sst(probabilities, 1, 0),
+    "fast_bookmark_sim": lambda probabilities: fast_bookmark_sim(probabilities, 1, 0),
+}
+FLOATS = {
+    **{name: (spectral, (Fraction(1, 5), 0.1)) for name, spectral in SPECTRAL.items()},
+    **{f"{name}-{p[0]}-{p[1]}": (call, p) for name, call in DISTRIBUTIONS.items() for p in ((0.5, 0.5), (0.1, 0.9))},
+}
+
+
+@pytest.mark.parametrize("name", FLOATS)
 def test_a_float_weight_is_refused(name):
     """A float is refused as the group algebra refuses it, not read as its
-    binary expansion (0.1 is not 1/10)."""
-    with pytest.raises(TypeError, match="0.1 is not an exact scalar"):
-        SPECTRAL[name]((Fraction(1, 5), 0.1))
+    binary expansion (0.1 is not 1/10): a weight, or a probability of the
+    position distribution, whether or not its binary expansion sums to 1."""
+    call, values = FLOATS[name]
+    float_value = next(c for c in values if type(c) is float)
+    with pytest.raises(TypeError, match=f"^{float_value} is not an exact scalar"):
+        call(values)
 
 
 def test_the_spectral_functions_build_no_catalog(monkeypatch):
@@ -363,19 +382,36 @@ def test_minimal_polynomial_rejects_a_relation_that_does_not_annihilate(monkeypa
         minimal_polynomial(x, max_n=7)
 
 
-def test_minimal_polynomial_applies_each_factor_once(monkeypatch):
-    """The r2b roots at n = 5 are 8 distinct ones, and the vanishing product
-    of their factors is the proof of P(x) = 0: one product per root."""
+def count_products(monkeypatch):
+    """A list that grows by one for each shuffle_rank_product call of spectrum."""
     real = spectrum.shuffle_rank_product
     calls = []
 
     def counted(*args):
-        calls.append(args)
+        calls.append(None)
         return real(*args)
 
     monkeypatch.setattr(spectrum, "shuffle_rank_product", counted)
-    assert minimal_polynomial(combine(r2b_weights(5))).degree == 8
-    assert len(calls) == 8
+    return calls
+
+
+@pytest.mark.parametrize(
+    "law, n, degree, products",
+    [
+        (r2b_weights, 5, 8, 8),
+        (r2b_weights, 6, 13, 13),
+        (unweighted_weights, 6, 13, 23),
+        (unweighted_weights, 7, 21, 50),
+    ],
+)
+def test_minimal_polynomial_applies_each_factor_once(law, n, degree, products, monkeypatch):
+    """The r2b roots at n = 5 and 6 are distinct, and the vanishing product
+    of their factors, the search's first node, is the proof of P(x) = 0: one
+    product per root.  The unweighted roots repeat, and past the first node
+    each half takes only the further factors of the other half's roots."""
+    calls = count_products(monkeypatch)
+    assert minimal_polynomial(combine(law(n)), max_n=n).degree == degree
+    assert len(calls) == products
 
 
 def test_jordan_exponents_of_the_max_gap_law():
@@ -389,12 +425,44 @@ def test_jordan_exponents_of_the_max_gap_law():
     assert minimal_polynomial(combine(weights)) == Polynomial.from_roots(exponents.items())
 
 
-def test_jordan_exponents_of_the_unweighted_shuffle():
+def test_jordan_exponents_stop_at_a_vanished_vector(monkeypatch):
+    """P = (0, 3/4, 1/4, 0) at n = 4 repeats the root 1, at k_g = 1 of c_g =
+    2, and the root 1/4, at 2 of 3.  The half that holds 1 vanishes under the
+    further factors of 1/4, so its leaf tries no k = 2: four products."""
+    calls = count_products(monkeypatch)
+    assert jordan_exponents(osc_weights([0, Fraction(3, 4), Fraction(1, 4), 0])) == {1: 1, Fraction(1, 4): 2}
+    assert len(calls) == 4
+
+
+UNWEIGHTED_EXPONENTS = {
+    # n: k_g (c_g, the rows with eigenvalue g) of each distinct root
+    7: {
+        1: (1, 1), Fraction(3, 4): (1, 1), Fraction(4, 7): (2, 2), Fraction(13, 28): (2, 2),
+        Fraction(3, 7): (1, 1), Fraction(11, 28): (2, 2), Fraction(9, 28): (2, 2), Fraction(2, 7): (3, 3),
+        Fraction(1, 4): (3, 3), Fraction(5, 28): (3, 3), Fraction(1, 7): (1, 1),
+    },
+    8: {
+        1: (1, 1), Fraction(7, 9): (1, 1), Fraction(11, 18): (2, 2), Fraction(1, 2): (2, 2),
+        Fraction(4, 9): (2, 4), Fraction(13, 36): (2, 2), Fraction(1, 3): (3, 4), Fraction(5, 18): (4, 6),
+        Fraction(1, 4): (1, 1), Fraction(2, 9): (3, 3), Fraction(7, 36): (3, 3), Fraction(1, 6): (4, 4),
+        Fraction(1, 9): (1, 1),
+    },
+}
+
+
+@pytest.mark.parametrize("n, products", [(7, 50), (8, 89)])
+def test_jordan_exponents_of_the_unweighted_shuffle(n, products, monkeypatch):
     """At n = 7 every one of the 21 catalog rows is a factor of the minimal
-    polynomial: 11 roots with exponents 3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1."""
-    exponents = jordan_exponents(unweighted_weights(7), max_n=7)
-    assert sorted(exponents.values(), reverse=True) == [3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1]
-    assert list(exponents) == [g for g, _ in full_spectrum(unweighted_weights(7)).aggregate]
+    polynomial, each k_g = c_g; at n = 8 five of the 34 are not (4/9, 1/3
+    and 5/18 stop below their c_g), and the search over its 9 repeated
+    roots goes four halvings deep."""
+    calls = count_products(monkeypatch)
+    exponents = jordan_exponents(unweighted_weights(n), max_n=n)
+    assert len(calls) == products
+    report = full_spectrum(unweighted_weights(n))
+    rows = Counter(row.eigenvalue for row in report.rows)
+    assert {g: (k, rows[g]) for g, k in exponents.items()} == UNWEIGHTED_EXPONENTS[n]
+    assert list(exponents) == [g for g, _ in report.aggregate]
 
 
 @pytest.mark.parametrize("n", range(1, 8))
